@@ -44,7 +44,6 @@ class RunConfig:
     command: str
     seed: int = 0
     out: str = "."
-    threads: int = 1
     model: GasModel | None = None
     chain: ChainParams | None = None
     n_chains: int = 1
@@ -60,7 +59,6 @@ class RunConfig:
             "command": self.command,
             "seed": self.seed,
             "out": self.out,
-            "threads": self.threads,
         }
         if self.model is not None:
             pot = self.model.potential
@@ -232,7 +230,7 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
         raise ParseError("config must be a JSON object")
     _reject_unknown(
         raw,
-        {"command", "model", "chain", "grid", "analyze", "seed", "out", "threads"},
+        {"command", "model", "chain", "grid", "analyze", "seed", "out"},
         "config",
     )
     command = command_override or raw.get("command")
@@ -243,8 +241,6 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
              "must be an unsigned 64-bit integer")
     out = raw.get("out", ".")
     _require(isinstance(out, str), "out", "must be a path string")
-    threads = raw.get("threads", 1)
-    _require(isinstance(threads, int) and threads >= 1, "threads", "integer >= 1")
 
     model = _parse_model(raw["model"]) if "model" in raw else None
     chain, n_chains = (None, 1)
@@ -276,7 +272,6 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
         command=command,
         seed=seed,
         out=out,
-        threads=threads,
         model=model,
         chain=chain,
         n_chains=n_chains,
@@ -390,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="thread budget")
     return parser
 
 
@@ -407,8 +401,6 @@ def main(argv=None) -> int:
             overrides["seed"] = args.seed
         if args.out is not None:
             overrides["out"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if overrides:
             config = replace(config, **overrides)
     except (ParseError, ValidationError, OSError) as e:

@@ -53,12 +53,65 @@ class EnergyReport:
     diagonal_policy: DiagonalPolicy
     pair_count: int
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "diagonal_policy": self.diagonal_policy.value,
-            "pair_count": self.pair_count,
-        }
+
+def _pair_kernel(beta: float, dist, va, vb):
+    """F = -(beta/2) log d + (v_a + v_b)/2 on broadcast arrays.
+
+    Every pair kernel and discrete energy in the package evaluates F here.
+    """
+    return -(beta / 2.0) * np.log(dist) + 0.5 * (va + vb)
+
+
+def _pair_kernel_matrix(
+    beta: float,
+    dist: np.ndarray,
+    v: np.ndarray,
+    policy: DiagonalPolicy,
+    spacing: float | np.ndarray | None = None,
+) -> np.ndarray:
+    """F at every pair of atoms with pairwise distances ``dist``, values ``v``.
+
+    The diagonal of ``dist`` is overwritten by the self-distance d_aa:
+    h_a/2 under the regularized policy, h_a being ``spacing`` or the
+    nearest-neighbor distance; 1 otherwise, where callers drop it.
+    """
+    if policy is DiagonalPolicy.REGULARIZED_SELF_ENERGY:
+        h = _nearest_neighbor_spacing(dist) if spacing is None else spacing
+        np.fill_diagonal(dist, np.asarray(h, dtype=float) / 2.0)
+    else:
+        np.fill_diagonal(dist, 1.0)
+    return _pair_kernel(beta, dist, v[:, None], v[None, :])
+
+
+def _nearest_neighbor_spacing(dist: np.ndarray) -> np.ndarray:
+    """Local grid spacing of each atom: distance to its nearest neighbor."""
+    if dist.shape[0] < 2:
+        raise ValueError("self-energy regularization needs at least two atoms")
+    masked = dist + np.diag(np.full(len(dist), np.inf))
+    return masked.min(axis=1)
+
+
+def _weighted_energy(
+    w: np.ndarray,
+    dist: np.ndarray,
+    beta: float,
+    v: np.ndarray,
+    policy: DiagonalPolicy,
+    spacing: float | np.ndarray | None,
+) -> float | None:
+    """sum_{a != b} w_a w_b F_ab, plus sum_a w_a^2 F_aa when regularized.
+
+    Returns None when two atoms coincide.
+    """
+    off = ~np.eye(len(w), dtype=bool)
+    if np.any(dist[off] < COINCIDENCE_TOL):
+        return None
+    terms = _pair_kernel_matrix(beta, dist, v, policy, spacing)
+    terms *= np.outer(w, w)
+    value = math.fsum(terms[off].tolist())
+    if policy is DiagonalPolicy.REGULARIZED_SELF_ENERGY:
+        value += math.fsum(np.diagonal(terms).tolist())
+    return float(value)
 
 
 def kernel_planar(x: complex, y: complex, model: GasModel) -> float:
@@ -67,7 +120,7 @@ def kernel_planar(x: complex, y: complex, model: GasModel) -> float:
     if sep < COINCIDENCE_TOL:
         return math.inf
     vx, vy = model.potential_values(np.array([x, y]))
-    return -(model.beta / 2.0) * math.log(sep) + 0.5 * (vx + vy)
+    return float(_pair_kernel(model.beta, sep, vx, vy))
 
 
 def kernel_sphere(
@@ -83,15 +136,7 @@ def kernel_sphere(
     sep = math.sqrt(float(dz @ dz))
     if sep < COINCIDENCE_TOL:
         return math.inf
-    return -(model.beta / 2.0) * math.log(sep) + 0.5 * (potential(z) + potential(w))
-
-
-def _nearest_neighbor_spacing(dist: np.ndarray) -> np.ndarray:
-    """Local grid spacing of each atom: distance to its nearest neighbor."""
-    if dist.shape[0] < 2:
-        raise ValueError("self-energy regularization needs at least two atoms")
-    masked = dist + np.diag(np.full(len(dist), np.inf))
-    return masked.min(axis=1)
+    return float(_pair_kernel(model.beta, sep, potential(z), potential(w)))
 
 
 def measure_energy(
@@ -109,37 +154,16 @@ def measure_energy(
     """
     if side is not None and side != mu.side:
         raise ValueError(f"measure is {mu.side}-side, asked for {side}")
-    w = mu.weights
-    n = len(w)
+    n = len(mu)
     if mu.side == "plane":
         pts = mu.positions
         dist = np.abs(pts[:, None] - pts[None, :])
         v = model.potential_values(pts)
     else:
         dist = sphere_distance_matrix(mu.positions)
-        pot = compactified_potential(model)
-        v = pot.on_sphere_array(mu.positions)
-    pair_count = n * (n - 1)
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        if np.any(dist[off] < COINCIDENCE_TOL):
-            value = math.inf
-            return EnergyReport(value, policy, pair_count)
-        kern = np.zeros_like(dist)
-        kern[off] = -(model.beta / 2.0) * np.log(dist[off])
-        kern += 0.5 * (v[:, None] + v[None, :])
-        terms = (np.outer(w, w) * kern)[off]
-        value = math.fsum(terms.tolist())
-    else:
-        value = 0.0
-    if policy is DiagonalPolicy.REGULARIZED_SELF_ENERGY:
-        if spacing is None:
-            h = _nearest_neighbor_spacing(dist)
-        else:
-            h = np.broadcast_to(np.asarray(spacing, dtype=float), (n,))
-        diag = w**2 * (-(model.beta / 2.0) * np.log(h / 2.0) + v)
-        value += math.fsum(diag.tolist())
-    return EnergyReport(float(value), policy, pair_count)
+        v = compactified_potential(model).on_sphere_array(mu.positions)
+    value = _weighted_energy(mu.weights, dist, model.beta, v, policy, spacing)
+    return EnergyReport(math.inf if value is None else value, policy, n * (n - 1))
 
 
 def config_energy(config: Configuration, model: GasModel) -> float:
@@ -149,14 +173,13 @@ def config_energy(config: Configuration, model: GasModel) -> float:
     if n < 2:
         return 0.0
     dist = np.abs(pts[:, None] - pts[None, :])
-    off = ~np.eye(n, dtype=bool)
-    if np.any(dist[off] < COINCIDENCE_TOL):
+    value = _weighted_energy(
+        np.ones(n), dist, model.beta, model.potential_values(pts),
+        DiagonalPolicy.OFF_DIAGONAL_ONLY, None,
+    )
+    if value is None:
         raise CoincidentPoints("configuration contains coincident points")
-    v = model.potential_values(pts)
-    kern = -(model.beta / 2.0) * np.log(dist[off]) + (
-        0.5 * (v[:, None] + v[None, :])
-    )[off]
-    return math.fsum(kern.tolist()) / n**2
+    return value / n**2
 
 
 def log_density(config: Configuration, model: GasModel) -> float:
@@ -255,17 +278,8 @@ def signed_log_energy(
             "atom position lists differ; use align_measures first"
         )
     d = mu.weights - nu.weights
-    n = len(d)
     dist = sphere_distance_matrix(mu.positions)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(dist[off] < COINCIDENCE_TOL):
+    value = _weighted_energy(d, dist, 2.0, np.zeros(len(d)), policy, spacing)
+    if value is None:
         raise MismatchedSupports("duplicate atom positions in support")
-    terms = (np.outer(d, d)[off]) * (-np.log(dist[off]))
-    value = math.fsum(terms.tolist())
-    if policy is DiagonalPolicy.REGULARIZED_SELF_ENERGY:
-        if spacing is None:
-            h = _nearest_neighbor_spacing(dist)
-        else:
-            h = np.broadcast_to(np.asarray(spacing, dtype=float), (n,))
-        value += math.fsum((d**2 * (-np.log(h / 2.0))).tolist())
-    return float(value)
+    return value

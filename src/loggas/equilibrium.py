@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate
 
-from .energy import DiagonalPolicy, log_density, measure_energy
+from .energy import DiagonalPolicy, _pair_kernel_matrix, log_density, measure_energy
 from .errors import (
     CoincidentPoints,
     InadmissibleModel,
@@ -178,9 +178,10 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 
 def _kernel_matrix(model: GasModel, atoms: np.ndarray, h: float) -> np.ndarray:
     dist = np.abs(atoms[:, None] - atoms[None, :])
-    np.fill_diagonal(dist, h / 2.0)
-    v = model.potential_values(atoms)
-    return -(model.beta / 2.0) * np.log(dist) + 0.5 * (v[:, None] + v[None, :])
+    return _pair_kernel_matrix(
+        model.beta, dist, model.potential_values(atoms),
+        DiagonalPolicy.REGULARIZED_SELF_ENERGY, spacing=h,
+    )
 
 
 def _spectral_norm(q: np.ndarray, iters: int = 80) -> float:
@@ -468,6 +469,14 @@ def _log_potential_radial(law: ClosedFormLaw, x: float) -> float:
     return math.fsum(pieces)
 
 
+def _log_potential_atoms(mu: DiscreteMeasure, x: complex) -> float:
+    """sum_a w_a log|x - p_a|, -inf at an atom."""
+    sep = np.abs(x - mu.positions)
+    if np.any(sep == 0.0):
+        return -math.inf
+    return math.fsum((mu.weights * np.log(sep)).tolist())
+
+
 def el_residual(
     candidate: ClosedFormLaw | DiscreteMeasure,
     model: GasModel,
@@ -479,27 +488,16 @@ def el_residual(
     either a closed-form law (adaptive quadrature with singularity
     splitting) or a discrete measure (direct sum, +inf at its atoms).
     """
-    probes = np.asarray(probe_points, dtype=complex)
-    out = np.empty(len(probes), dtype=float)
     if isinstance(candidate, DiscreteMeasure):
         if candidate.side != "plane":
             raise ValueError("el_residual expects a plane-side measure")
-        for i, x in enumerate(probes):
-            sep = np.abs(x - candidate.positions)
-            if np.any(sep == 0.0):
-                out[i] = math.inf
-                continue
-            log_pot = math.fsum((candidate.weights * np.log(sep)).tolist())
-            out[i] = -model.beta * log_pot + float(model.potential_values([x])[0])
-        return out
-    if candidate.variable == "x":
-        for i, x in enumerate(probes):
-            log_pot = _log_potential_line(candidate, float(x.real))
-            out[i] = -model.beta * log_pot + float(model.potential_values([x])[0])
-        return out
-    if candidate.variable == "r":
-        for i, x in enumerate(probes):
-            log_pot = _log_potential_radial(candidate, abs(x))
-            out[i] = -model.beta * log_pot + float(model.potential_values([x])[0])
-        return out
-    raise ValueError("el_residual supports plane-side laws and measures only")
+        log_potential = lambda x: _log_potential_atoms(candidate, x)
+    elif candidate.variable == "x":
+        log_potential = lambda x: _log_potential_line(candidate, float(x.real))
+    elif candidate.variable == "r":
+        log_potential = lambda x: _log_potential_radial(candidate, abs(x))
+    else:
+        raise ValueError("el_residual supports plane-side laws and measures only")
+    probes = np.asarray(probe_points, dtype=complex)
+    log_pot = np.array([log_potential(x) for x in probes], dtype=float)
+    return -model.beta * log_pot + model.potential_values(probes)

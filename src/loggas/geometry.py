@@ -61,73 +61,58 @@ POLE = SpherePoint(0.0, 0.0, 1.0, pole=True)
 
 def project(x: complex) -> SpherePoint:
     """Map a finite complex number onto the sphere."""
-    x = complex(x)
-    r = abs(x)
-    if r > _LARGE_MODULUS:
-        # (Re x, Im x, |x|^2)/(1+|x|^2) = (Re u * t, Im u * t, 1)/(1 + t^2)
-        # with u = x/|x| and t = 1/|x|; avoids forming |x|^2.
-        t = 1.0 / r
-        denom = 1.0 + t * t
-        u = x * t
-        return SpherePoint(u.real * t / denom, u.imag * t / denom, 1.0 / denom)
-    r2 = x.real * x.real + x.imag * x.imag
-    denom = 1.0 + r2
-    return SpherePoint(x.real / denom, x.imag / denom, r2 / denom)
+    return SpherePoint(*project_array([x])[0].tolist())
 
 
 def project_array(xs) -> np.ndarray:
-    """Vectorized projection; returns an (n, 3) array."""
+    """Vectorized projection; returns an array of shape xs.shape + (3,)."""
     xs = np.asarray(xs, dtype=complex)
     out = np.empty(xs.shape + (3,), dtype=float)
-    r2 = xs.real**2 + xs.imag**2
+    r = np.abs(xs)
+    big = r > _LARGE_MODULUS
+    small = ~big
+    x = xs[small]
+    r2 = x.real**2 + x.imag**2
     denom = 1.0 + r2
-    out[..., 0] = xs.real / denom
-    out[..., 1] = xs.imag / denom
-    out[..., 2] = r2 / denom
-    big = np.abs(xs) > _LARGE_MODULUS
-    if np.any(big):
-        t = 1.0 / np.abs(xs[big])
-        dt = 1.0 + t * t
-        u = xs[big] * t
-        out[big, 0] = u.real * t / dt
-        out[big, 1] = u.imag * t / dt
-        out[big, 2] = 1.0 / dt
+    out[small, 0] = x.real / denom
+    out[small, 1] = x.imag / denom
+    out[small, 2] = r2 / denom
+    # (Re x, Im x, |x|^2)/(1+|x|^2) = (Re u * t, Im u * t, 1)/(1 + t^2)
+    # with u = x/|x| and t = 1/|x|; avoids forming |x|^2.
+    t = 1.0 / r[big]
+    dt = 1.0 + t * t
+    u = xs[big] * t
+    out[big, 0] = u.real * t / dt
+    out[big, 1] = u.imag * t / dt
+    out[big, 2] = 1.0 / dt
     return out
 
 
 def unproject(z: SpherePoint) -> complex:
-    """Inverse of project; the pole has no finite preimage.
+    """Inverse of project; the pole has no finite preimage."""
+    if z.pole:
+        raise PoleNotInvertible("the north pole is not the image of any finite point")
+    return complex(unproject_array(z.as_array()))
+
+
+def unproject_array(zs: np.ndarray) -> np.ndarray:
+    """Inverse of project_array on rows (x1, x2, x3) of sphere points.
 
     Above the half-height the subtraction 1 - x3 would cost relative
     precision like ulp/(1 - x3), so the sphere constraint
     x1^2 + x2^2 = x3 (1 - x3) is used to rebuild the modulus from the
     well-scaled horizontal coordinates instead.
     """
-    if z.pole:
-        raise PoleNotInvertible("the north pole is not the image of any finite point")
-    if z.x3 <= 0.5:
-        return complex(z.x1, z.x2) / (1.0 - z.x3)
-    s = math.hypot(z.x1, z.x2)
-    if s == 0.0:
-        # coordinates are exactly (0, 0, 1): the pole in all but flag
-        raise PoleNotInvertible("point coincides with the north pole")
-    scale = z.x3 / s
-    return complex(z.x1 / s * scale, z.x2 / s * scale)
-
-
-def unproject_array(zs: np.ndarray) -> np.ndarray:
     zs = np.asarray(zs, dtype=float)
     x1, x2, x3 = zs[..., 0], zs[..., 1], zs[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (x1 + 1j * x2) / (1.0 - x3)
     high = x3 > 0.5
-    if np.any(high):
-        s = np.hypot(x1[high], x2[high])
-        if np.any(s == 0.0):
-            raise PoleNotInvertible("a point coincides with the north pole")
-        scale = x3[high] / s
-        out[high] = (x1[high] / s + 1j * (x2[high] / s)) * scale
-    return out
+    s = np.hypot(x1, x2)
+    if np.any(high & (s == 0.0)):
+        raise PoleNotInvertible("a point coincides with the north pole")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low_form = (x1 + 1j * x2) / (1.0 - x3)
+        high_form = (x1 / s + 1j * (x2 / s)) * (x3 / s)
+    return np.where(high, high_form, low_form)
 
 
 def chordal_distance(x: complex, y: complex) -> float:
@@ -165,9 +150,7 @@ class CompactifiedPotential:
     def __call__(self, z: SpherePoint) -> float:
         if z.pole:
             return self.pole_value
-        x = unproject(z)
-        v = float(self.model.potential_values(np.array([x]))[0])
-        return v + (self.model.beta / 2.0) * math.log1p(-z.x3)
+        return float(self.on_sphere_array(z.as_array()))
 
     def on_plane(self, x) -> np.ndarray:
         """Evaluate at T(x) directly from planar coordinates (exact form)."""

@@ -39,31 +39,22 @@ class Support(enum.Enum):
     UNIT_CIRCLE = "unit_circle"
 
     def contains(self, z: complex) -> bool:
-        z = complex(z)
-        if self is Support.COMPLEX_PLANE:
-            return math.isfinite(z.real) and math.isfinite(z.imag)
-        if self is Support.UNIT_CIRCLE:
-            return abs(abs(z) - 1.0) <= REAL_AXIS_TOL
-        if abs(z.imag) > REAL_AXIS_TOL:
-            return False
-        if self is Support.REAL_LINE:
-            return math.isfinite(z.real)
-        if self is Support.HALF_LINE:
-            return z.real >= 0.0
-        return 0.0 <= z.real <= 1.0  # UNIT_SEGMENT
+        return bool(self.contains_array(np.array([z]))[0])
 
     def contains_array(self, zs: np.ndarray) -> np.ndarray:
+        """Elementwise membership; no non-finite point is in any support."""
         zs = np.asarray(zs, dtype=complex)
-        if self is Support.COMPLEX_PLANE:
-            return np.isfinite(zs.real) & np.isfinite(zs.imag)
         if self is Support.UNIT_CIRCLE:
             return np.abs(np.abs(zs) - 1.0) <= REAL_AXIS_TOL
-        on_axis = np.abs(zs.imag) <= REAL_AXIS_TOL
-        if self is Support.REAL_LINE:
-            return on_axis & np.isfinite(zs.real)
-        if self is Support.HALF_LINE:
-            return on_axis & (zs.real >= 0.0)
-        return on_axis & (zs.real >= 0.0) & (zs.real <= 1.0)
+        inside = np.isfinite(zs)
+        if self is Support.COMPLEX_PLANE:
+            return inside
+        inside &= np.abs(zs.imag) <= REAL_AXIS_TOL
+        if self in (Support.HALF_LINE, Support.UNIT_SEGMENT):
+            inside &= zs.real >= 0.0
+        if self is Support.UNIT_SEGMENT:
+            inside &= zs.real <= 1.0
+        return inside
 
     @property
     def is_real(self) -> bool:
@@ -398,16 +389,6 @@ class DiscreteMeasure:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    @classmethod
-    def from_atoms(cls, atoms) -> "DiscreteMeasure":
-        """Build from (position, weight) pairs; positions complex or SpherePoint."""
-        positions = [a[0] for a in atoms]
-        weights = [a[1] for a in atoms]
-        if positions and hasattr(positions[0], "as_array"):
-            pos = np.array([p.as_array() for p in positions], dtype=float)
-            return cls(pos, np.array(weights), side="sphere")
-        return cls(np.array(positions, dtype=complex), np.array(weights), side="plane")
 
 
 def _merge_duplicate_atoms(pos, wts, side):

@@ -86,6 +86,17 @@ class ChainStats:
         }
 
 
+def _log_separation_change(points: np.ndarray, i: int, x_new: complex) -> float:
+    """sum_{j != i} log|x_j - x_new| - log|x_j - x_i|; -inf if x_new hits a particle."""
+    d_new = np.abs(points - x_new)
+    d_old = np.abs(points - points[i])
+    d_new[i] = 1.0
+    d_old[i] = 1.0
+    if np.any(d_new == 0.0):
+        return -math.inf
+    return np.log(d_new).sum() - np.log(d_old).sum()
+
+
 def proposal_log_ratio(model: GasModel, points: np.ndarray, i: int, x_new: complex) -> float:
     """Incremental log target ratio for moving particle i to x_new.
 
@@ -93,14 +104,8 @@ def proposal_log_ratio(model: GasModel, points: np.ndarray, i: int, x_new: compl
     finite sums over the same pairs).
     """
     pts = np.asarray(points, dtype=complex)
-    d_new = np.abs(pts - x_new)
-    d_old = np.abs(pts - pts[i])
-    d_new[i] = 1.0
-    d_old[i] = 1.0
-    if np.any(d_new == 0.0):
-        return -math.inf
     v_old, v_new = model.potential_values(np.array([pts[i], x_new]))
-    inter = model.beta * (np.log(d_new).sum() - np.log(d_old).sum())
+    inter = model.beta * _log_separation_change(pts, i, x_new)
     return float(inter - model.n * (v_new - v_old))
 
 
@@ -127,8 +132,6 @@ def mh_chain(
 
     scale = params.step_scale
     beta = model.beta
-    veval = model.potential.evaluate
-    varg = (lambda z: z.real) if support.is_real else (lambda z: z)
 
     samples: list[Configuration] = []
     trace: list[float] = []
@@ -152,24 +155,26 @@ def mh_chain(
             steps = np.where(mix, heavy, steps)
         u_accept = rng.random(n)
 
+        # Move i changes only x[i], so each proposal of the sweep depends on
+        # the sweep's starting positions alone and all can be built up front.
+        if rotate:
+            # x * exp(i theta) by the textbook product, which rounds as the
+            # scalar complex product does; NumPy's array product fuses
+            # multiply-adds and rounds differently.
+            rot = np.exp(1j * steps.real)
+            proposals = np.empty(n, dtype=complex)
+            proposals.real = x.real * rot.real - x.imag * rot.imag
+            proposals.imag = x.real * rot.imag + x.imag * rot.real
+        else:
+            proposals = x + steps
+        moves = np.flatnonzero(support.contains_array(proposals))
+        dv = n * (model.potential_values(proposals[moves]) - model.potential_values(x[moves]))
+
         acc_sweep = 0
-        for i in range(n):
-            if rotate:
-                x_new = x[i] * np.exp(1j * steps[i].real)
-            else:
-                x_new = x[i] + steps[i]
-            if not support.contains(x_new):
-                continue
-            d_new = np.abs(x - x_new)
-            d_new[i] = 1.0
-            if np.any(d_new == 0.0):
-                continue
-            d_old = np.abs(x - x[i])
-            d_old[i] = 1.0
-            delta = beta * (np.log(d_new).sum() - np.log(d_old).sum())
-            delta -= n * (float(veval(varg(x_new))) - float(veval(varg(x[i]))))
+        for i, dv_i in zip(moves.tolist(), dv.tolist()):
+            delta = beta * _log_separation_change(x, i, proposals[i]) - dv_i
             if delta >= 0.0 or u_accept[i] < math.exp(delta):
-                x[i] = x_new
+                x[i] = proposals[i]
                 acc_sweep += 1
 
         if in_burn:

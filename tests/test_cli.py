@@ -30,7 +30,6 @@ class TestParseConfig:
         assert config.chain.thin == 1
         assert config.chain.adapt is True
         assert config.seed == 0
-        assert config.threads == 1
 
     def test_unknown_key_named(self):
         bad = dict(MINIMAL_SAMPLE)

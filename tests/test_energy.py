@@ -126,11 +126,6 @@ class TestMeasureEnergy:
         sphere = measure_energy(pushforward(mu), model).value
         assert sphere == pytest.approx(plane, abs=1e-10)
 
-    def test_json_round_trip(self):
-        mu = empirical_measure(Configuration(np.array([-1.0, 1.0], dtype=complex)))
-        d = measure_energy(mu, CAUCHY).to_json()
-        assert set(d) == {"value", "diagonal_policy", "pair_count"}
-
 
 class TestConfigEnergy:
     def test_examples(self):

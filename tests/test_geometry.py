@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,9 +60,14 @@ class TestProject:
         assert np.max(np.abs(err)) <= 1e-12
 
     def test_huge_modulus_stable(self):
-        z = project(1e200 + 1e200j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = project(1e200 + 1e200j)
+            zs = project_array([1e200 + 1e200j, -1e300, 2.0])
         assert z.x3 == pytest.approx(1.0)
         assert np.isfinite(z.as_array()).all()
+        assert np.array_equal(zs[0], z.as_array())
+        assert np.isfinite(zs).all()
 
     def test_scalar_matches_array(self):
         rng = np.random.default_rng(2)
@@ -91,6 +97,14 @@ class TestUnproject:
         z = project(x)
         assert z.x3 == 1.0 and not z.pole
         assert unproject(z) == pytest.approx(x, rel=1e-12)
+
+    def test_scalar_matches_array(self):
+        rng = np.random.default_rng(8)
+        zs = project_array(wide_complex(rng, 200, max_exp=8.0))
+        assert np.any(zs[:, 2] > 0.5) and np.any(zs[:, 2] <= 0.5)
+        back = unproject_array(zs)
+        for row, x in zip(zs, back):
+            assert unproject(SpherePoint(*row)) == x
 
     def test_exact_pole_coordinates_rejected(self):
         with pytest.raises(PoleNotInvertible):

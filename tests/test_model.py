@@ -37,6 +37,24 @@ class TestSupports:
         assert Support.UNIT_CIRCLE.contains(np.exp(0.3j))
         assert not Support.UNIT_CIRCLE.contains(1.01)
 
+    @pytest.mark.parametrize(
+        "support, inside, outside",
+        [
+            (Support.REAL_LINE, [0.0, -3.5, 1.5 + 1e-13j], [1.5 + 1e-6j, 2j]),
+            (Support.COMPLEX_PLANE, [0.0, 3 - 2j, -1e300j], []),
+            (Support.HALF_LINE, [0.0, 7.0], [-1e-3, 1 + 1j]),
+            (Support.UNIT_SEGMENT, [0.0, 0.5, 1.0], [1.001, -0.1]),
+            (Support.UNIT_CIRCLE, [1.0, np.exp(0.3j), -1j], [1.01, 0.0]),
+        ],
+    )
+    def test_scalar_matches_array_and_rejects_nonfinite(self, support, inside, outside):
+        nonfinite = [math.inf, -math.inf, math.nan, complex(0.0, math.inf),
+                     complex(math.nan, 0.0), complex(1.0, math.nan)]
+        points = np.array(inside + outside + nonfinite, dtype=complex)
+        expected = [True] * len(inside) + [False] * (len(outside) + len(nonfinite))
+        assert support.contains_array(points).tolist() == expected
+        assert [support.contains(z) for z in points] == expected
+
     def test_solver_gate(self):
         assert Support.REAL_LINE.solver_allowed
         assert Support.COMPLEX_PLANE.solver_allowed

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from loggas import (
+    Admissibility,
     BackendUnavailable,
     ChainParams,
     Configuration,
     GasModel,
     InadmissibleModel,
     Support,
+    admissibility_check,
     cauchy_law,
     cauchy_potential,
     chain_seed,
@@ -27,7 +29,7 @@ from loggas import (
 CAUCHY2 = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
 
 
-def small_chain(model, seed=0, sweeps=60, burn_in=20, **kw):
+def initial_configuration(model, seed):
     rng = np.random.default_rng(seed + 1)
     if model.support is Support.COMPLEX_PLANE:
         pts = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
@@ -35,11 +37,62 @@ def small_chain(model, seed=0, sweeps=60, burn_in=20, **kw):
         pts = np.exp(2j * np.pi * rng.random(model.n))
     elif model.support is Support.HALF_LINE:
         pts = np.abs(rng.standard_normal(model.n)).astype(complex)
+    elif model.support is Support.UNIT_SEGMENT:
+        pts = rng.random(model.n).astype(complex)
     else:
         pts = rng.standard_normal(model.n).astype(complex)
-    init = Configuration(pts)
+    return Configuration(pts)
+
+
+def small_chain(model, seed=0, sweeps=60, burn_in=20, **kw):
     params = ChainParams(sweeps=sweeps, burn_in=burn_in, seed=seed, **kw)
-    return mh_chain(model, init, params)
+    return mh_chain(model, initial_configuration(model, seed), params)
+
+
+def per_move_chain(model, init, params):
+    """Reference for mh_chain: the same random draws, one proposal at a time.
+
+    Each move is built from the current position and decided with the
+    scalar Support.contains and proposal_log_ratio.
+    """
+    n = model.n
+    is_complex = model.support in (Support.COMPLEX_PLANE, Support.UNIT_CIRCLE)
+    rotate = model.support is Support.UNIT_CIRCLE
+    heavy_tails = not rotate and (
+        admissibility_check(model).classification is not Admissibility.STRONG
+    )
+    rng = np.random.default_rng(params.seed)
+    x = np.array(init.points, dtype=complex)
+    scale = params.step_scale
+    samples = []
+    for sweep in range(params.sweeps):
+        if is_complex:
+            steps = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        else:
+            steps = (scale * rng.standard_normal(n)).astype(complex)
+        if heavy_tails:
+            mix = rng.random(n) < 0.1
+            if is_complex:
+                heavy = scale * rng.standard_cauchy(n) * np.exp(2j * np.pi * rng.random(n))
+            else:
+                heavy = (scale * rng.standard_cauchy(n)).astype(complex)
+            steps = np.where(mix, heavy, steps)
+        u_accept = rng.random(n)
+        accepted = 0
+        for i in range(n):
+            x_new = x[i] * np.exp(1j * steps[i].real) if rotate else x[i] + steps[i]
+            if not model.support.contains(x_new):
+                continue
+            delta = proposal_log_ratio(model, x, i, x_new)
+            if delta >= 0.0 or u_accept[i] < math.exp(delta):
+                x[i] = x_new
+                accepted += 1
+        if sweep < params.burn_in:
+            if params.adapt:
+                scale *= math.exp((sweep + 1.0) ** -0.6 * (accepted / n - 0.3))
+        elif (sweep - params.burn_in) % params.thin == 0:
+            samples.append(x.copy())
+    return samples
 
 
 class TestChainParams:
@@ -130,6 +183,26 @@ class TestMhChain:
         _, stats = small_chain(model, seed=3, sweeps=600, burn_in=300,
                                step_scale=20.0)
         assert 0.15 <= stats.acceptance_rate <= 0.45
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 8),
+            GasModel(Support.HALF_LINE, 1.5, quadratic_potential(), 6),
+            GasModel(Support.UNIT_SEGMENT, 2.0, cauchy_potential(), 6),
+            GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 8),
+            GasModel(Support.UNIT_CIRCLE, 2.0, spherical_potential(), 6),
+        ],
+        ids=lambda m: m.support.value,
+    )
+    def test_matches_per_move_reference(self, model):
+        init = initial_configuration(model, seed=11)
+        params = ChainParams(sweeps=80, burn_in=30, seed=11, thin=2)
+        samples, _ = mh_chain(model, init, params)
+        reference = per_move_chain(model, init, params)
+        assert len(samples) == len(reference)
+        for got, want in zip(samples, reference):
+            assert np.array_equal(got.points, want)
 
     def test_energy_trace_recorded(self):
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 4)
