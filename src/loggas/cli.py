@@ -1,17 +1,20 @@
 """Command-line front end: sample | equilibrium | verify | analyze.
 
 Runs are driven by a strict JSON config (unknown keys are errors) with
-flag overrides taking precedence over file values.  Every run writes a
-manifest echoing the resolved configuration, seed, and package version,
-sufficient to reproduce the outputs byte for byte.
+flag overrides taking precedence over file values; flags are merged into
+the config before it is validated, so both are checked alike.  Every run
+writes a manifest echoing the resolved configuration, seed, and package
+version, sufficient to reproduce the outputs byte for byte.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure or a solve that did not
+converge, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -123,6 +126,23 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ValidationError(f"{path}: {message}")
 
 
+def _number(value, path: str, integer: bool = False):
+    """A finite JSON number as a float, or as an int when ``integer``.
+
+    JSON true and false arrive as bool, a subclass of int, so they are
+    rejected explicitly.
+    """
+    kind = "integer" if integer else "number"
+    allowed = int if integer else (int, float)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, allowed)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise ValidationError(f"{path}: expected a finite {kind}, got {value!r}")
+    return value if integer else float(value)
+
+
 def _parse_potential(section, path="model.potential") -> PotentialSpec:
     if not isinstance(section, dict):
         raise ValidationError(f"{path}: expected an object")
@@ -138,13 +158,15 @@ def _parse_potential(section, path="model.potential") -> PotentialSpec:
         _require(isinstance(params, dict), f"{path}.params", "required for custom potentials")
         _reject_unknown(params, {"poly", "poly_var", "log_coeff"}, f"{path}.params")
         poly = params.get("poly", [])
+        _require(isinstance(poly, list), f"{path}.params.poly", "must be a list")
+        poly = [_number(c, f"{path}.params.poly") for c in poly]
         poly_var = params.get("poly_var", "r2")
-        log_coeff = params.get("log_coeff", 0.0)
+        log_coeff = _number(params.get("log_coeff", 0.0), f"{path}.params.log_coeff")
         _require(poly_var in ("x", "r2"), f"{path}.params.poly_var", "must be 'x' or 'r2'")
-        pot = custom_potential(name, poly, poly_var, float(log_coeff))
+        pot = custom_potential(name, poly, poly_var, log_coeff)
     overrides = {}
     if "beta_prime" in section and section["beta_prime"] is not None:
-        bp = float(section["beta_prime"])
+        bp = _number(section["beta_prime"], f"{path}.beta_prime")
         _require(bp > 1.0, f"{path}.beta_prime", "must exceed 1")
         overrides["beta_prime"] = bp
     if "v_infinity" in section and section["v_infinity"] is not None:
@@ -159,32 +181,32 @@ def _parse_model(section, path="model") -> GasModel:
     support_name = section.get("support", "real_line")
     _require(support_name in _SUPPORT_NAMES, f"{path}.support",
              f"must be one of {sorted(_SUPPORT_NAMES)}")
-    beta = section.get("beta")
-    _require(isinstance(beta, (int, float)), f"{path}.beta", "required number")
+    beta = _number(section.get("beta"), f"{path}.beta")
     _require(beta > 0, f"{path}.beta", "must be positive")
-    n = section.get("n")
-    _require(isinstance(n, int) and n >= 1, f"{path}.n", "required integer >= 1")
+    n = _number(section.get("n"), f"{path}.n", integer=True)
+    _require(n >= 1, f"{path}.n", "required integer >= 1")
     _require("potential" in section, f"{path}.potential", "required")
     potential = _parse_potential(section["potential"])
-    return GasModel(_SUPPORT_NAMES[support_name], float(beta), potential, n)
+    return GasModel(_SUPPORT_NAMES[support_name], beta, potential, n)
 
 
 def _parse_chain(section, path="chain") -> tuple[ChainParams, int]:
     _reject_unknown(
         section, {"sweeps", "burn_in", "step_scale", "adapt", "thin", "chains"}, path
     )
-    sweeps = section.get("sweeps")
-    _require(isinstance(sweeps, int) and sweeps >= 2, f"{path}.sweeps",
-             "required integer >= 2")
-    burn_in = section.get("burn_in", min(1000, sweeps // 2))
-    _require(isinstance(burn_in, int) and 0 <= burn_in < sweeps, f"{path}.burn_in",
+    sweeps = _number(section.get("sweeps"), f"{path}.sweeps", integer=True)
+    _require(sweeps >= 2, f"{path}.sweeps", "required integer >= 2")
+    burn_in = _number(
+        section.get("burn_in", min(1000, sweeps // 2)), f"{path}.burn_in", integer=True
+    )
+    _require(0 <= burn_in < sweeps, f"{path}.burn_in",
              "must satisfy 0 <= burn_in < sweeps")
-    step_scale = float(section.get("step_scale", 1.0))
+    step_scale = _number(section.get("step_scale", 1.0), f"{path}.step_scale")
     _require(step_scale > 0, f"{path}.step_scale", "must be positive")
-    thin = section.get("thin", 1)
-    _require(isinstance(thin, int) and thin >= 1, f"{path}.thin", "integer >= 1")
-    chains = section.get("chains", 1)
-    _require(isinstance(chains, int) and chains >= 1, f"{path}.chains", "integer >= 1")
+    thin = _number(section.get("thin", 1), f"{path}.thin", integer=True)
+    _require(thin >= 1, f"{path}.thin", "integer >= 1")
+    chains = _number(section.get("chains", 1), f"{path}.chains", integer=True)
+    _require(chains >= 1, f"{path}.chains", "integer >= 1")
     adapt = section.get("adapt", True)
     _require(isinstance(adapt, bool), f"{path}.adapt", "must be boolean")
     params = ChainParams(
@@ -199,28 +221,32 @@ def _parse_grid(section, path="grid") -> tuple[GridSpec, float, int]:
     _require(isinstance(window, list) and len(window) == 2, f"{path}.window",
              "required [lo, hi] or [[xlo, xhi], [ylo, yhi]]")
     if isinstance(window[0], list):
-        win = tuple((float(a), float(b)) for a, b in window)
+        _require(all(isinstance(w, list) and len(w) == 2 for w in window),
+                 f"{path}.window", "needs two [lo, hi] pairs")
+        win = tuple(tuple(_number(x, f"{path}.window") for x in w) for w in window)
         for lo, hi in win:
             _require(lo < hi, f"{path}.window", "needs lo < hi")
     else:
-        win = (float(window[0]), float(window[1]))
+        win = tuple(_number(x, f"{path}.window") for x in window)
         _require(win[0] < win[1], f"{path}.window", "needs lo < hi")
-    resolution = section.get("resolution")
-    _require(isinstance(resolution, int) and resolution >= 16, f"{path}.resolution",
-             "required integer >= 16")
-    tol = float(section.get("tol", 1e-4))
+    resolution = _number(section.get("resolution"), f"{path}.resolution", integer=True)
+    _require(resolution >= 16, f"{path}.resolution", "required integer >= 16")
+    tol = _number(section.get("tol", 1e-4), f"{path}.tol")
     _require(tol > 0, f"{path}.tol", "must be positive")
-    max_iter = section.get("max_iter", 20000)
-    _require(isinstance(max_iter, int) and max_iter >= 1, f"{path}.max_iter",
-             "integer >= 1")
+    max_iter = _number(section.get("max_iter", 20000), f"{path}.max_iter", integer=True)
+    _require(max_iter >= 1, f"{path}.max_iter", "integer >= 1")
     return GridSpec(win, resolution), tol, max_iter
 
 
-def parse_config(text: str, command_override: str | None = None) -> RunConfig:
+def parse_config(
+    text: str, command_override: str | None = None, flags: dict | None = None
+) -> RunConfig:
     """Parse and validate a JSON run configuration (strict schema).
 
     ``command_override`` is the CLI subcommand; it takes precedence over
-    the file's command field (flags beat file values).
+    the file's command field.  ``flags`` holds the top-level values given
+    on the command line (seed, out); they replace the file's values
+    before validation (flags beat file values).
     """
     try:
         raw = json.loads(text)
@@ -228,6 +254,7 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object")
+    raw = {**raw, **(flags or {})}
     _reject_unknown(
         raw,
         {"command", "model", "chain", "grid", "analyze", "seed", "out"},
@@ -236,9 +263,8 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
     command = command_override or raw.get("command")
     _require(command in COMMANDS, "command", f"must be one of {COMMANDS}")
 
-    seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and 0 <= seed < 2**64, "seed",
-             "must be an unsigned 64-bit integer")
+    seed = _number(raw.get("seed", 0), "seed", integer=True)
+    _require(0 <= seed < 2**64, "seed", "must be an unsigned 64-bit integer")
     out = raw.get("out", ".")
     _require(isinstance(out, str), "out", "must be a path string")
 
@@ -331,6 +357,13 @@ def _run_equilibrium(config: RunConfig, out_dir: Path) -> int:
     )
     write_measure_csv(out_dir / "measure.csv", measure)
     write_json(out_dir / "report.json", report.to_json())
+    if not report.converged:
+        print(
+            f"loggas: error: not converged: gap {report.gap:.3e} > tol {config.tol:g} "
+            f"after {report.iterations} iterations",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -390,19 +423,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
     try:
         if args.config is not None:
             text = Path(args.config).read_text()
         else:
             text = "{}"
-        config = parse_config(text, command_override=args.command)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out"] = args.out
-        if overrides:
-            config = replace(config, **overrides)
+        config = parse_config(text, command_override=args.command, flags=flags)
     except (ParseError, ValidationError, OSError) as e:
         print(f"loggas: error: {e}", file=sys.stderr)
         return 2

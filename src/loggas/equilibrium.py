@@ -8,11 +8,15 @@ discrete energy is minimized over probability weights on a grid.
 
 The discrete objective is E(w) = w^T Q w with Q the pair kernel matrix,
 off-diagonal entries the weighted log kernel and diagonal entries the
-spacing-regularized self energy.  E is convex on the simplex; iterates
-use an accelerated projected-gradient scheme kept monotone by fallback,
-and the stopping certificate is the standard linear-minimization duality
-gap  max_s <grad, w - s> = <grad, w> - min_a grad_a,  which bounds the
-suboptimality E(w) - E*.
+spacing-regularized self energy.  Q is never formed: on a uniform grid
+its log part depends only on index differences (Toeplitz on the line,
+block-Toeplitz on the plane) and is applied by FFT through a circulant
+embedding, and its potential part has rank 2, so a solve needs O(m^2)
+memory on an m x m planar grid instead of O(m^4).  E is convex on the
+simplex; iterates use an accelerated projected-gradient scheme kept
+monotone by fallback, and the stopping certificate is the standard
+linear-minimization duality gap  max_s <grad, w - s> = <grad, w> -
+min_a grad_a,  which bounds the suboptimality E(w) - E*.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import fft, integrate
 
-from .energy import DiagonalPolicy, _pair_kernel_matrix, log_density, measure_energy
+from .energy import _pair_kernel, log_density
 from .errors import (
     CoincidentPoints,
     InadmissibleModel,
@@ -176,21 +180,51 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _kernel_matrix(model: GasModel, atoms: np.ndarray, h: float) -> np.ndarray:
-    dist = np.abs(atoms[:, None] - atoms[None, :])
-    return _pair_kernel_matrix(
-        model.beta, dist, model.potential_values(atoms),
-        DiagonalPolicy.REGULARIZED_SELF_ENERGY, spacing=h,
-    )
+class GridKernel:
+    """The pair kernel matrix Q of a uniform grid, applied without forming it.
+
+    Q_ab = K(p_a - p_b) + (v_a + v_b)/2 with K = -(beta/2) log|.| off the
+    diagonal and the regularized self energy -(beta/2) log(h/2) on it.
+    K is tabulated once over the offsets -(m-1)..m-1 per axis and
+    embedded in a circulant of at least 2m - 1 points per axis, whose
+    action is a pointwise product of real FFTs; the potential part is
+    applied as the rank-2 term v (1^T w)/2 + (v^T w) 1/2.
+    """
+
+    def __init__(self, model: GasModel, grid: GridSpec):
+        self.atoms, h = grid.atoms()
+        m = grid.resolution
+        ndim = 2 if grid.is_planar else 1
+        self._shape = (m,) * ndim
+        self._fft_shape = (fft.next_fast_len(2 * m - 1, real=True),) * ndim
+        offsets = np.arange(1 - m, m) * h
+        if grid.is_planar:
+            dist = np.hypot(offsets[:, None], offsets[None, :])
+        else:
+            dist = np.abs(offsets)
+        dist[(m - 1,) * ndim] = h / 2.0
+        circulant = np.zeros(self._fft_shape)
+        wrapped = np.arange(1 - m, m) % self._fft_shape[0]
+        circulant[np.ix_(*(wrapped,) * ndim)] = _pair_kernel(model.beta, dist, 0.0, 0.0)
+        self._kernel_hat = fft.rfftn(circulant)
+        self._potential = model.potential_values(self.atoms)
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """Q w for any real w; the weights need not sum to 1."""
+        spectrum = fft.rfftn(w.reshape(self._shape), self._fft_shape) * self._kernel_hat
+        conv = fft.irfftn(spectrum, self._fft_shape)
+        kw = conv[tuple(slice(m) for m in self._shape)].ravel()
+        v = self._potential
+        return kw + 0.5 * v * w.sum() + 0.5 * (v @ w)
 
 
-def _spectral_norm(q: np.ndarray, iters: int = 80) -> float:
+def _spectral_norm(q: GridKernel, iters: int = 80) -> float:
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(len(q))
+    v = rng.standard_normal(len(q.atoms))
     v /= np.linalg.norm(v)
     lam = 1.0
     for _ in range(iters):
-        w = q @ v
+        w = q(v)
         lam = np.linalg.norm(w)
         if lam == 0.0:
             return 1.0
@@ -259,16 +293,15 @@ def grid_minimize(
         raise ValueError("grid dimensionality does not match the support")
     _check_window_symmetry(model, grid)
 
-    atoms, h = grid.atoms()
-    q = _kernel_matrix(model, atoms, h)
-    size = len(atoms)
+    q = GridKernel(model, grid)
+    size = len(q.atoms)
     step = 1.0 / (2.0 * _spectral_norm(q) * 1.05)
 
     if init_weights is None:
         w = np.full(size, 1.0 / size)
     else:
         w = project_to_simplex(np.asarray(init_weights, dtype=float))
-    qw = q @ w
+    qw = q(w)
     energy_w = float(w @ qw)
 
     best_w, best_gap = w, math.inf
@@ -279,15 +312,15 @@ def grid_minimize(
     converged = False
     for k in range(1, max_iter + 1):
         iterations = k
-        z = project_to_simplex(y - step * 2.0 * (q @ y))
-        qz = q @ z
+        z = project_to_simplex(y - step * 2.0 * q(y))
+        qz = q(z)
         energy_z = float(z @ qz)
         if energy_z <= energy_w:
             w_new, q_new, energy_new = z, qz, energy_z
         else:
             # Monotone fallback: plain projected-gradient step from w.
             w_new = project_to_simplex(w - step * 2.0 * qw)
-            q_new = q @ w_new
+            q_new = q(w_new)
             energy_new = float(w_new @ q_new)
             t = 1.0
         grad = 2.0 * q_new
@@ -305,12 +338,9 @@ def grid_minimize(
             break
 
     weights = best_w / math.fsum(best_w.tolist())
-    measure = DiscreteMeasure(atoms, weights, side="plane")
-    final = measure_energy(
-        measure, model, policy=DiagonalPolicy.REGULARIZED_SELF_ENERGY, spacing=h
-    )
+    measure = DiscreteMeasure(q.atoms, weights, side="plane")
     report = GridMinimizeReport(
-        energy=final.value,
+        energy=float(weights @ q(weights)),
         gap=best_gap,
         iterations=iterations,
         captured_mass=captured_mass(model, grid),

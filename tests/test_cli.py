@@ -68,6 +68,44 @@ class TestParseConfig:
         assert config.model.potential.evaluate(2.0) == pytest.approx(16.0)
         assert config.model.weak_growth_ok
 
+    @pytest.mark.parametrize("value", [True, "7", -1, 2**64])
+    def test_seed_must_be_unsigned_integer(self, value):
+        raw = dict(MINIMAL_SAMPLE, seed=value)
+        with pytest.raises(ValidationError, match="seed"):
+            parse_config(json.dumps(raw))
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta", True), ("beta", "2"), ("n", True),
+    ])
+    def test_model_numbers_strict(self, key, value):
+        raw = json.loads(json.dumps(MINIMAL_SAMPLE))
+        raw["model"][key] = value
+        with pytest.raises(ValidationError, match=f"model.{key}"):
+            parse_config(json.dumps(raw))
+
+    @pytest.mark.parametrize("key, value", [
+        ("step_scale", "abc"), ("thin", True), ("chains", True),
+    ])
+    def test_chain_numbers_strict(self, key, value):
+        raw = json.loads(json.dumps(MINIMAL_SAMPLE))
+        raw["chain"][key] = value
+        with pytest.raises(ValidationError, match=f"chain.{key}"):
+            parse_config(json.dumps(raw))
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol", "abc"), ("tol", True), ("window", [-1, "x"]),
+        ("window", [[-1, 1], [-1, "x"]]), ("window", [[-1, 1], [-1]]),
+        ("resolution", True), ("max_iter", True),
+    ])
+    def test_grid_numbers_strict(self, key, value):
+        raw = {
+            "command": "equilibrium",
+            "model": MINIMAL_SAMPLE["model"],
+            "grid": {"window": [-10, 10], "resolution": 64, key: value},
+        }
+        with pytest.raises(ValidationError, match=f"grid.{key}"):
+            parse_config(json.dumps(raw))
+
     def test_missing_sections_for_command(self):
         with pytest.raises(ValidationError):
             parse_config(json.dumps({"command": "sample"}))
@@ -129,6 +167,27 @@ class TestRun:
         assert report["gap"] <= 1e-4
         assert (tmp_path / "measure.csv").exists()
 
+    def test_unconverged_equilibrium_fails_loudly(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "command": "equilibrium",
+            "model": {
+                "support": "real_line",
+                "beta": 2.0,
+                "n": 1,
+                "potential": {"name": "cauchy"},
+            },
+            "grid": {"window": [-10, 10], "resolution": 64, "tol": 1e-12, "max_iter": 5},
+        }))
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 1
+        report = read_json(out / "report.json")
+        assert not report["converged"] and report["iterations"] == 5
+        assert (out / "measure.csv").exists()
+        err = capsys.readouterr().err
+        assert "loggas: error: not converged: gap" in err
+        assert "> tol 1e-12 after 5 iterations" in err
+
     def test_verify_exits_zero(self, tmp_path):
         raw = {"command": "verify", "out": str(tmp_path), "seed": 1}
         assert run(parse_config(json.dumps(raw))) == 0
@@ -188,6 +247,33 @@ class TestMain:
         cfg.write_text('{"command": "sample", "gamma": 1}')
         assert main(["sample", "--config", str(cfg)]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    def test_bad_number_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({
+            "command": "equilibrium",
+            "model": MINIMAL_SAMPLE["model"],
+            "grid": {"window": [-10, 10], "resolution": 64, "tol": "abc"},
+        }))
+        assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "grid.tol" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_flag_exits_two_before_writing(self, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        assert main(["verify", "--seed", seed, "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_override_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "verify", "seed": 5, "out": "unused"}))
+        assert main(["verify", "--config", str(cfg), "--seed", "2",
+                     "--out", str(tmp_path / "o")]) == 0
+        manifest = read_json(tmp_path / "o" / "manifest.json")
+        assert manifest["seed"] == 2
+        assert manifest["config"]["out"] == str(tmp_path / "o")
 
     def test_missing_config_file(self, capsys):
         assert main(["sample", "--config", "/nonexistent/x.json"]) == 2

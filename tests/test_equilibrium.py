@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,20 +18,57 @@ from loggas import (
     circle_uniform_law,
     closed_form,
     closed_form_cell_masses,
+    custom_potential,
     el_residual,
     fekete_descent,
     grid_minimize,
+    measure_energy,
     quadratic_potential,
     reference_energy,
     sphere_uniform_law,
     spherical_law,
     spherical_potential,
 )
-from loggas.equilibrium import project_to_simplex
+from loggas import equilibrium
+from loggas.cli import parse_config, run
+from loggas.energy import DiagonalPolicy, _pair_kernel_matrix
+from loggas.equilibrium import GridKernel, project_to_simplex
 
 CAUCHY = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
 SPHERICAL = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
 QUADRATIC = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 1)
+# V(x) = x^2 + x/2 is not even, so v differs from its mirror image.
+TILTED = GasModel(
+    Support.REAL_LINE, 2.0,
+    custom_potential("tilted", [0.0, 0.5, 1.0], "x", beta_prime=2.0), 1,
+)
+
+
+def dense_kernel(model, atoms, h):
+    """The pair kernel matrix Q, entry by entry: the oracle for GridKernel."""
+    dist = np.abs(atoms[:, None] - atoms[None, :])
+    return _pair_kernel_matrix(
+        model.beta, dist, model.potential_values(atoms),
+        DiagonalPolicy.REGULARIZED_SELF_ENERGY, spacing=h,
+    )
+
+
+class DenseKernel:
+    """GridKernel's interface over the dense matrix."""
+
+    def __init__(self, model, grid):
+        self.atoms, h = grid.atoms()
+        self.matrix = dense_kernel(model, self.atoms, h)
+
+    def __call__(self, w):
+        return self.matrix @ w
+
+
+def dense_grid_minimize(monkeypatch, *args, **kwargs):
+    """grid_minimize with the dense matrix in place of the FFT operator."""
+    with monkeypatch.context() as m:
+        m.setattr(equilibrium, "GridKernel", DenseKernel)
+        return grid_minimize(*args, **kwargs)
 
 
 class TestClosedForm:
@@ -172,17 +210,15 @@ class TestGridMinimize:
 
     def test_permutation_invariance(self):
         # relabeling the grid atoms relabels the weights and nothing else
-        from loggas.equilibrium import _kernel_matrix, _spectral_norm
-
         grid = GridSpec((-8.0, 8.0), 32)
         mu, rep = grid_minimize(CAUCHY, grid, tol=1e-8, max_iter=50000)
         atoms, h = grid.atoms()
         rng = np.random.default_rng(2)
         perm = rng.permutation(len(atoms))
         # solve the permuted problem by minimizing over the permuted kernel
-        q = _kernel_matrix(CAUCHY, atoms[perm], h)
+        q = dense_kernel(CAUCHY, atoms[perm], h)
         w = np.full(len(atoms), 1.0 / len(atoms))
-        step = 1.0 / (2.0 * _spectral_norm(q) * 1.05)
+        step = 1.0 / (2.0 * np.linalg.norm(q, 2) * 1.05)
         for _ in range(20000):
             w = project_to_simplex(w - step * 2.0 * (q @ w))
         unpermuted = np.empty_like(w)
@@ -237,6 +273,68 @@ class TestGridMinimize:
         masses = closed_form_cell_masses(CAUCHY, grid)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(masses >= 0)
+
+
+class TestGridKernel:
+    @pytest.mark.parametrize("model, grid", [
+        (CAUCHY, GridSpec((-20.0, 20.0), 400)),
+        (SPHERICAL, GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 20)),
+        (SPHERICAL, GridSpec(((-1.0, 3.0), (-3.0, 1.0)), 17)),
+        (GasModel(Support.REAL_LINE, 1.0, quadratic_potential(), 1), GridSpec((-2.0, 2.0), 64)),
+        (TILTED, GridSpec((-1.5, 2.5), 37)),
+    ])
+    def test_matches_dense_matvec(self, model, grid):
+        q = GridKernel(model, grid)
+        dense = DenseKernel(model, grid)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            # unit vectors of mixed sign: 1^T w is far from 1
+            w = rng.standard_normal(len(q.atoms))
+            w /= np.linalg.norm(w)
+            assert np.max(np.abs(q(w) - dense(w))) <= 1e-13
+
+    @pytest.mark.parametrize("model, grid", [
+        (CAUCHY, GridSpec((-20.0, 20.0), 400)),
+        (SPHERICAL, GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 20)),
+        (TILTED, GridSpec((-1.5, 2.5), 64)),
+    ])
+    def test_solve_matches_dense_solve(self, model, grid, monkeypatch):
+        mu, rep = grid_minimize(model, grid, tol=1e-4, max_iter=100000)
+        mu_d, rep_d = dense_grid_minimize(
+            monkeypatch, model, grid, tol=1e-4, max_iter=100000
+        )
+        assert rep.iterations == rep_d.iterations
+        assert rep.converged and rep_d.converged
+        assert abs(rep.energy - rep_d.energy) <= 1e-12
+        assert np.max(np.abs(mu.weights - mu_d.weights)) <= 1e-12
+        _, h = grid.atoms()
+        summed = measure_energy(
+            mu, model, policy=DiagonalPolicy.REGULARIZED_SELF_ENERGY, spacing=h
+        )
+        assert abs(rep.energy - summed.value) <= 1e-12
+
+    def test_plane_60_iterations(self):
+        # the dense solver took 308 iterations on this grid
+        grid = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60)
+        _, rep = grid_minimize(SPHERICAL, grid, tol=1e-4)
+        assert rep.converged and rep.iterations == 308
+        assert abs(rep.energy - 0.5) <= 0.05
+
+    def test_cli_outputs_reproducible(self, tmp_path):
+        outputs = []
+        for name in ("a", "b"):
+            raw = {
+                "command": "equilibrium",
+                "model": {"support": "complex_plane", "beta": 2.0, "n": 1,
+                          "potential": {"name": "spherical"}},
+                "grid": {"window": [[-4, 4], [-4, 4]], "resolution": 24},
+                "out": str(tmp_path / name),
+            }
+            assert run(parse_config(json.dumps(raw))) == 0
+            outputs.append([
+                (tmp_path / name / f).read_bytes() for f in ("report.json", "measure.csv")
+            ])
+        assert outputs[0] == outputs[1]
 
 
 class TestFeketeDescent:
