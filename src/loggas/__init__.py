@@ -44,7 +44,6 @@ from .equilibrium import (
     spherical_law,
 )
 from .errors import (
-    BackendUnavailable,
     CoincidentPoints,
     EmptySample,
     InadmissibleModel,
@@ -94,6 +93,5 @@ from .sampler import (
     proposal_log_ratio,
     sample_cauchy_ensemble,
     sample_spherical_ensemble,
-    set_eig_backend,
 )
 from .verify import run_identity_suites

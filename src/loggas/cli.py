@@ -3,8 +3,9 @@
 Runs are driven by a strict JSON config (unknown keys are errors) with
 flag overrides taking precedence over file values; flags are merged into
 the config before it is validated, so both are checked alike.  Every run
-writes a manifest echoing the resolved configuration, seed, and package
-version, sufficient to reproduce the outputs byte for byte.
+writes a manifest echoing the validated configuration (every default
+filled in), seed, and package version; parsing its config again replays
+the run byte for byte.
 
 Exit codes: 0 success, 1 verification failure or a solve that did not
 converge, 2 usage or input error.
@@ -44,81 +45,36 @@ _SUPPORT_NAMES = {s.value: s for s in Support}
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
-    seed: int = 0
-    out: str = "."
+    """A validated run.
+
+    ``settings`` is the config as validated: every section given, each
+    with every key present, defaults filled in and numbers as parsed.  The
+    manifest writes it, and parsing it again gives it back unchanged.
+    ``model``, ``chain`` and ``grid`` are the objects built from it.
+    """
+
+    settings: dict
     model: GasModel | None = None
     chain: ChainParams | None = None
-    n_chains: int = 1
     grid: GridSpec | None = None
-    tol: float = 1e-4
-    max_iter: int = 20000
-    analyze_input: str | None = None
-    analyze_reference: str | None = None
 
-    def resolved(self) -> dict:
-        """The fully-resolved config echoed into the manifest."""
-        out: dict = {
-            "command": self.command,
-            "seed": self.seed,
-            "out": self.out,
-        }
-        if self.model is not None:
-            pot = self.model.potential
-            pot_dict = {
-                "name": pot.name,
-                "beta_prime": pot.beta_prime,
-                "v_infinity": _json_float(pot.v_infinity),
-            }
-            if pot.name not in BUILTIN_POTENTIALS:
-                pot_dict["params"] = {
-                    "poly": list(pot.poly or ()),
-                    "poly_var": pot.poly_var,
-                    "log_coeff": pot.log_coeff,
-                }
-            out["model"] = {
-                "support": self.model.support.value,
-                "beta": self.model.beta,
-                "n": self.model.n,
-                "potential": pot_dict,
-            }
-        if self.chain is not None:
-            out["chain"] = {
-                "sweeps": self.chain.sweeps,
-                "burn_in": self.chain.burn_in,
-                "step_scale": self.chain.step_scale,
-                "adapt": self.chain.adapt,
-                "thin": self.chain.thin,
-                "chains": self.n_chains,
-            }
-        if self.grid is not None:
-            window = self.grid.window
-            out["grid"] = {
-                "window": [list(w) for w in window] if self.grid.is_planar else list(window),
-                "resolution": self.grid.resolution,
-                "tol": self.tol,
-                "max_iter": self.max_iter,
-            }
-        if self.analyze_input is not None:
-            out["analyze"] = {
-                "input": self.analyze_input,
-                "reference": self.analyze_reference,
-            }
-        return out
+    @property
+    def command(self) -> str:
+        return self.settings["command"]
+
+    @property
+    def seed(self) -> int:
+        return self.settings["seed"]
 
 
-def _json_float(v):
-    if v is None:
-        return None
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return float(v)
-
-
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
+def _section(section, path: str, keys: set[str]) -> dict:
+    """``section`` checked to be a JSON object with no key outside ``keys``."""
+    if not isinstance(section, dict):
+        raise ValidationError(f"{path}: expected an object")
     for key in section:
-        if key not in allowed:
-            raise ParseError(f"unknown key {key!r} in {where}")
+        if key not in keys:
+            raise ParseError(f"unknown key {key!r} in {path}")
+    return section
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -143,56 +99,54 @@ def _number(value, path: str, integer: bool = False):
     return value if integer else float(value)
 
 
-def _parse_potential(section, path="model.potential") -> PotentialSpec:
-    if not isinstance(section, dict):
-        raise ValidationError(f"{path}: expected an object")
-    _reject_unknown(section, {"name", "params", "beta_prime", "v_infinity"}, path)
+def _parse_potential(section, path="model.potential") -> tuple[PotentialSpec, dict]:
+    section = _section(section, path, {"name", "params", "beta_prime"})
     name = section.get("name")
     _require(isinstance(name, str), f"{path}.name", "required string")
     if name in BUILTIN_POTENTIALS:
         if "params" in section:
             raise ValidationError(f"{path}.params: not accepted for built-in {name!r}")
         pot = BUILTIN_POTENTIALS[name]()
+        extra = {}
     else:
-        params = section.get("params")
-        _require(isinstance(params, dict), f"{path}.params", "required for custom potentials")
-        _reject_unknown(params, {"poly", "poly_var", "log_coeff"}, f"{path}.params")
+        _require("params" in section, f"{path}.params", "required for custom potentials")
+        params = _section(section["params"], f"{path}.params", {"poly", "poly_var", "log_coeff"})
         poly = params.get("poly", [])
         _require(isinstance(poly, list), f"{path}.params.poly", "must be a list")
         poly = [_number(c, f"{path}.params.poly") for c in poly]
         poly_var = params.get("poly_var", "r2")
-        log_coeff = _number(params.get("log_coeff", 0.0), f"{path}.params.log_coeff")
         _require(poly_var in ("x", "r2"), f"{path}.params.poly_var", "must be 'x' or 'r2'")
+        log_coeff = _number(params.get("log_coeff", 0.0), f"{path}.params.log_coeff")
         pot = custom_potential(name, poly, poly_var, log_coeff)
-    overrides = {}
-    if "beta_prime" in section and section["beta_prime"] is not None:
+        extra = {"params": {"poly": poly, "poly_var": poly_var, "log_coeff": log_coeff}}
+    if section.get("beta_prime") is not None:
         bp = _number(section["beta_prime"], f"{path}.beta_prime")
         _require(bp > 1.0, f"{path}.beta_prime", "must exceed 1")
-        overrides["beta_prime"] = bp
-    if "v_infinity" in section and section["v_infinity"] is not None:
-        overrides["v_infinity"] = float(section["v_infinity"])
-    return replace(pot, **overrides) if overrides else pot
+        pot = replace(pot, beta_prime=bp)
+    return pot, {"name": name, "beta_prime": pot.beta_prime, **extra}
 
 
-def _parse_model(section, path="model") -> GasModel:
-    if not isinstance(section, dict):
-        raise ValidationError(f"{path}: expected an object")
-    _reject_unknown(section, {"support", "beta", "n", "potential"}, path)
-    support_name = section.get("support", "real_line")
-    _require(support_name in _SUPPORT_NAMES, f"{path}.support",
+def _parse_model(section, path="model") -> tuple[GasModel, dict]:
+    section = _section(section, path, {"support", "beta", "n", "potential"})
+    support = section.get("support", "real_line")
+    _require(isinstance(support, str) and support in _SUPPORT_NAMES, f"{path}.support",
              f"must be one of {sorted(_SUPPORT_NAMES)}")
     beta = _number(section.get("beta"), f"{path}.beta")
     _require(beta > 0, f"{path}.beta", "must be positive")
     n = _number(section.get("n"), f"{path}.n", integer=True)
     _require(n >= 1, f"{path}.n", "required integer >= 1")
     _require("potential" in section, f"{path}.potential", "required")
-    potential = _parse_potential(section["potential"])
-    return GasModel(_SUPPORT_NAMES[support_name], beta, potential, n)
+    potential, pot_settings = _parse_potential(section["potential"])
+    _require(_SUPPORT_NAMES[support].is_real or potential.poly_var != "x",
+             f"{path}.potential.params.poly_var",
+             "'x' needs a real support; use 'r2' on complex_plane and unit_circle")
+    settings = {"support": support, "beta": beta, "n": n, "potential": pot_settings}
+    return GasModel(_SUPPORT_NAMES[support], beta, potential, n), settings
 
 
-def _parse_chain(section, path="chain") -> tuple[ChainParams, int]:
-    _reject_unknown(
-        section, {"sweeps", "burn_in", "step_scale", "adapt", "thin", "chains"}, path
+def _parse_chain(section, path="chain") -> tuple[ChainParams, dict]:
+    section = _section(
+        section, path, {"sweeps", "burn_in", "step_scale", "adapt", "thin", "chains"}
     )
     sweeps = _number(section.get("sweeps"), f"{path}.sweeps", integer=True)
     _require(sweeps >= 2, f"{path}.sweeps", "required integer >= 2")
@@ -212,30 +166,45 @@ def _parse_chain(section, path="chain") -> tuple[ChainParams, int]:
     params = ChainParams(
         sweeps=sweeps, burn_in=burn_in, step_scale=step_scale, adapt=adapt, thin=thin
     )
-    return params, chains
+    settings = {"sweeps": sweeps, "burn_in": burn_in, "step_scale": step_scale,
+                "adapt": adapt, "thin": thin, "chains": chains}
+    return params, settings
 
 
-def _parse_grid(section, path="grid") -> tuple[GridSpec, float, int]:
-    _reject_unknown(section, {"window", "resolution", "tol", "max_iter"}, path)
+def _parse_grid(section, path="grid") -> tuple[GridSpec, dict]:
+    section = _section(section, path, {"window", "resolution", "tol", "max_iter"})
     window = section.get("window")
     _require(isinstance(window, list) and len(window) == 2, f"{path}.window",
              "required [lo, hi] or [[xlo, xhi], [ylo, yhi]]")
     if isinstance(window[0], list):
         _require(all(isinstance(w, list) and len(w) == 2 for w in window),
                  f"{path}.window", "needs two [lo, hi] pairs")
-        win = tuple(tuple(_number(x, f"{path}.window") for x in w) for w in window)
-        for lo, hi in win:
+        window = [[_number(x, f"{path}.window") for x in w] for w in window]
+        for lo, hi in window:
             _require(lo < hi, f"{path}.window", "needs lo < hi")
+        spec_window = tuple(tuple(w) for w in window)
     else:
-        win = tuple(_number(x, f"{path}.window") for x in window)
-        _require(win[0] < win[1], f"{path}.window", "needs lo < hi")
+        window = [_number(x, f"{path}.window") for x in window]
+        _require(window[0] < window[1], f"{path}.window", "needs lo < hi")
+        spec_window = tuple(window)
     resolution = _number(section.get("resolution"), f"{path}.resolution", integer=True)
     _require(resolution >= 16, f"{path}.resolution", "required integer >= 16")
     tol = _number(section.get("tol", 1e-4), f"{path}.tol")
     _require(tol > 0, f"{path}.tol", "must be positive")
     max_iter = _number(section.get("max_iter", 20000), f"{path}.max_iter", integer=True)
     _require(max_iter >= 1, f"{path}.max_iter", "integer >= 1")
-    return GridSpec(win, resolution), tol, max_iter
+    settings = {"window": window, "resolution": resolution, "tol": tol, "max_iter": max_iter}
+    return GridSpec(spec_window, resolution), settings
+
+
+def _parse_analyze(section, path="analyze") -> dict:
+    section = _section(section, path, {"input", "reference"})
+    source = section.get("input")
+    _require(isinstance(source, str), f"{path}.input", "required path string")
+    reference = section.get("reference")
+    _require(reference in ("cauchy", "spherical"), f"{path}.reference",
+             "must be 'cauchy' or 'spherical'")
+    return {"input": source, "reference": reference}
 
 
 def parse_config(
@@ -252,61 +221,29 @@ def parse_config(
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(raw, dict):
-        raise ParseError("config must be a JSON object")
-    raw = {**raw, **(flags or {})}
-    _reject_unknown(
-        raw,
-        {"command", "model", "chain", "grid", "analyze", "seed", "out"},
-        "config",
-    )
+    keys = {"command", "model", "chain", "grid", "analyze", "seed", "out"}
+    raw = {**_section(raw, "config", keys), **(flags or {})}
     command = command_override or raw.get("command")
     _require(command in COMMANDS, "command", f"must be one of {COMMANDS}")
-
     seed = _number(raw.get("seed", 0), "seed", integer=True)
     _require(0 <= seed < 2**64, "seed", "must be an unsigned 64-bit integer")
     out = raw.get("out", ".")
     _require(isinstance(out, str), "out", "must be a path string")
+    settings = {"command": command, "seed": seed, "out": out}
 
-    model = _parse_model(raw["model"]) if "model" in raw else None
-    chain, n_chains = (None, 1)
-    if "chain" in raw:
-        chain, n_chains = _parse_chain(raw["chain"])
-    grid, tol, max_iter = (None, 1e-4, 20000)
-    if "grid" in raw:
-        grid, tol, max_iter = _parse_grid(raw["grid"])
-    analyze_input, analyze_reference = None, None
+    built = {}
+    parsers = {"model": _parse_model, "chain": _parse_chain, "grid": _parse_grid}
+    for key, parse in parsers.items():
+        if key in raw:
+            built[key], settings[key] = parse(raw[key])
     if "analyze" in raw:
-        section = raw["analyze"]
-        _reject_unknown(section, {"input", "reference"}, "analyze")
-        analyze_input = section.get("input")
-        _require(isinstance(analyze_input, str), "analyze.input", "required path string")
-        analyze_reference = section.get("reference")
-        _require(analyze_reference in ("cauchy", "spherical"), "analyze.reference",
-                 "must be 'cauchy' or 'spherical'")
+        settings["analyze"] = _parse_analyze(raw["analyze"])
 
-    if command == "sample":
-        _require(model is not None, "model", "required for the sample command")
-        _require(chain is not None, "chain", "required for the sample command")
-    if command == "equilibrium":
-        _require(model is not None, "model", "required for the equilibrium command")
-        _require(grid is not None, "grid", "required for the equilibrium command")
-    if command == "analyze":
-        _require(analyze_input is not None, "analyze", "required for the analyze command")
-
-    return RunConfig(
-        command=command,
-        seed=seed,
-        out=out,
-        model=model,
-        chain=chain,
-        n_chains=n_chains,
-        grid=grid,
-        tol=tol,
-        max_iter=max_iter,
-        analyze_input=analyze_input,
-        analyze_reference=analyze_reference,
-    )
+    needs = {"sample": ("model", "chain"), "equilibrium": ("model", "grid"),
+             "analyze": ("analyze",)}
+    for key in needs.get(command, ()):
+        _require(key in settings, key, f"required for the {command} command")
+    return RunConfig(settings, **built)
 
 
 def _initial_configuration(model: GasModel, rng: np.random.Generator) -> Configuration:
@@ -329,7 +266,7 @@ def _initial_configuration(model: GasModel, rng: np.random.Generator) -> Configu
 
 def _write_manifest(config: RunConfig, out_dir: Path) -> None:
     write_json(out_dir / "manifest.json", {
-        "config": config.resolved(),
+        "config": config.settings,
         "seed": config.seed,
         "version": __version__,
     })
@@ -338,7 +275,7 @@ def _write_manifest(config: RunConfig, out_dir: Path) -> None:
 def _run_sample(config: RunConfig, out_dir: Path) -> int:
     records = []
     stats_list = []
-    for j in range(config.n_chains):
+    for j in range(config.settings["chain"]["chains"]):
         params = replace(config.chain, seed=chain_seed(config.seed, j))
         init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, j, 0xA11CE]))
         init = _initial_configuration(config.model, init_rng)
@@ -352,14 +289,13 @@ def _run_sample(config: RunConfig, out_dir: Path) -> int:
 
 
 def _run_equilibrium(config: RunConfig, out_dir: Path) -> int:
-    measure, report = grid_minimize(
-        config.model, config.grid, tol=config.tol, max_iter=config.max_iter
-    )
+    tol, max_iter = config.settings["grid"]["tol"], config.settings["grid"]["max_iter"]
+    measure, report = grid_minimize(config.model, config.grid, tol=tol, max_iter=max_iter)
     write_measure_csv(out_dir / "measure.csv", measure)
     write_json(out_dir / "report.json", report.to_json())
     if not report.converged:
         print(
-            f"loggas: error: not converged: gap {report.gap:.3e} > tol {config.tol:g} "
+            f"loggas: error: not converged: gap {report.gap:.3e} > tol {tol:g} "
             f"after {report.iterations} iterations",
             file=sys.stderr,
         )
@@ -374,9 +310,9 @@ def _run_verify(config: RunConfig, out_dir: Path) -> int:
 
 
 def _run_analyze(config: RunConfig, out_dir: Path) -> int:
-    data = read_samples_csv(config.analyze_input)
-    values = data["values"]
-    if config.analyze_reference == "cauchy":
+    analyze = config.settings["analyze"]
+    values = read_samples_csv(analyze["input"])["values"]
+    if analyze["reference"] == "cauchy":
         reports = [ks_distance(values.real, cauchy_law().cdf, reference="cauchy")]
     else:
         reports = [
@@ -398,7 +334,7 @@ _DISPATCH = {
 def run(config: RunConfig) -> int:
     """Execute a validated run configuration; returns the exit code."""
     try:
-        out_dir = Path(config.out)
+        out_dir = Path(config.settings["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(config, out_dir)
         return _DISPATCH[config.command](config, out_dir)

@@ -41,10 +41,6 @@ class NoReference(LogGasError):
     """No reference energy is available for the requested gap."""
 
 
-class BackendUnavailable(LogGasError):
-    """No dense eigenvalue backend is configured."""
-
-
 class ParseError(LogGasError):
     """Run configuration text could not be parsed."""
 

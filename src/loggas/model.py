@@ -94,8 +94,6 @@ class PotentialSpec:
     weak-growth admissible at inverse temperature beta iff beta_prime
     exists, beta_prime > 1 and beta_prime >= beta.
 
-    ``v_infinity`` is the declared value of the compactified potential at
-    the north pole (for the built-ins, the exact value at beta = 2).
     Potentials of the structured family
 
         V(x) = poly(s) + log_coeff * log(1 + |x|^2),   s = x or |x|^2,
@@ -107,7 +105,6 @@ class PotentialSpec:
     name: str
     evaluate: Callable
     beta_prime: float | None = None
-    v_infinity: float | None = None
     gradient: Callable | None = None
     poly: tuple[float, ...] | None = None
     poly_var: str = "r2"  # "r2": polynomial in |x|^2; "x": polynomial in x
@@ -123,16 +120,10 @@ class PotentialSpec:
         return all(c == 0.0 for c in self.poly[1::2])
 
     def pole_value(self, beta: float, support: Support) -> float | None:
-        """Exact liminf of V(x) - (beta/2) log(1+|x|^2) when computable.
-
-        Returns the declared ``v_infinity`` when the structure is unknown,
-        or None when neither is available.
-        """
-        if self.poly is not None:
-            return _structured_pole_value(
-                self.poly, self.poly_var, self.log_coeff, beta, support
-            )
-        return self.v_infinity
+        """Exact liminf of V(x) - (beta/2) log(1+|x|^2), or None if V has no structure."""
+        if self.poly is None:
+            return None
+        return _structured_pole_value(self.poly, self.poly_var, self.log_coeff, beta, support)
 
 
 def _poly_end_limit(coeffs: Sequence[float], sign: float) -> float:
@@ -167,70 +158,83 @@ def _structured_pole_value(poly, poly_var, log_coeff, beta, support) -> float:
     return poly_lim
 
 
-def _cauchy_eval(x):
-    return np.log1p(np.square(x))
+def custom_potential(
+    name: str,
+    poly: Sequence[float],
+    poly_var: str = "r2",
+    log_coeff: float = 0.0,
+    beta_prime: float | None = None,
+) -> PotentialSpec:
+    """Potential from the structured family poly(s) + c*log(1+|x|^2).
+
+    ``poly`` lists coefficients from degree 0 upward in the variable
+    ``poly_var`` ("x" for the point itself on real supports, "r2" for
+    |x|^2).  Evaluation and gradient are generated from the structure;
+    an empty ``poly`` or a zero ``log_coeff`` drops that term.
+    """
+    if poly_var not in ("x", "r2"):
+        raise ValueError(f"poly_var must be 'x' or 'r2', got {poly_var!r}")
+    coeffs = tuple(float(c) for c in poly)
+    dcoeffs = tuple(k * c for k, c in enumerate(coeffs) if k)
+    log_coeff = float(log_coeff)
+
+    def evaluate(x):
+        r2 = np.square(np.abs(x))
+        if log_coeff == 0.0:
+            return _horner(coeffs, r2 if poly_var == "r2" else x)
+        log_term = log_coeff * np.log1p(r2)
+        if not coeffs:
+            return log_term
+        return _horner(coeffs, r2 if poly_var == "r2" else x) + log_term
+
+    def gradient(x):
+        r2 = np.square(np.abs(x))
+        if poly_var == "r2":
+            out = _horner(dcoeffs, r2) * 2.0 * x
+        else:
+            out = _horner(dcoeffs, x)
+        if log_coeff != 0.0:
+            out = out + log_coeff * 2.0 * x / (1.0 + r2)
+        return out
+
+    return PotentialSpec(
+        name=name,
+        evaluate=evaluate,
+        beta_prime=beta_prime,
+        gradient=gradient,
+        poly=coeffs,
+        poly_var=poly_var,
+        log_coeff=log_coeff,
+    )
 
 
-def _cauchy_grad(x):
-    return 2.0 * x / (1.0 + np.square(x))
+def _horner(coeffs: tuple[float, ...], s):
+    """sum_k coeffs[k] s^k (coeffs low to high; empty is 0), shaped like s.
 
-
-def _spherical_eval(x):
-    return np.log1p(np.abs(x) ** 2)
-
-
-def _spherical_grad(x):
-    return 2.0 * x / (1.0 + np.abs(x) ** 2)
-
-
-def _quadratic_eval(x):
-    return np.square(x)
-
-
-def _quadratic_grad(x):
-    return 2.0 * x
+    Horner's rule from the leading coefficient: no 0 * s term, so the value
+    at an infinite s is infinite, not nan.
+    """
+    if len(coeffs) < 2:
+        return np.full(np.shape(s), coeffs[0] if coeffs else 0.0)
+    out = coeffs[-1] * s + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out = out * s + c
+    return out
 
 
 def cauchy_potential() -> PotentialSpec:
-    """V(x) = log(1 + x^2) on the real line."""
-    return PotentialSpec(
-        name="cauchy",
-        evaluate=_cauchy_eval,
-        beta_prime=2.0,
-        v_infinity=0.0,
-        gradient=_cauchy_grad,
-        poly=(),
-        poly_var="r2",
-        log_coeff=1.0,
-    )
+    """V(x) = log(1 + |x|^2), the Cauchy weight on the real line."""
+    return custom_potential("cauchy", (), log_coeff=1.0, beta_prime=2.0)
 
 
 def spherical_potential() -> PotentialSpec:
-    """V(x) = log(1 + |x|^2) on the complex plane."""
-    return PotentialSpec(
-        name="spherical",
-        evaluate=_spherical_eval,
-        beta_prime=2.0,
-        v_infinity=0.0,
-        gradient=_spherical_grad,
-        poly=(),
-        poly_var="r2",
-        log_coeff=1.0,
-    )
+    """V(x) = log(1 + |x|^2), the spherical weight on the complex plane."""
+    return custom_potential("spherical", (), log_coeff=1.0, beta_prime=2.0)
 
 
 def quadratic_potential() -> PotentialSpec:
-    """V(x) = x^2 on the real line."""
-    return PotentialSpec(
-        name="quadratic",
-        evaluate=_quadratic_eval,
-        beta_prime=2.0,
-        v_infinity=math.inf,
-        gradient=_quadratic_grad,
-        poly=(0.0, 1.0),
-        poly_var="r2",
-        log_coeff=0.0,
-    )
+    """V(x) = |x|^2."""
+    return custom_potential("quadratic", (0.0, 1.0), beta_prime=2.0)
 
 
 BUILTIN_POTENTIALS = {
@@ -238,56 +242,6 @@ BUILTIN_POTENTIALS = {
     "spherical": spherical_potential,
     "quadratic": quadratic_potential,
 }
-
-
-def custom_potential(
-    name: str,
-    poly: Sequence[float],
-    poly_var: str = "r2",
-    log_coeff: float = 0.0,
-    beta_prime: float | None = None,
-    v_infinity: float | None = None,
-) -> PotentialSpec:
-    """Potential from the structured family poly(s) + c*log(1+|x|^2).
-
-    ``poly`` lists coefficients from degree 0 upward in the variable
-    ``poly_var`` ("x" for the point itself on real supports, "r2" for
-    |x|^2).  Evaluation and gradient are generated from the structure.
-    """
-    if poly_var not in ("x", "r2"):
-        raise ValueError(f"poly_var must be 'x' or 'r2', got {poly_var!r}")
-    coeffs = tuple(float(c) for c in poly)
-    high_to_low = coeffs[::-1] if coeffs else (0.0,)
-
-    def evaluate(x):
-        s = np.square(np.abs(x)) if poly_var == "r2" else x
-        out = np.polyval(high_to_low, s)
-        if log_coeff != 0.0:
-            out = out + log_coeff * np.log1p(np.abs(x) ** 2)
-        return out
-
-    dcoeffs = np.polyder(np.array(high_to_low)) if len(high_to_low) > 1 else np.array([0.0])
-
-    def gradient(x):
-        if poly_var == "r2":
-            s = np.square(np.abs(x))
-            out = np.polyval(dcoeffs, s) * 2.0 * x
-        else:
-            out = np.polyval(dcoeffs, x)
-        if log_coeff != 0.0:
-            out = out + log_coeff * 2.0 * x / (1.0 + np.abs(x) ** 2)
-        return out
-
-    return PotentialSpec(
-        name=name,
-        evaluate=evaluate,
-        beta_prime=beta_prime,
-        v_infinity=v_infinity,
-        gradient=gradient,
-        poly=coeffs,
-        poly_var=poly_var,
-        log_coeff=float(log_coeff),
-    )
 
 
 @dataclass(frozen=True)

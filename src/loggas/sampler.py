@@ -11,9 +11,7 @@ The matrix-model routes sample the unitary-ensemble eigenphase gas and
 map it through the half-angle tangent (which transports it exactly onto
 the line gas with V = log(1 + x^2) at beta = 2), and the generalized
 eigenvalues of a pair of complex Gaussian matrices for the planar gas
-with V = log(1 + |x|^2).  Dense eigensolvers are reached through a
-swappable backend registry; with a backend unset the functions raise
-and the Markov chain remains the fallback.
+with V = log(1 + |x|^2).
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .energy import log_density
-from .errors import BackendUnavailable, InadmissibleModel
+from .errors import InadmissibleModel
 from .model import (
     Admissibility,
     Configuration,
@@ -199,30 +197,6 @@ def chain_seed(base_seed: int, chain_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-# Dense eigenvalue capabilities.  Either entry may be replaced (or set to
-# None, making the samplers raise BackendUnavailable).
-_EIG_BACKENDS = {
-    "unitary_eigvals": np.linalg.eigvals,
-    "generalized_eigvals": lambda a, b: scipy.linalg.eigvals(a, b),
-}
-
-
-def set_eig_backend(kind: str, fn):
-    """Swap an eigenvalue backend; returns the previous one."""
-    if kind not in _EIG_BACKENDS:
-        raise KeyError(f"unknown backend kind {kind!r}")
-    old = _EIG_BACKENDS[kind]
-    _EIG_BACKENDS[kind] = fn
-    return old
-
-
-def _require_backend(kind: str):
-    fn = _EIG_BACKENDS[kind]
-    if fn is None:
-        raise BackendUnavailable(f"no {kind} backend configured; use mh_chain instead")
-    return fn
-
-
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
     q, r = np.linalg.qr(g)
@@ -237,9 +211,8 @@ def sample_cauchy_ensemble(n: int, seed: int = 0) -> Configuration:
     """
     if not 1 <= n <= MAX_ENSEMBLE_SIZE:
         raise ValueError(f"need 1 <= n <= {MAX_ENSEMBLE_SIZE}")
-    eigvals = _require_backend("unitary_eigvals")
     rng = np.random.default_rng(seed)
-    lam = eigvals(_haar_unitary(n, rng))
+    lam = np.linalg.eigvals(_haar_unitary(n, rng))
     theta = np.angle(lam)
     return Configuration(np.tan(theta / 2.0).astype(complex))
 
@@ -254,12 +227,11 @@ def sample_spherical_ensemble(n: int, seed: int = 0) -> Configuration:
     """
     if not 1 <= n <= MAX_ENSEMBLE_SIZE:
         raise ValueError(f"need 1 <= n <= {MAX_ENSEMBLE_SIZE}")
-    eigvals = _require_backend("generalized_eigvals")
     rng = np.random.default_rng(seed)
     for _ in range(5):
         a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
         b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-        w = np.asarray(eigvals(a, b))
+        w = scipy.linalg.eigvals(a, b)
         if np.all(np.isfinite(w)):
             return Configuration(w)
     raise RuntimeError("generalized eigenvalue draws kept returning non-finite values")

@@ -19,6 +19,37 @@ MINIMAL_SAMPLE = {
 }
 
 
+REPLAY_CASES = {
+    "custom_sample": {
+        "command": "sample",
+        "model": {
+            "support": "real_line",
+            "beta": 2.0,
+            "n": 6,
+            "potential": {
+                "name": "tilted",
+                "params": {"poly": [0.3, -0.2, 0.5], "poly_var": "x"},
+                "beta_prime": 2.5,
+            },
+        },
+        "chain": {"sweeps": 40, "chains": 2},
+        "seed": 11,
+    },
+    "plane_equilibrium": {
+        "command": "equilibrium",
+        "model": {
+            "support": "complex_plane",
+            "beta": 2.0,
+            "n": 1,
+            "potential": {"name": "spherical"},
+        },
+        "grid": {"window": [[-3, 3], [-3, 3]], "resolution": 16},
+    },
+    "verify": {"command": "verify", "seed": 3},
+    "analyze": {"command": "analyze", "analyze": {"input": None, "reference": "cauchy"}},
+}
+
+
 class TestParseConfig:
     def test_minimal_sample_defaults(self):
         config = parse_config(json.dumps(MINIMAL_SAMPLE))
@@ -226,6 +257,26 @@ class TestRun:
         order = np.lexsort((data["sweep"], data["chain"]))
         assert np.array_equal(order, np.arange(len(order)))
 
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_manifest_replays_the_run(self, tmp_path, case):
+        raw = json.loads(json.dumps(REPLAY_CASES[case]))
+        if case == "analyze":
+            assert run(small_config(tmp_path / "s", n=4, sweeps=40)) == 0
+            raw["analyze"]["input"] = str(tmp_path / "s" / "samples.csv")
+        out = tmp_path / "run"
+        config = parse_config(json.dumps(raw), flags={"out": str(out)})
+        assert run(config) == 0
+        echoed = read_json(out / "manifest.json")["config"]
+        assert echoed == config.settings
+        replayed = parse_config(json.dumps(echoed))
+        assert replayed.settings == echoed
+        first = out.rename(tmp_path / "first")
+        assert run(replayed) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (out / name).read_bytes(), name
+
 
 class TestMain:
     def test_cli_verify(self, tmp_path, capsys):
@@ -274,6 +325,43 @@ class TestMain:
         manifest = read_json(tmp_path / "o" / "manifest.json")
         assert manifest["seed"] == 2
         assert manifest["config"]["out"] == str(tmp_path / "o")
+
+    @pytest.mark.parametrize("path, value, named", [
+        ("chain", 5, "chain"),
+        ("grid", [], "grid"),
+        ("analyze", 3, "analyze"),
+        ("model", "real_line", "model"),
+        ("model.potential", 4, "model.potential"),
+        ("model.potential", {"name": "c", "params": [1.0]}, "model.potential.params"),
+        ("model.support", ["real_line"], "model.support"),
+        ("model.potential.v_infinity", 0.0, "v_infinity"),
+    ])
+    def test_malformed_section_exits_two(self, tmp_path, capsys, path, value, named):
+        raw = json.loads(json.dumps(MINIMAL_SAMPLE))
+        *parents, last = path.split(".")
+        node = raw
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("support", ["complex_plane", "unit_circle"])
+    def test_x_polynomial_needs_a_real_support(self, tmp_path, capsys, support):
+        raw = json.loads(json.dumps(MINIMAL_SAMPLE))
+        raw["model"]["support"] = support
+        raw["model"]["potential"] = {
+            "name": "tilted", "params": {"poly": [0.0, 1.0, 1.0], "poly_var": "x"},
+            "beta_prime": 2.0,
+        }
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "model.potential.params.poly_var" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["sample", "--config", "/nonexistent/x.json"]) == 2

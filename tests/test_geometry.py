@@ -173,7 +173,7 @@ class TestCompactifiedPotential:
             compactified_potential(model)
 
     def test_probe_estimate_flagged(self):
-        # no structure and no declared pole value: estimate from probes
+        # no declared structure: the pole value is estimated from probes
         pot_spec = PotentialSpec(
             name="opaque",
             evaluate=lambda x: np.log1p(np.square(x)),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,42 @@ class TestPotentials:
         assert pot.is_even is True
         odd = custom_potential("odd", poly=[0.0, 1.0], poly_var="x")
         assert odd.is_even is False
+
+    @pytest.mark.parametrize("support", [Support.COMPLEX_PLANE, Support.UNIT_CIRCLE])
+    @pytest.mark.parametrize("potential, formula", [
+        (quadratic_potential(), lambda r2: r2),
+        (cauchy_potential(), np.log1p),
+    ])
+    def test_builtins_off_the_real_axis_use_modulus(self, support, potential, formula):
+        # the declared structure is in |z|^2, so V is real and never cast
+        zs = np.array([2j, 1j, -0.6 + 0.8j, 1.5 - 2.5j, 3.0])
+        if support is Support.UNIT_CIRCLE:
+            zs = zs / np.abs(zs)
+        gas = model(potential, support=support)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = gas.potential_values(zs)
+            gradient = gas.potential_gradient(zs)
+        np.testing.assert_allclose(values, formula(np.abs(zs) ** 2), rtol=1e-15)
+        h = 1e-6
+        fd_re = (gas.potential_values(zs + h) - gas.potential_values(zs - h)) / (2 * h)
+        fd_im = (gas.potential_values(zs + 1j * h) - gas.potential_values(zs - 1j * h)) / (2 * h)
+        np.testing.assert_allclose(gradient, fd_re + 1j * fd_im, rtol=1e-6)
+
+    @pytest.mark.parametrize("potential", [
+        cauchy_potential(), custom_potential("c", [], "r2", 1.0), quadratic_potential(),
+    ])
+    def test_infinite_at_huge_modulus(self, potential):
+        # |x|^2 overflows to inf; V must follow it to +inf, not turn into nan
+        with np.errstate(over="ignore"):
+            assert potential.evaluate(1e200) == math.inf
+            assert np.all(potential.evaluate(np.array([1e200, -1e200, np.inf])) == math.inf)
+
+    def test_constant_potentials_keep_the_shape(self):
+        xs = np.array([0.0, 1.0, 1e200])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(custom_potential("z", []).evaluate(xs), np.zeros(3))
+            assert np.array_equal(custom_potential("c", [1.5]).evaluate(xs), np.full(3, 1.5))
 
     def test_odd_polynomial_pole_is_minus_infinity(self):
         pot = custom_potential("cubic", poly=[0.0, 0.0, 0.0, 1.0], poly_var="x")

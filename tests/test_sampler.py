@@ -5,7 +5,6 @@ import pytest
 
 from loggas import (
     Admissibility,
-    BackendUnavailable,
     ChainParams,
     Configuration,
     GasModel,
@@ -22,7 +21,6 @@ from loggas import (
     quadratic_potential,
     sample_cauchy_ensemble,
     sample_spherical_ensemble,
-    set_eig_backend,
     spherical_potential,
 )
 
@@ -241,14 +239,6 @@ class TestCauchyEnsemble:
         with pytest.raises(ValueError):
             sample_cauchy_ensemble(513)
 
-    def test_backend_unavailable(self):
-        old = set_eig_backend("unitary_eigvals", None)
-        try:
-            with pytest.raises(BackendUnavailable):
-                sample_cauchy_ensemble(4)
-        finally:
-            set_eig_backend("unitary_eigvals", old)
-
 
 class TestSphericalEnsemble:
     def test_radial_and_angular_laws(self):
@@ -264,11 +254,3 @@ class TestSphericalEnsemble:
         a = sample_spherical_ensemble(12, seed=4).points
         b = sample_spherical_ensemble(12, seed=4).points
         assert np.array_equal(a, b)
-
-    def test_backend_unavailable(self):
-        old = set_eig_backend("generalized_eigvals", None)
-        try:
-            with pytest.raises(BackendUnavailable):
-                sample_spherical_ensemble(4)
-        finally:
-            set_eig_backend("generalized_eigvals", old)
