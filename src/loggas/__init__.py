@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 from .analysis import FitReport, angular_ks_distance, ks_distance, radial_cdf_distance, rate_gap
 from .energy import (
     DiagonalPolicy,
-    EnergyReport,
     align_measures,
     config_energy,
     kernel_planar,

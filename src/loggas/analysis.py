@@ -80,5 +80,4 @@ def rate_gap(
             raise NoReference(
                 "model has no closed-form reference energy; pass one explicitly"
             )
-    report = measure_energy(mu, model)
-    return float(report.value - reference)
+    return float(measure_energy(mu, model) - reference)

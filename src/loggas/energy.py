@@ -14,15 +14,15 @@ that stand in for densities may instead use a regularized self-energy,
 log(1/(h/2)) per atom with h the local grid spacing, matching the
 leading term of the cell-averaged log kernel.
 
-All pairwise sums accumulate with math.fsum in a fixed order so golden
-values reproduce exactly across runs.
+Pair sums run over each unordered pair once and accumulate with
+math.fsum, which is correctly rounded, so golden values reproduce
+exactly across runs.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,11 @@ from .errors import CoincidentPoints, MismatchedSupports
 from .geometry import (
     CompactifiedPotential,
     SpherePoint,
+    chordal_distance,
     compactified_potential,
     project_array,
-    sphere_distance_matrix,
 )
-from .model import Configuration, DiscreteMeasure, GasModel
+from .model import Configuration, DiscreteMeasure, GasModel, _atom_groups
 
 # Separations smaller than this are treated as coincident points.
 COINCIDENCE_TOL = 1e-300
@@ -45,15 +45,6 @@ class DiagonalPolicy(enum.Enum):
     REGULARIZED_SELF_ENERGY = "regularized_self_energy"
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Numeric value of a discrete energy plus how the diagonal was handled."""
-
-    value: float
-    diagonal_policy: DiagonalPolicy
-    pair_count: int
-
-
 def _pair_kernel(beta: float, dist, va, vb):
     """F = -(beta/2) log d + (v_a + v_b)/2 on broadcast arrays.
 
@@ -62,38 +53,22 @@ def _pair_kernel(beta: float, dist, va, vb):
     return -(beta / 2.0) * np.log(dist) + 0.5 * (va + vb)
 
 
-def _pair_kernel_matrix(
-    beta: float,
-    dist: np.ndarray,
-    v: np.ndarray,
-    policy: DiagonalPolicy,
-    spacing: float | np.ndarray | None = None,
-) -> np.ndarray:
-    """F at every pair of atoms with pairwise distances ``dist``, values ``v``.
+def _pair_distances(positions: np.ndarray):
+    """Each unordered pair of atoms once: i < j in np.triu_indices order.
 
-    The diagonal of ``dist`` is overwritten by the self-distance d_aa:
-    h_a/2 under the regularized policy, h_a being ``spacing`` or the
-    nearest-neighbor distance; 1 otherwise, where callers drop it.
+    Returns (i, j, d) with d the distance of each pair: |p_i - p_j| for
+    complex points, the Euclidean norm of the difference for sphere rows.
     """
-    if policy is DiagonalPolicy.REGULARIZED_SELF_ENERGY:
-        h = _nearest_neighbor_spacing(dist) if spacing is None else spacing
-        np.fill_diagonal(dist, np.asarray(h, dtype=float) / 2.0)
-    else:
-        np.fill_diagonal(dist, 1.0)
-    return _pair_kernel(beta, dist, v[:, None], v[None, :])
-
-
-def _nearest_neighbor_spacing(dist: np.ndarray) -> np.ndarray:
-    """Local grid spacing of each atom: distance to its nearest neighbor."""
-    if dist.shape[0] < 2:
-        raise ValueError("self-energy regularization needs at least two atoms")
-    masked = dist + np.diag(np.full(len(dist), np.inf))
-    return masked.min(axis=1)
+    iu, ju = np.triu_indices(len(positions), k=1)
+    diff = positions[iu] - positions[ju]
+    if diff.ndim == 1:
+        return iu, ju, np.abs(diff)
+    return iu, ju, np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def _weighted_energy(
     w: np.ndarray,
-    dist: np.ndarray,
+    positions: np.ndarray,
     beta: float,
     v: np.ndarray,
     policy: DiagonalPolicy,
@@ -101,16 +76,25 @@ def _weighted_energy(
 ) -> float | None:
     """sum_{a != b} w_a w_b F_ab, plus sum_a w_a^2 F_aa when regularized.
 
-    Returns None when two atoms coincide.
+    The off-diagonal sum is 2 fsum over a < b: the terms are symmetric and
+    fsum is correctly rounded, so it equals the fsum over both orders.
+    The regularized self-distance is h_a/2, h_a being ``spacing`` or the
+    nearest-neighbor distance.  Returns None when two atoms coincide.
     """
-    off = ~np.eye(len(w), dtype=bool)
-    if np.any(dist[off] < COINCIDENCE_TOL):
+    iu, ju, dist = _pair_distances(positions)
+    if np.any(dist < COINCIDENCE_TOL):
         return None
-    terms = _pair_kernel_matrix(beta, dist, v, policy, spacing)
-    terms *= np.outer(w, w)
-    value = math.fsum(terms[off].tolist())
+    terms = _pair_kernel(beta, dist, v[iu], v[ju]) * (w[iu] * w[ju])
+    value = 2.0 * math.fsum(terms.tolist())
     if policy is DiagonalPolicy.REGULARIZED_SELF_ENERGY:
-        value += math.fsum(np.diagonal(terms).tolist())
+        if spacing is None:
+            if len(w) < 2:
+                raise ValueError("self-energy regularization needs at least two atoms")
+            spacing = np.full(len(w), np.inf)
+            np.minimum.at(spacing, iu, dist)
+            np.minimum.at(spacing, ju, dist)
+        half = np.asarray(spacing, dtype=float) / 2.0
+        value += math.fsum((_pair_kernel(beta, half, v, v) * (w * w)).tolist())
     return float(value)
 
 
@@ -145,25 +129,22 @@ def measure_energy(
     side: str | None = None,
     policy: DiagonalPolicy = DiagonalPolicy.OFF_DIAGONAL_ONLY,
     spacing: float | np.ndarray | None = None,
-) -> EnergyReport:
+) -> float:
     """Discrete energy sum_{a != b} w_a w_b F(p_a, p_b) of an atomic measure.
 
     With the regularized policy a diagonal term
     w_a^2 * ((beta/2) log(1/(h_a/2)) + V(p_a)) is added, h_a the local
-    spacing (``spacing`` or the nearest-neighbor distance).
+    spacing (``spacing`` or the nearest-neighbor distance).  Coincident
+    atoms give +inf.
     """
     if side is not None and side != mu.side:
         raise ValueError(f"measure is {mu.side}-side, asked for {side}")
-    n = len(mu)
     if mu.side == "plane":
-        pts = mu.positions
-        dist = np.abs(pts[:, None] - pts[None, :])
-        v = model.potential_values(pts)
+        v = model.potential_values(mu.positions)
     else:
-        dist = sphere_distance_matrix(mu.positions)
         v = compactified_potential(model).on_sphere_array(mu.positions)
-    value = _weighted_energy(mu.weights, dist, model.beta, v, policy, spacing)
-    return EnergyReport(math.inf if value is None else value, policy, n * (n - 1))
+    value = _weighted_energy(mu.weights, mu.positions, model.beta, v, policy, spacing)
+    return math.inf if value is None else value
 
 
 def config_energy(config: Configuration, model: GasModel) -> float:
@@ -172,9 +153,8 @@ def config_energy(config: Configuration, model: GasModel) -> float:
     n = len(pts)
     if n < 2:
         return 0.0
-    dist = np.abs(pts[:, None] - pts[None, :])
     value = _weighted_energy(
-        np.ones(n), dist, model.beta, model.potential_values(pts),
+        np.ones(n), pts, model.beta, model.potential_values(pts),
         DiagonalPolicy.OFF_DIAGONAL_ONLY, None,
     )
     if value is None:
@@ -186,12 +166,11 @@ def log_density(config: Configuration, model: GasModel) -> float:
     """Unnormalized Gibbs log-weight beta*sum_{i<j} log|dx| - n*sum V."""
     pts = config.points
     n = len(pts)
-    iu, ju = np.triu_indices(n, k=1)
-    seps = np.abs(pts[iu] - pts[ju])
+    _, _, seps = _pair_distances(pts)
     if np.any(seps < COINCIDENCE_TOL):
         return -math.inf
     v = model.potential_values(pts)
-    inter = model.beta * math.fsum(np.log(seps).tolist()) if len(seps) else 0.0
+    inter = model.beta * math.fsum(np.log(seps).tolist())
     return inter - n * math.fsum(v.tolist())
 
 
@@ -203,18 +182,19 @@ def log_density_sphere(config: Configuration, model: GasModel) -> float:
         beta sum_{i<j} log|z_i - z_j| + (beta/2) sum_i log(1 - |z_i|^2)
             - n sum_i V_sphere(z_i),
 
-    which agrees with log_density exactly (floating point aside).
+    which agrees with log_density exactly (floating point aside).  The
+    chords |z_i - z_j| come from the planar chord formula: differencing
+    the rounded 3-vectors would cost ulp/chord for near-coincident points.
     """
     pot = compactified_potential(model)
     pts = config.points
     n = len(pts)
     zs = project_array(pts)
     iu, ju = np.triu_indices(n, k=1)
-    diff = zs[iu] - zs[ju]
-    seps = np.sqrt(np.sum(diff * diff, axis=-1))
+    seps = chordal_distance(pts[iu], pts[ju])
     if np.any(seps < COINCIDENCE_TOL):
         return -math.inf
-    inter = model.beta * math.fsum(np.log(seps).tolist()) if len(seps) else 0.0
+    inter = model.beta * math.fsum(np.log(seps).tolist())
     # On the sphere the squared norm of a point equals its height, so
     # 1 - |z|^2 = 1 - x3.
     conformal = (model.beta / 2.0) * math.fsum(np.log1p(-zs[:, 2]).tolist())
@@ -232,25 +212,12 @@ def align_measures(
     """
     if mu.side != nu.side:
         raise MismatchedSupports("measures live on different sides")
-    if mu.side == "plane":
-        key = lambda p: complex(p)
-    else:
-        key = lambda p: tuple(p)
-    index: dict = {}
-    positions = []
-    for m in (mu, nu):
-        for p in m.positions:
-            k = key(p)
-            if k not in index:
-                index[k] = len(positions)
-                positions.append(p)
-    size = len(positions)
-    w_mu = np.zeros(size)
-    w_nu = np.zeros(size)
-    for m, w in ((mu, w_mu), (nu, w_nu)):
-        for p, wt in zip(m.positions, m.weights):
-            w[index[key(p)]] += wt
-    pos = np.array(positions)
+    positions = np.concatenate([mu.positions, nu.positions])
+    first, groups = _atom_groups(positions)
+    size = len(first)
+    w_mu = np.bincount(groups[: len(mu)], weights=mu.weights, minlength=size)
+    w_nu = np.bincount(groups[len(mu) :], weights=nu.weights, minlength=size)
+    pos = positions[first]
     return (
         DiscreteMeasure(pos, w_mu, side=mu.side),
         DiscreteMeasure(pos, w_nu, side=mu.side),
@@ -271,15 +238,10 @@ def signed_log_energy(
     """
     if mu.side != "sphere" or nu.side != "sphere":
         raise MismatchedSupports("signed_log_energy expects sphere-side measures")
-    if mu.positions.shape != nu.positions.shape or not np.array_equal(
-        mu.positions, nu.positions
-    ):
-        raise MismatchedSupports(
-            "atom position lists differ; use align_measures first"
-        )
+    if not np.array_equal(mu.positions, nu.positions):
+        raise MismatchedSupports("atom position lists differ; use align_measures first")
     d = mu.weights - nu.weights
-    dist = sphere_distance_matrix(mu.positions)
-    value = _weighted_energy(d, dist, 2.0, np.zeros(len(d)), policy, spacing)
+    value = _weighted_energy(d, mu.positions, 2.0, np.zeros(len(d)), policy, spacing)
     if value is None:
         raise MismatchedSupports("duplicate atom positions in support")
     return value

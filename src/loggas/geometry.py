@@ -19,7 +19,6 @@ coordinate, so 1 - |T(x)|^2 = 1/(1 + |x|^2) exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,22 +114,16 @@ def unproject_array(zs: np.ndarray) -> np.ndarray:
     return np.where(high, high_form, low_form)
 
 
-def chordal_distance(x: complex, y: complex) -> float:
+def chordal_distance(x, y):
     """Distance between the projections of x and y, in planar coordinates.
 
-    Always in [0, 1]; equals the Euclidean distance of the projected
-    points in R^3.
+    Elementwise on broadcast arrays (a float for scalars).  Always in
+    [0, 1]; equals the Euclidean distance of the projected points in R^3.
     """
-    x = complex(x)
-    y = complex(y)
-    d = abs(x - y) / (math.hypot(1.0, abs(x)) * math.hypot(1.0, abs(y)))
-    return min(d, 1.0)
-
-
-def sphere_distance_matrix(zs: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between rows of an (n, 3) array."""
-    diff = zs[:, None, :] - zs[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    d = np.abs(x - y) / (np.hypot(1.0, np.abs(x)) * np.hypot(1.0, np.abs(y)))
+    return np.minimum(d, 1.0)[()]
 
 
 @dataclass(frozen=True)
@@ -189,6 +182,4 @@ def pushforward(mu: DiscreteMeasure) -> DiscreteMeasure:
     """Map a plane measure to the sphere atom-by-atom, weights unchanged."""
     if mu.side != "plane":
         raise ValueError("pushforward expects a plane-side measure")
-    if not np.all(np.isfinite(mu.positions)):
-        raise ValueError("pushforward requires finite atoms")
-    return DiscreteMeasure(project_array(mu.positions), mu.weights.copy(), side="sphere")
+    return DiscreteMeasure(project_array(mu.positions), mu.weights, side="sphere")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -258,6 +257,8 @@ class GasModel:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.potential.poly_var == "x" and not self.support.is_real:
+            raise ValueError(f"an x-polynomial V needs a real support, not {self.support.value}")
 
     @property
     def weak_growth_ok(self) -> bool:
@@ -309,9 +310,9 @@ class DiscreteMeasure:
     """A probability measure with finitely many weighted atoms.
 
     Atoms live either in the plane (complex positions) or on the Riemann
-    sphere (rows of 3-vectors); duplicated positions are merged at
-    construction with their weights summed, and weights must be
-    nonnegative and sum to 1 within 1e-12.
+    sphere (rows of 3-vectors) and must be finite; duplicated positions
+    are merged at construction with their weights summed, and weights must
+    be nonnegative and sum to 1 within 1e-12.
     """
 
     positions: np.ndarray
@@ -327,15 +328,20 @@ class DiscreteMeasure:
             pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
             if pos.shape[1] != 3:
                 raise ValueError("sphere-side positions must be (n, 3)")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("atom positions must be finite")
         wts = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if len(wts) != len(pos):
             raise ValueError("positions and weights differ in length")
         if np.any(wts < 0):
             raise ValueError("weights must be nonnegative")
         total = math.fsum(wts.tolist())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1 within 1e-12")
-        pos, wts = _merge_duplicate_atoms(pos, wts, self.side)
+        # A measure without repeated atoms keeps its weights bit for bit (-0.0 too).
+        first, groups = _atom_groups(pos)
+        wts = np.bincount(groups, weights=wts) if len(first) < len(wts) else wts.copy()
+        pos = pos[first]
         pos.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -345,45 +351,27 @@ class DiscreteMeasure:
         return len(self.weights)
 
 
-def _merge_duplicate_atoms(pos, wts, side):
-    keys: dict = {}
-    order = []
-    merged: list[float] = []
-    for i in range(len(wts)):
-        key = complex(pos[i]) if side == "plane" else tuple(pos[i])
-        j = keys.get(key)
-        if j is None:
-            keys[key] = len(order)
-            order.append(i)
-            merged.append(wts[i])
-        else:
-            merged[j] += wts[i]
-    out_pos = pos[np.array(order)] if len(order) != len(wts) else pos.copy()
-    return out_pos, np.array(merged, dtype=float)
+def _atom_groups(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal atoms (points, or rows of sphere coordinates).
+
+    Returns ``first``, the index of each distinct atom's first occurrence
+    in order of first occurrence, and ``groups``, the index into ``first``
+    of each atom.  Atoms are equal when all coordinates compare equal, so
+    0.0 and -0.0 are one atom.
+    """
+    _, first, inverse = np.unique(positions, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
 def empirical_measure(config: Configuration) -> DiscreteMeasure:
-    """Mass 1/n at each particle, duplicate positions merged exactly.
+    """Mass k/n at each distinct particle position, k its multiplicity.
 
-    Weights are accumulated as rationals k/n (so they sum to 1 exactly)
-    before conversion to floating point.
+    Each weight is the correctly rounded quotient k/n.
     """
-    n = len(config)
-    counts: dict[complex, int] = {}
-    order: list[complex] = []
-    for p in config.points:
-        key = complex(p)
-        if key not in counts:
-            counts[key] = 0
-            order.append(key)
-        counts[key] += 1
-    fractions = [Fraction(counts[p], n) for p in order]
-    assert sum(fractions) == 1
-    return DiscreteMeasure(
-        np.array(order, dtype=complex),
-        np.array([float(f) for f in fractions]),
-        side="plane",
-    )
+    first, groups = _atom_groups(config.points)
+    counts = np.bincount(groups)
+    return DiscreteMeasure(config.points[first], counts / len(config), side="plane")
 
 
 class Admissibility(enum.Enum):

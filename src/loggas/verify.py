@@ -21,8 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import log_density, log_density_sphere, measure_energy
-from .geometry import compactified_potential, project_array, pushforward
+from .energy import (
+    _pair_distances,
+    _pair_kernel,
+    log_density,
+    log_density_sphere,
+    measure_energy,
+)
+from .geometry import chordal_distance, compactified_potential, project_array, pushforward
 from .model import (
     Configuration,
     DiscreteMeasure,
@@ -49,10 +55,9 @@ def _wide_complex(rng, count, max_exp=6.0):
 def metric_identity_deviation(rng, count) -> float:
     xs = _wide_complex(rng, count)
     ys = _wide_complex(rng, count)
-    chordal = np.abs(xs - ys) / (np.hypot(1.0, np.abs(xs)) * np.hypot(1.0, np.abs(ys)))
     diff = project_array(xs) - project_array(ys)
     euclid = np.sqrt(np.sum(diff * diff, axis=-1))
-    return float(np.max(np.abs(euclid - chordal)))
+    return float(np.max(np.abs(euclid - chordal_distance(xs, ys))))
 
 
 def pole_identity_deviation(rng, count) -> float:
@@ -78,8 +83,7 @@ def _moderate_pairs(rng, count, real: bool):
         else:
             a = mags_x * np.exp(2j * np.pi * rng.random(todo))
             b = mags_y * np.exp(2j * np.pi * rng.random(todo))
-        chordal = np.abs(a - b) / (np.hypot(1.0, np.abs(a)) * np.hypot(1.0, np.abs(b)))
-        keep = chordal >= 1e-3
+        keep = chordal_distance(a, b) >= 1e-3
         k = int(keep.sum())
         xs[filled : filled + k] = a[keep]
         ys[filled : filled + k] = b[keep]
@@ -93,16 +97,17 @@ def kernel_transport_deviation(rng, count) -> float:
         model = make()
         real = model.support is Support.REAL_LINE
         xs, ys = _moderate_pairs(rng, count, real)
-        vx = model.potential_values(xs)
-        vy = model.potential_values(ys)
-        planar = -(model.beta / 2.0) * np.log(np.abs(xs - ys)) + 0.5 * (vx + vy)
+        planar = _pair_kernel(
+            model.beta, np.abs(xs - ys),
+            model.potential_values(xs), model.potential_values(ys),
+        )
         pot = compactified_potential(model)
         zx = project_array(xs)
         zy = project_array(ys)
         diff = zx - zy
-        d3 = np.sqrt(np.sum(diff * diff, axis=-1))
-        sphere = -(model.beta / 2.0) * np.log(d3) + 0.5 * (
-            pot.on_sphere_array(zx) + pot.on_sphere_array(zy)
+        sphere = _pair_kernel(
+            model.beta, np.sqrt(np.sum(diff * diff, axis=-1)),
+            pot.on_sphere_array(zx), pot.on_sphere_array(zy),
         )
         worst = max(worst, float(np.max(np.abs(planar - sphere))))
     return worst
@@ -114,8 +119,7 @@ def _random_configuration(rng, n, real: bool) -> np.ndarray:
             pts = rng.standard_normal(n).astype(complex)
         else:
             pts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        iu, ju = np.triu_indices(n, k=1)
-        if np.min(np.abs(pts[iu] - pts[ju])) > 1e-6:
+        if np.min(_pair_distances(pts)[2]) > 1e-6:
             return pts
 
 
@@ -142,8 +146,8 @@ def energy_transport_deviation(rng, measures, atoms=100) -> float:
             w = rng.exponential(size=atoms)
             w /= w.sum()
             mu = DiscreteMeasure(pts, w, side="plane")
-            plane = measure_energy(mu, model).value
-            sphere = measure_energy(pushforward(mu), model).value
+            plane = measure_energy(mu, model)
+            sphere = measure_energy(pushforward(mu), model)
             worst = max(worst, abs(plane - sphere))
     return worst
 

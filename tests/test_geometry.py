@@ -118,6 +118,9 @@ class TestChordalDistance:
         assert chordal_distance(0, 1) == pytest.approx(1 / math.sqrt(2))
         assert chordal_distance(1, -1) == pytest.approx(1.0)
         assert chordal_distance(2.7 - 1j, 2.7 - 1j) == 0.0
+        assert isinstance(chordal_distance(0, 1), float)
+        pairs = chordal_distance([0, 1], [1, -1])
+        assert np.array_equal(pairs, [chordal_distance(0, 1), chordal_distance(1, -1)])
 
     def test_matches_r3_distance(self):
         rng = np.random.default_rng(4)
@@ -125,8 +128,7 @@ class TestChordalDistance:
         ys = wide_complex(rng, 100_000)
         diff = project_array(xs) - project_array(ys)
         euclid = np.sqrt(np.sum(diff * diff, axis=-1))
-        chordal = np.abs(xs - ys) / (np.hypot(1, np.abs(xs)) * np.hypot(1, np.abs(ys)))
-        assert np.max(np.abs(euclid - chordal)) <= 1e-12
+        assert np.max(np.abs(euclid - chordal_distance(xs, ys))) <= 1e-12
 
     def test_bounded_by_diameter(self):
         rng = np.random.default_rng(5)

@@ -105,6 +105,8 @@ class TestDiscreteMeasure:
             DiscreteMeasure(np.array([0j, 1j]), np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             DiscreteMeasure(np.array([0j, 1j]), np.array([-0.1, 1.1]))
+        with pytest.raises(ValueError):
+            DiscreteMeasure(np.array([0j, 1j]), np.array([np.nan, 1.0]))
 
     def test_sphere_side_shape(self):
         pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
@@ -112,6 +114,136 @@ class TestDiscreteMeasure:
         assert mu.positions.shape == (2, 3)
         with pytest.raises(ValueError):
             DiscreteMeasure(np.array([[0.0, 0.0]]), np.array([1.0]), side="sphere")
+
+    @pytest.mark.parametrize("pos, side", [
+        ([np.inf, 1.0], "plane"),
+        ([complex(1.0, np.nan), 0j], "plane"),
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, np.inf]], "sphere"),
+        ([[np.nan, 0.0, 0.0], [0.5, 0.0, 0.5]], "sphere"),
+    ])
+    def test_rejects_nonfinite_positions(self, pos, side):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(pos, [0.5, 0.5], side=side)
+
+    def test_input_arrays_stay_writable(self):
+        pos = np.array([0j, 1j])
+        w = np.array([0.5, 0.5])
+        DiscreteMeasure(pos, w)
+        assert pos.flags.writeable and w.flags.writeable
+
+
+def loop_merge(pos, wts, side):
+    """Reference: duplicate atoms merged by a dict over hashable keys."""
+    keys: dict = {}
+    order = []
+    merged: list[float] = []
+    for i in range(len(wts)):
+        key = complex(pos[i]) if side == "plane" else tuple(pos[i])
+        j = keys.get(key)
+        if j is None:
+            keys[key] = len(order)
+            order.append(i)
+            merged.append(wts[i])
+        else:
+            merged[j] += wts[i]
+    return pos[np.array(order)], np.array(merged, dtype=float)
+
+
+def loop_empirical(points):
+    """Reference: multiplicities counted by a dict, weights as rationals k/n."""
+    from fractions import Fraction
+
+    counts: dict[complex, int] = {}
+    for p in points:
+        counts[complex(p)] = counts.get(complex(p), 0) + 1
+    n = len(points)
+    return (
+        np.array(list(counts), dtype=complex),
+        np.array([float(Fraction(k, n)) for k in counts.values()]),
+    )
+
+
+def loop_align(mu, nu):
+    """Reference: both measures re-expressed on the union of their atoms."""
+    key = complex if mu.side == "plane" else tuple
+    index: dict = {}
+    positions = []
+    for m in (mu, nu):
+        for p in m.positions:
+            if key(p) not in index:
+                index[key(p)] = len(positions)
+                positions.append(p)
+    weights = np.zeros((2, len(positions)))
+    for w, m in zip(weights, (mu, nu)):
+        for p, wt in zip(m.positions, m.weights):
+            w[index[key(p)]] += wt
+    return np.array(positions), weights[0], weights[1]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_atoms(rng, n, side):
+    """n atoms drawn from a few distinct values, with 0.0 and -0.0 mixed in."""
+    values = np.array([0.0, -0.0, 1.0, -2.5, 0.1])
+    if side == "plane":
+        return rng.choice(values, n) + 1j * rng.choice(values, n)
+    return rng.choice(values, (n, 3))
+
+
+def random_weights(rng, n):
+    w = rng.exponential(size=n)
+    w[1:][rng.random(n - 1) < 0.2] = 0.0
+    return w / w.sum()
+
+
+class TestAtomGroupingMatchesLoop:
+    """Array grouping equals the dict loops it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("side", ["plane", "sphere"])
+    def test_discrete_measure(self, side):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            pos, w = random_atoms(rng, n, side), random_weights(rng, n)
+            mu = DiscreteMeasure(pos, w, side=side)
+            ref_pos, ref_w = loop_merge(pos, w, side)
+            assert same_bits(mu.positions, ref_pos)
+            assert same_bits(mu.weights, ref_w)
+
+    def test_negative_zero_weight_kept_without_duplicates(self):
+        mu = DiscreteMeasure([0j, -0.0 + 0j, 1j], [-0.0, 0.5, 0.5])
+        assert len(mu) == 2 and same_bits(mu.weights, [0.5, 0.5])
+        mu = DiscreteMeasure([0j, 1j], [-0.0, 1.0])
+        assert same_bits(mu.weights, loop_merge(mu.positions, [-0.0, 1.0], "plane")[1])
+        # merged sums start from +0.0, so a zero-mass group is +0.0
+        mu = DiscreteMeasure([0j, 0j, 1j], [-0.0, -0.0, 1.0])
+        assert same_bits(mu.weights, [0.0, 1.0])
+
+    def test_empirical_measure(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            pts = random_atoms(rng, int(rng.integers(1, 40)), "plane")
+            mu = empirical_measure(Configuration(pts))
+            ref_pos, ref_w = loop_empirical(pts)
+            assert same_bits(mu.positions, ref_pos)
+            assert same_bits(mu.weights, ref_w)
+
+    @pytest.mark.parametrize("side", ["plane", "sphere"])
+    def test_align_measures(self, side):
+        from loggas import align_measures
+
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            n, m = rng.integers(1, 30, 2)
+            mu = DiscreteMeasure(random_atoms(rng, n, side), random_weights(rng, n), side=side)
+            nu = DiscreteMeasure(random_atoms(rng, m, side), random_weights(rng, m), side=side)
+            a, b = align_measures(mu, nu)
+            ref_pos, ref_a, ref_b = loop_align(mu, nu)
+            assert same_bits(a.positions, ref_pos) and same_bits(b.positions, ref_pos)
+            assert same_bits(a.weights, ref_a) and same_bits(b.weights, ref_b)
 
 
 class TestConfiguration:
@@ -208,6 +340,13 @@ class TestGasModel:
             model(cauchy_potential(), beta=-1.0)
         with pytest.raises(ValueError):
             model(cauchy_potential(), n=0)
+
+    @pytest.mark.parametrize("support", [Support.COMPLEX_PLANE, Support.UNIT_CIRCLE])
+    def test_x_polynomial_needs_a_real_support(self, support):
+        tilted = custom_potential("tilted", [0.0, 1.0, 1.0], "x", beta_prime=2.0)
+        with pytest.raises(ValueError, match="real support"):
+            model(tilted, support=support)
+        model(tilted, support=Support.HALF_LINE)
 
     def test_weak_growth_flag(self):
         assert model(cauchy_potential(), beta=2.0).weak_growth_ok
