@@ -89,6 +89,7 @@ from .sampler import (
     ChainStats,
     chain_seed,
     mh_chain,
+    mh_chains,
     proposal_log_ratio,
     sample_cauchy_ensemble,
     sample_spherical_ensemble,

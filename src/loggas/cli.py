@@ -35,7 +35,7 @@ from .model import (
     Support,
     custom_potential,
 )
-from .sampler import ChainParams, chain_seed, mh_chain
+from .sampler import ChainParams, chain_seed, mh_chains
 from .verify import run_identity_suites
 
 COMMANDS = ("sample", "equilibrium", "verify", "analyze")
@@ -273,18 +273,22 @@ def _write_manifest(config: RunConfig, out_dir: Path) -> None:
 
 
 def _run_sample(config: RunConfig, out_dir: Path) -> int:
-    records = []
-    stats_list = []
-    for j in range(config.settings["chain"]["chains"]):
-        params = replace(config.chain, seed=chain_seed(config.seed, j))
-        init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, j, 0xA11CE]))
-        init = _initial_configuration(config.model, init_rng)
-        samples, stats = mh_chain(config.model, init, params)
-        for k, cfg in enumerate(samples):
-            records.append((j, params.burn_in + k * params.thin, cfg.points))
-        stats_list.append(stats.to_json())
+    chains = range(config.settings["chain"]["chains"])
+    params = [replace(config.chain, seed=chain_seed(config.seed, j)) for j in chains]
+    inits = [
+        _initial_configuration(
+            config.model, np.random.default_rng(np.random.SeedSequence([config.seed, j, 0xA11CE]))
+        )
+        for j in chains
+    ]
+    results = mh_chains(config.model, inits, params)
+    records = [
+        (j, config.chain.burn_in + k * config.chain.thin, cfg.points)
+        for j, (samples, _) in enumerate(results)
+        for k, cfg in enumerate(samples)
+    ]
     write_samples_csv(out_dir / "samples.csv", records)
-    write_json(out_dir / "stats.json", {"chains": stats_list})
+    write_json(out_dir / "stats.json", {"chains": [stats.to_json() for _, stats in results]})
     return 0
 
 

@@ -22,6 +22,7 @@ exactly across runs.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -53,13 +54,22 @@ def _pair_kernel(beta: float, dist, va, vb):
     return -(beta / 2.0) * np.log(dist) + 0.5 * (va + vb)
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), made once per n and returned read-only."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
 def _pair_distances(positions: np.ndarray):
     """Each unordered pair of atoms once: i < j in np.triu_indices order.
 
     Returns (i, j, d) with d the distance of each pair: |p_i - p_j| for
     complex points, the Euclidean norm of the difference for sphere rows.
     """
-    iu, ju = np.triu_indices(len(positions), k=1)
+    iu, ju = _pair_indices(len(positions))
     diff = positions[iu] - positions[ju]
     if diff.ndim == 1:
         return iu, ju, np.abs(diff)
@@ -190,7 +200,7 @@ def log_density_sphere(config: Configuration, model: GasModel) -> float:
     pts = config.points
     n = len(pts)
     zs = project_array(pts)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _pair_indices(n)
     seps = chordal_distance(pts[iu], pts[ju])
     if np.any(seps < COINCIDENCE_TOL):
         return -math.inf

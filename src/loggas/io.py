@@ -57,8 +57,11 @@ def write_samples_csv(path, records) -> None:
     """
     lines = ["chain,sweep,particle,re,im"]
     for chain, sweep, points in records:
-        for k, p in enumerate(np.asarray(points, dtype=complex)):
-            lines.append(f"{chain},{sweep},{k},{_fmt(p.real)},{_fmt(p.imag)}")
+        pts = np.asarray(points, dtype=complex)
+        lines += [
+            f"{chain},{sweep},{k},{re!r},{im!r}"
+            for k, (re, im) in enumerate(zip(pts.real.tolist(), pts.imag.tolist()))
+        ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

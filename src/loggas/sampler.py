@@ -7,6 +7,13 @@ afterward, so the recorded chain is a fixed Markov kernel.  Models that
 are only weakly confining mix a 10% fraction of heavy-tailed proposal
 steps so the polynomial tails of the target get explored.
 
+``mh_chains`` runs C chains of one model together: their state is a
+(C, n) array and move i is one set of array calls across all chains,
+with each chain's acceptance decided by the scalar Metropolis test.
+Each chain draws from its own Generator in a fixed order and adapts its
+own step scale, so chain j's samples do not depend on C; ``mh_chain`` is
+the C = 1 case.
+
 The matrix-model routes sample the unitary-ensemble eigenphase gas and
 map it through the half-angle tangent (which transports it exactly onto
 the line gas with V = log(1 + x^2) at beta = 2), and the generalized
@@ -17,6 +24,7 @@ with V = log(1 + |x|^2).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,15 +92,17 @@ class ChainStats:
         }
 
 
-def _log_separation_change(points: np.ndarray, i: int, x_new: complex) -> float:
-    """sum_{j != i} log|x_j - x_new| - log|x_j - x_i|; -inf if x_new hits a particle."""
-    d_new = np.abs(points - x_new)
-    d_old = np.abs(points - points[i])
-    d_new[i] = 1.0
-    d_old[i] = 1.0
-    if np.any(d_new == 0.0):
-        return -math.inf
-    return np.log(d_new).sum() - np.log(d_old).sum()
+def _log_separation_change(x: np.ndarray, i: int, ends: np.ndarray) -> np.ndarray:
+    """Per row c: sum_{j != i} log|x[c, j] - ends[0, c]| - log|x[c, j] - ends[1, c]|.
+
+    ``x`` is (C, n) and ``ends`` is (2, C, 1): each row's proposed point
+    for particle i, then its current one.  A proposal that lands on a
+    particle gives -inf; callers ignore NumPy's divide warning for it.
+    """
+    d = np.abs(x - ends)
+    d[:, :, i] = 1.0
+    s = np.log(d, out=d).sum(axis=2)
+    return s[0] - s[1]
 
 
 def proposal_log_ratio(model: GasModel, points: np.ndarray, i: int, x_new: complex) -> float:
@@ -102,18 +112,52 @@ def proposal_log_ratio(model: GasModel, points: np.ndarray, i: int, x_new: compl
     finite sums over the same pairs).
     """
     pts = np.asarray(points, dtype=complex)
-    v_old, v_new = model.potential_values(np.array([pts[i], x_new]))
-    inter = model.beta * _log_separation_change(pts, i, x_new)
+    ends = np.array([x_new, pts[i]])
+    v_new, v_old = model.potential_values(ends)
+    with np.errstate(divide="ignore"):
+        inter = model.beta * _log_separation_change(pts[None, :], i, ends.reshape(2, 1, 1))[0]
     return float(inter - model.n * (v_new - v_old))
 
 
-def mh_chain(
-    model: GasModel, init: Configuration, params: ChainParams
-) -> tuple[list[Configuration], ChainStats]:
-    """Run one single-particle Metropolis chain; returns thinned samples."""
+def _sweep_randoms(
+    rng: np.random.Generator, n: int, scale: float, is_complex: bool, heavy_tails: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep's proposal steps and acceptance uniforms, in a fixed draw order."""
+    if is_complex:
+        steps = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    else:
+        steps = (scale * rng.standard_normal(n)).astype(complex)
+    if heavy_tails:
+        mix = rng.random(n) < HEAVY_TAIL_FRACTION
+        if is_complex:
+            heavy = scale * rng.standard_cauchy(n) * np.exp(2j * np.pi * rng.random(n))
+        else:
+            heavy = (scale * rng.standard_cauchy(n)).astype(complex)
+        steps = np.where(mix, heavy, steps)
+    return steps, rng.random(n)
+
+
+def mh_chains(
+    model: GasModel, inits: Sequence[Configuration], params: Sequence[ChainParams]
+) -> list[tuple[list[Configuration], ChainStats]]:
+    """Run C single-particle Metropolis chains together; one result per chain.
+
+    The chains share the sweep schedule (sweeps, burn_in, thin, adapt) and
+    may differ in seed and step scale.  Their state is one (C, n) array and
+    move i is one set of array calls across all rows, but each chain draws
+    from its own Generator in a fixed order and adapts its own scale, so
+    chain j's samples and stats do not depend on C.
+    """
+    params = list(params)
+    if not params or len(inits) != len(params):
+        raise ValueError("need one ChainParams per initial configuration, at least one")
+    for name in ("sweeps", "burn_in", "thin", "adapt"):
+        if len({getattr(p, name) for p in params}) > 1:
+            raise ValueError(f"chains must share {name}")
     if not model.weak_growth_ok:
         raise InadmissibleModel("model fails weak-growth admissibility")
-    validate_configuration(init, model)
+    for init in inits:
+        validate_configuration(init, model)
     n = model.n
     support = model.support
     is_complex = support in (Support.COMPLEX_PLANE, Support.UNIT_CIRCLE)
@@ -123,72 +167,87 @@ def mh_chain(
         and admissibility_check(model).classification is not Admissibility.STRONG
     )
 
-    rng = np.random.default_rng(params.seed)
-    x = np.array(init.points, dtype=complex)
-    if len(np.unique(x)) != n:
+    x = np.array([init.points for init in inits], dtype=complex)
+    if any(len(np.unique(row)) != n for row in x):
         raise ValueError("initial configuration has coincident points")
-
-    scale = params.step_scale
+    rngs = [np.random.default_rng(p.seed) for p in params]
+    scales = [p.step_scale for p in params]
+    schedule = params[0]
     beta = model.beta
+    chains = range(len(params))
 
-    samples: list[Configuration] = []
-    trace: list[float] = []
-    accepted_recorded = 0
-    proposed_recorded = 0
+    steps = np.empty(x.shape, dtype=complex)
+    u_accept = np.empty(x.shape)
+    samples: list[list[Configuration]] = [[] for _ in chains]
+    traces: list[list[float]] = [[] for _ in chains]
+    accepted_recorded = [0 for _ in chains]
 
-    for sweep in range(params.sweeps):
-        in_burn = sweep < params.burn_in
-        if is_complex:
-            steps = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        else:
-            steps = (scale * rng.standard_normal(n)).astype(complex)
-        if heavy_tails:
-            mix = rng.random(n) < HEAVY_TAIL_FRACTION
-            if is_complex:
-                heavy = scale * rng.standard_cauchy(n) * np.exp(
-                    2j * np.pi * rng.random(n)
-                )
-            else:
-                heavy = (scale * rng.standard_cauchy(n)).astype(complex)
-            steps = np.where(mix, heavy, steps)
-        u_accept = rng.random(n)
+    for sweep in range(schedule.sweeps):
+        for c in chains:
+            steps[c], u_accept[c] = _sweep_randoms(rngs[c], n, scales[c], is_complex, heavy_tails)
 
-        # Move i changes only x[i], so each proposal of the sweep depends on
+        # Move i changes only x[:, i], so each proposal of the sweep depends on
         # the sweep's starting positions alone and all can be built up front.
         if rotate:
             # x * exp(i theta) by the textbook product, which rounds as the
             # scalar complex product does; NumPy's array product fuses
             # multiply-adds and rounds differently.
             rot = np.exp(1j * steps.real)
-            proposals = np.empty(n, dtype=complex)
+            proposals = np.empty_like(x)
             proposals.real = x.real * rot.real - x.imag * rot.imag
             proposals.imag = x.real * rot.imag + x.imag * rot.real
         else:
             proposals = x + steps
-        moves = np.flatnonzero(support.contains_array(proposals))
-        dv = n * (model.potential_values(proposals[moves]) - model.potential_values(x[moves]))
+        valid = support.contains_array(proposals)
+        dv = np.zeros(x.shape)
+        v_new, v_old = model.potential_values(proposals[valid]), model.potential_values(x[valid])
+        dv[valid] = n * (v_new - v_old)
+        # ends[i] is (2, C, 1): the proposed, then the current, position of
+        # particle i in each chain.
+        ends = np.stack((proposals, x)).transpose(2, 0, 1)[..., None]
+        columns = zip(valid.T.tolist(), dv.T.tolist(), u_accept.T.tolist())
 
-        acc_sweep = 0
-        for i, dv_i in zip(moves.tolist(), dv.tolist()):
-            delta = beta * _log_separation_change(x, i, proposals[i]) - dv_i
-            if delta >= 0.0 or u_accept[i] < math.exp(delta):
-                x[i] = proposals[i]
-                acc_sweep += 1
+        acc_sweep = [0 for _ in chains]
+        with np.errstate(divide="ignore"):
+            for i, (valid_i, dv_i, u_i) in enumerate(columns):
+                if not any(valid_i):
+                    continue
+                seps = _log_separation_change(x, i, ends[i]).tolist()
+                for c in chains:
+                    if valid_i[c]:
+                        delta = beta * seps[c] - dv_i[c]
+                        if delta >= 0.0 or u_i[c] < math.exp(delta):
+                            x[c, i] = proposals[c, i]
+                            acc_sweep[c] += 1
 
-        if in_burn:
-            if params.adapt:
+        if sweep < schedule.burn_in:
+            if schedule.adapt:
                 gain = (sweep + 1.0) ** -0.6
-                scale *= math.exp(gain * (acc_sweep / n - TARGET_ACCEPTANCE))
+                scales = [
+                    scale * math.exp(gain * (acc / n - TARGET_ACCEPTANCE))
+                    for scale, acc in zip(scales, acc_sweep)
+                ]
         else:
-            proposed_recorded += n
-            accepted_recorded += acc_sweep
-            if (sweep - params.burn_in) % params.thin == 0:
-                config = Configuration(x.copy())
-                samples.append(config)
-                trace.append(log_density(config, model))
+            for c in chains:
+                accepted_recorded[c] += acc_sweep[c]
+            if (sweep - schedule.burn_in) % schedule.thin == 0:
+                for c in chains:
+                    config = Configuration(x[c])
+                    samples[c].append(config)
+                    traces[c].append(log_density(config, model))
 
-    rate = accepted_recorded / proposed_recorded if proposed_recorded else 0.0
-    return samples, ChainStats(rate, scale, trace)
+    proposed_recorded = n * (schedule.sweeps - schedule.burn_in)
+    return [
+        (samples[c], ChainStats(accepted_recorded[c] / proposed_recorded, scales[c], traces[c]))
+        for c in chains
+    ]
+
+
+def mh_chain(
+    model: GasModel, init: Configuration, params: ChainParams
+) -> tuple[list[Configuration], ChainStats]:
+    """Run one single-particle Metropolis chain; returns thinned samples."""
+    return mh_chains(model, [init], [params])[0]
 
 
 def chain_seed(base_seed: int, chain_index: int) -> int:

@@ -33,6 +33,7 @@ from loggas import (
     grid_minimize,
     ks_distance,
     mh_chain,
+    mh_chains,
     project_array,
     quadratic_potential,
     radial_cdf_distance,
@@ -214,12 +215,17 @@ def test_criterion_09_convergence_trend():
     medians = []
     for n in (16, 64, 256):
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), n)
+        seeds = range(5)
+        params = [ChainParams(sweeps=1200, burn_in=400, seed=chain_seed(seed, n))
+                  for seed in seeds]
+        inits = [
+            Configuration(
+                np.random.default_rng(chain_seed(seed, n + 1)).standard_normal(n).astype(complex)
+            )
+            for seed in seeds
+        ]
         stats = []
-        for seed in range(5):
-            params = ChainParams(sweeps=1200, burn_in=400, seed=chain_seed(seed, n))
-            rng = np.random.default_rng(chain_seed(seed, n + 1))
-            init = Configuration(rng.standard_normal(n).astype(complex))
-            samples, _ = mh_chain(model, init, params)
+        for samples, _ in mh_chains(model, inits, params):
             pool = np.concatenate([s.points.real for s in samples])
             stats.append(ks_distance(pool, law.cdf).statistic)
         medians.append(float(np.median(stats)))

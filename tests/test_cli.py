@@ -257,6 +257,20 @@ class TestRun:
         order = np.lexsort((data["sweep"], data["chain"]))
         assert np.array_equal(order, np.arange(len(order)))
 
+    def test_chain_rows_do_not_depend_on_chain_count(self, tmp_path):
+        raw = json.loads(json.dumps(MINIMAL_SAMPLE))
+        raw["model"]["n"] = 5
+        raw["seed"] = 17
+        rows = {}
+        for chains in (1, 3):
+            raw["chain"] = {"sweeps": 40, "burn_in": 10, "chains": chains}
+            raw["out"] = str(tmp_path / f"c{chains}")
+            assert run(parse_config(json.dumps(raw))) == 0
+            rows[chains] = (tmp_path / f"c{chains}" / "samples.csv").read_text().splitlines()
+        first = [r for r in rows[3] if r.startswith("0,")]
+        assert len(rows[3]) - 1 == 3 * len(first)
+        assert first == rows[1][1:]
+
     @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
     def test_manifest_replays_the_run(self, tmp_path, case):
         raw = json.loads(json.dumps(REPLAY_CASES[case]))

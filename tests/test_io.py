@@ -73,6 +73,23 @@ class TestSamplesCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+    def test_bytes_match_per_element_repr(self, tmp_path):
+        specials = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-309, 1e300,
+                             -1e300, 1.0 / 3.0, -2.0 / 3.0])
+        points = np.empty((2, len(specials)), dtype=complex)
+        points.real = specials, -specials
+        points.imag = specials[::-1], specials
+        records = [(0, 7, points[0]), (3, 12, points[1])]
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, records)
+        want = ["chain,sweep,particle,re,im"]
+        for chain, sweep, pts in records:
+            for k, p in enumerate(pts):
+                want.append(f"{chain},{sweep},{k},{repr(float(p.real))},{repr(float(p.imag))}")
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        assert "0,7,1,-0.0,0.3333333333333333" in path.read_text()
+
+
 class TestJson:
     def test_round_trip_and_determinism(self, tmp_path):
         obj = {"b": 2, "a": [1, 2, 3], "c": {"x": 0.1}}

@@ -17,12 +17,14 @@ from loggas import (
     ks_distance,
     log_density,
     mh_chain,
+    mh_chains,
     proposal_log_ratio,
     quadratic_potential,
     sample_cauchy_ensemble,
     sample_spherical_ensemble,
     spherical_potential,
 )
+from loggas.sampler import _log_separation_change
 
 CAUCHY2 = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
 
@@ -207,6 +209,78 @@ class TestMhChain:
         samples, stats = small_chain(model, sweeps=30, burn_in=10)
         assert len(stats.energy_trace) == len(samples)
         assert all(np.isfinite(stats.energy_trace))
+
+
+ALL_SUPPORTS = [
+    GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 8),
+    GasModel(Support.HALF_LINE, 1.5, quadratic_potential(), 6),
+    GasModel(Support.UNIT_SEGMENT, 2.0, cauchy_potential(), 6),
+    GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 8),
+    GasModel(Support.UNIT_CIRCLE, 2.0, spherical_potential(), 6),
+]
+
+
+def assert_same_chain(got, want):
+    (got_samples, got_stats), (want_samples, want_stats) = got, want
+    assert len(got_samples) == len(want_samples)
+    for a, b in zip(got_samples, want_samples):
+        assert np.array_equal(a.points, b.points)
+    assert got_stats.energy_trace == want_stats.energy_trace
+    assert got_stats.acceptance_rate == want_stats.acceptance_rate
+    assert got_stats.final_step_scale == want_stats.final_step_scale
+
+
+class TestMhChains:
+    @pytest.mark.parametrize("model", ALL_SUPPORTS, ids=lambda m: m.support.value)
+    def test_chain_does_not_depend_on_batch_size(self, model):
+        # The real line, half line, segment and plane mix in heavy-tailed
+        # Cauchy steps; the circle rotates.
+        inits = [initial_configuration(model, seed=20 + j) for j in range(8)]
+        params = [ChainParams(sweeps=60, burn_in=20, seed=chain_seed(9, j)) for j in range(8)]
+        batch = mh_chains(model, inits, params)
+        assert len(batch) == 8
+        for j in range(8):
+            assert_same_chain(batch[j], mh_chains(model, [inits[j]], [params[j]])[0])
+
+    def test_equals_a_loop_of_mh_chain(self):
+        model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 10)
+        inits = [initial_configuration(model, seed=j) for j in range(5)]
+        params = [
+            ChainParams(sweeps=50, burn_in=10, seed=100 + j, step_scale=0.2 + 0.5 * j,
+                        adapt=False, thin=3)
+            for j in range(5)
+        ]
+        batch = mh_chains(model, inits, params)
+        for init, p, got in zip(inits, params, batch):
+            assert_same_chain(got, mh_chain(model, init, p))
+
+    @pytest.mark.parametrize(
+        "field, value", [("sweeps", 41), ("burn_in", 5), ("thin", 2), ("adapt", False)]
+    )
+    def test_schedule_mismatch_names_the_field(self, field, value):
+        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 4)
+        inits = [initial_configuration(model, seed=j) for j in range(2)]
+        base = dict(sweeps=40, burn_in=10, thin=1, adapt=True)
+        params = [ChainParams(**base, seed=0), ChainParams(**{**base, field: value}, seed=1)]
+        with pytest.raises(ValueError, match=field):
+            mh_chains(model, inits, params)
+
+    def test_one_params_per_init(self):
+        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 4)
+        init = initial_configuration(model, seed=0)
+        with pytest.raises(ValueError):
+            mh_chains(model, [init, init], [ChainParams(sweeps=10, burn_in=2)])
+        with pytest.raises(ValueError):
+            mh_chains(model, [], [])
+
+    def test_coincident_proposal_is_minus_inf_in_its_row_only(self):
+        x = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, 3.0]], dtype=complex)
+        # row 0 moves particle 2 onto particle 0; row 1 moves it to 2
+        ends = np.array([[0.0, 2.0], [3.0, 3.0]], dtype=complex).reshape(2, 2, 1)
+        with np.errstate(divide="ignore"):
+            seps = _log_separation_change(x, 2, ends)
+        assert seps[0] == -math.inf
+        assert seps[1] == pytest.approx(math.log(2.0) - math.log(3.0 * 2.0))
 
 
 class TestChainSeed:
