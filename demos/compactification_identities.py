@@ -14,22 +14,20 @@ from loggas import (
     cauchy_potential,
     chordal_distance,
     compactified_potential,
-    kernel_planar,
-    kernel_sphere,
     log_density,
     log_density_sphere,
     Configuration,
-    project,
     project_array,
     quadratic_potential,
 )
+from loggas.verify import kernel_transport_deviation
 
 rng = np.random.default_rng(0)
 
 print("=== the projection on a few points ===")
-for x in (0, 1, 1 + 1j, 100j):
-    z = project(x)
-    print(f"  T({x}) = ({z.x1:.6f}, {z.x2:.6f}, {z.x3:.6f})")
+points = (0, 1, 1 + 1j, 100j)
+for x, (x1, x2, x3) in zip(points, project_array(points)):
+    print(f"  T({x}) = ({x1:.6f}, {x2:.6f}, {x3:.6f})")
 
 print()
 print("=== metric identity: chord length between projections ===")
@@ -37,7 +35,7 @@ xs = rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000)
 ys = 10.0 * (rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000))
 diff = project_array(xs) - project_array(ys)
 euclid = np.sqrt(np.sum(diff * diff, axis=-1))
-chordal = np.abs(xs - ys) / (np.hypot(1, np.abs(xs)) * np.hypot(1, np.abs(ys)))
+chordal = chordal_distance(xs, ys)
 print(f"  |T(x)-T(y)| vs planar chord formula, 5e4 pairs: "
       f"max deviation {np.max(np.abs(euclid - chordal)):.2e}")
 print(f"  chordal_distance(0, 1) = {chordal_distance(0, 1):.8f}  (= 1/sqrt(2))")
@@ -45,25 +43,21 @@ print(f"  chordal_distance(1, -1) = {chordal_distance(1, -1):.8f}  (sphere diame
 
 print()
 print("=== kernel transport: pair kernels agree across the map ===")
-model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
-worst = 0.0
-for _ in range(2000):
-    x, y = rng.standard_normal(2)
-    if abs(x - y) < 1e-3:
-        continue
-    worst = max(worst, abs(
-        kernel_planar(x, y, model) - kernel_sphere(project(x), project(y), model)
-    ))
-print(f"  cauchy model, 2000 random pairs: max deviation {worst:.2e}")
+worst = kernel_transport_deviation(rng, 2000)
+print(f"  cauchy, spherical and quadratic models, 2000 random pairs each: "
+      f"max deviation {worst:.2e}")
 
 print()
 print("=== the compactified potential ===")
+model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
 pot = compactified_potential(model)
-print(f"  cauchy at beta=2: V_sphere(T(3.7)) = {pot(project(3.7)):.2e}  (identically 0)")
+print(f"  cauchy at beta=2: V_sphere(T(3.7)) = "
+      f"{pot.on_sphere_array(project_array(3.7)):.2e}  (identically 0)")
 print(f"  cauchy at beta=2: V_sphere(pole)  = {pot.pole_value}")
 quad = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 2)
 pot_q = compactified_potential(quad)
-print(f"  quadratic: V_sphere(T(1)) = {pot_q(project(1)):.6f}  (= 1 - log 2)")
+print(f"  quadratic: V_sphere(T(1)) = "
+      f"{pot_q.on_sphere_array(project_array(1)):.6f}  (= 1 - log 2)")
 print(f"  quadratic: V_sphere(pole) = {pot_q.pole_value}  (confinement wins)")
 
 print()

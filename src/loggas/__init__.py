@@ -6,7 +6,7 @@ temperature beta and external potential V:
 
 * model        gas models, potentials, configurations, discrete measures
 * geometry     projection onto the Riemann sphere and its exact identities
-* energy       pair kernels, discrete energies, Gibbs log-densities
+* energy       discrete energies, Gibbs log-densities
 * equilibrium  closed-form limiting laws, grid minimization, optimality
 * sampler      Metropolis chains and exact beta = 2 matrix-model samplers
 * analysis     goodness-of-fit distances and rate-function gaps
@@ -20,8 +20,6 @@ from .energy import (
     DiagonalPolicy,
     align_measures,
     config_energy,
-    kernel_planar,
-    kernel_sphere,
     log_density,
     log_density_sphere,
     measure_energy,
@@ -57,15 +55,11 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    POLE,
     CompactifiedPotential,
-    SpherePoint,
     chordal_distance,
     compactified_potential,
-    project,
     project_array,
     pushforward,
-    unproject,
     unproject_array,
 )
 from .model import (

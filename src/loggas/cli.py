@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import angular_ks_distance, ks_distance, radial_cdf_distance
-from .equilibrium import GridSpec, cauchy_law, grid_minimize, spherical_law
-from .errors import LogGasError, ParseError, ValidationError
+from .equilibrium import GridSpec, cauchy_law, check_solvable, grid_minimize, spherical_law
+from .errors import InadmissibleModel, LogGasError, ParseError, ValidationError
 from .io import read_samples_csv, write_json, write_measure_csv, write_samples_csv
 from .model import (
     BUILTIN_POTENTIALS,
@@ -194,7 +194,10 @@ def _parse_grid(section, path="grid") -> tuple[GridSpec, dict]:
     max_iter = _number(section.get("max_iter", 20000), f"{path}.max_iter", integer=True)
     _require(max_iter >= 1, f"{path}.max_iter", "integer >= 1")
     settings = {"window": window, "resolution": resolution, "tol": tol, "max_iter": max_iter}
-    return GridSpec(spec_window, resolution), settings
+    try:
+        return GridSpec(spec_window, resolution), settings
+    except ValueError as e:
+        raise ValidationError(f"{path}.window: {e}") from e
 
 
 def _parse_analyze(section, path="analyze") -> dict:
@@ -243,6 +246,13 @@ def parse_config(
              "analyze": ("analyze",)}
     for key in needs.get(command, ()):
         _require(key in settings, key, f"required for the {command} command")
+    try:
+        if command == "equilibrium":
+            check_solvable(built["model"], built["grid"])
+        elif command == "sample":
+            built["model"].require_weak_growth()
+    except (InadmissibleModel, ValueError) as e:
+        raise ValidationError(str(e)) from e
     return RunConfig(settings, **built)
 
 
@@ -366,12 +376,15 @@ def main(argv=None) -> int:
     flags = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
     try:
         if args.config is not None:
-            text = Path(args.config).read_text()
+            text = Path(args.config).read_text(encoding="utf-8")
         else:
             text = "{}"
         config = parse_config(text, command_override=args.command, flags=flags)
     except (ParseError, ValidationError, OSError) as e:
         print(f"loggas: error: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"loggas: error: {args.config}: not UTF-8 text ({e.reason})", file=sys.stderr)
         return 2
     return run(config)
 

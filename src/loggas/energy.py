@@ -28,13 +28,7 @@ import math
 import numpy as np
 
 from .errors import CoincidentPoints, MismatchedSupports
-from .geometry import (
-    CompactifiedPotential,
-    SpherePoint,
-    chordal_distance,
-    compactified_potential,
-    project_array,
-)
+from .geometry import chordal_distance, compactified_potential, project_array
 from .model import Configuration, DiscreteMeasure, GasModel, _atom_groups
 
 # Separations smaller than this are treated as coincident points.
@@ -106,31 +100,6 @@ def _weighted_energy(
         half = np.asarray(spacing, dtype=float) / 2.0
         value += math.fsum((_pair_kernel(beta, half, v, v) * (w * w)).tolist())
     return float(value)
-
-
-def kernel_planar(x: complex, y: complex, model: GasModel) -> float:
-    """The weighted log kernel at a pair of plane points; +inf on the diagonal."""
-    sep = abs(complex(x) - complex(y))
-    if sep < COINCIDENCE_TOL:
-        return math.inf
-    vx, vy = model.potential_values(np.array([x, y]))
-    return float(_pair_kernel(model.beta, sep, vx, vy))
-
-
-def kernel_sphere(
-    z: SpherePoint,
-    w: SpherePoint,
-    model: GasModel,
-    potential: CompactifiedPotential | None = None,
-) -> float:
-    """Sphere-side kernel; equals kernel_planar on projected pairs."""
-    if potential is None:
-        potential = compactified_potential(model)
-    dz = z.as_array() - w.as_array()
-    sep = math.sqrt(float(dz @ dz))
-    if sep < COINCIDENCE_TOL:
-        return math.inf
-    return float(_pair_kernel(model.beta, sep, potential(z), potential(w)))
 
 
 def measure_energy(

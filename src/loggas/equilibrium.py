@@ -134,6 +134,11 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 16:
             raise ValueError("resolution must be at least 16")
+        if self.is_planar:
+            (xlo, xhi), (ylo, yhi) = self.window
+            wx, wy = xhi - xlo, yhi - ylo
+            if abs(wx - wy) > 1e-12 * max(abs(wx), abs(wy)):
+                raise ValueError("planar windows must be square")
 
     @property
     def is_planar(self) -> bool:
@@ -150,24 +155,31 @@ class GridSpec:
         (xlo, xhi), (ylo, yhi) = self.window
         hx = (xhi - xlo) / m
         hy = (yhi - ylo) / m
-        if abs(hx - hy) > 1e-12 * max(abs(hx), abs(hy)):
-            raise ValueError("planar windows must be square")
         xs = xlo + (np.arange(m) + 0.5) * hx
         ys = ylo + (np.arange(m) + 0.5) * hy
         grid = xs[None, :] + 1j * ys[:, None]
         return grid.ravel(), hx
 
 
-def _check_window_symmetry(model: GasModel, grid: GridSpec) -> None:
+def check_solvable(model: GasModel, grid: GridSpec) -> None:
+    """Raise unless grid_minimize accepts ``model`` on ``grid``.
+
+    Each message starts with the field at fault, named as in a run
+    config: model.support, model.beta, model.potential.beta_prime or
+    grid.window.
+    """
+    if not model.support.solver_allowed:
+        raise InadmissibleModel(
+            "model.support: the solver accepts only the real line and the plane"
+        )
+    model.require_weak_growth()
+    if grid.is_planar != (model.support is Support.COMPLEX_PLANE):
+        raise ValueError("grid.window: grid dimensionality does not match the support")
     if model.potential.is_even is not True:
         return
-    if grid.is_planar:
-        spans = grid.window
-    else:
-        spans = (grid.window,)
-    for lo, hi in spans:
+    for lo, hi in grid.window if grid.is_planar else (grid.window,):
         if abs(lo + hi) > 1e-9 * max(abs(lo), abs(hi), 1.0):
-            raise ValueError("window must be symmetric about 0 for an even potential")
+            raise ValueError("grid.window: must be symmetric about 0 for an even potential")
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -285,13 +297,7 @@ def grid_minimize(
     called once per iteration with the monotone objective value and the
     certificate gap.
     """
-    if not model.support.solver_allowed:
-        raise InadmissibleModel("the solver accepts only the real line and the plane")
-    if not model.weak_growth_ok:
-        raise InadmissibleModel("model fails weak-growth admissibility")
-    if grid.is_planar != (model.support is Support.COMPLEX_PLANE):
-        raise ValueError("grid dimensionality does not match the support")
-    _check_window_symmetry(model, grid)
+    check_solvable(model, grid)
 
     q = GridKernel(model, grid)
     size = len(q.atoms)

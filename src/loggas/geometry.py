@@ -1,8 +1,9 @@
 """Inverse stereographic projection onto the Riemann sphere.
 
 The sphere has radius 1/2 and center (0, 0, 1/2); the north pole
-(0, 0, 1) plays the role of the point at infinity and is an explicit,
-flagged case of SpherePoint rather than a coordinate coincidence.
+(0, 0, 1) plays the role of the point at infinity.  Sphere points are
+rows (x1, x2, x3) of float arrays; the pole has no finite preimage, and
+unproject_array rejects it.
 
 The projection of a finite complex x is
 
@@ -23,44 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleModel, PoleNotInvertible
+from .errors import PoleNotInvertible
 from .model import DiscreteMeasure, GasModel, PROBE_EXPONENTS
-
-SPHERE_TOL = 1e-12
 
 # Above this modulus the direct projection formula would square |x| into
 # overflow territory; an equivalent form in t = 1/|x| is used instead.
 _LARGE_MODULUS = 1e8
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of the radius-1/2 sphere centered at (0, 0, 1/2)."""
-
-    x1: float
-    x2: float
-    x3: float
-    pole: bool = False
-
-    def __post_init__(self):
-        if self.pole:
-            if (self.x1, self.x2, self.x3) != (0.0, 0.0, 1.0):
-                raise ValueError("the pole has coordinates (0, 0, 1)")
-            return
-        err = self.x1**2 + self.x2**2 + (self.x3 - 0.5) ** 2 - 0.25
-        if abs(err) > SPHERE_TOL:
-            raise ValueError(f"point is off the sphere by {err:.3g}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-
-POLE = SpherePoint(0.0, 0.0, 1.0, pole=True)
-
-
-def project(x: complex) -> SpherePoint:
-    """Map a finite complex number onto the sphere."""
-    return SpherePoint(*project_array([x])[0].tolist())
 
 
 def project_array(xs) -> np.ndarray:
@@ -85,13 +54,6 @@ def project_array(xs) -> np.ndarray:
     out[big, 1] = u.imag * t / dt
     out[big, 2] = 1.0 / dt
     return out
-
-
-def unproject(z: SpherePoint) -> complex:
-    """Inverse of project; the pole has no finite preimage."""
-    if z.pole:
-        raise PoleNotInvertible("the north pole is not the image of any finite point")
-    return complex(unproject_array(z.as_array()))
 
 
 def unproject_array(zs: np.ndarray) -> np.ndarray:
@@ -140,11 +102,6 @@ class CompactifiedPotential:
     pole_value: float
     pole_is_estimate: bool = False
 
-    def __call__(self, z: SpherePoint) -> float:
-        if z.pole:
-            return self.pole_value
-        return float(self.on_sphere_array(z.as_array()))
-
     def on_plane(self, x) -> np.ndarray:
         """Evaluate at T(x) directly from planar coordinates (exact form)."""
         xs = np.asarray(x, dtype=complex)
@@ -161,11 +118,8 @@ class CompactifiedPotential:
 
 def compactified_potential(model: GasModel) -> CompactifiedPotential:
     """Build the sphere-side potential for an admissible model."""
-    if not model.weak_growth_ok:
-        raise InadmissibleModel(
-            "model fails weak-growth admissibility: the compactified potential "
-            "would be -infinity at the pole"
-        )
+    # Without weak growth the potential would be -infinity at the pole.
+    model.require_weak_growth()
     pole = model.potential.pole_value(model.beta, model.support)
     if pole is not None:
         return CompactifiedPotential(model, float(pole))

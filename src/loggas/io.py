@@ -37,8 +37,19 @@ def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a text file, surrounding blank space stripped.
+
+    Raises ValueError naming the file when nothing is left.
+    """
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    return lines
+
+
 def read_measure_csv(path) -> DiscreteMeasure:
-    text = Path(path).read_text().strip().splitlines()
+    text = _read_lines(path)
     header = text[0].split(",")
     rows = np.array([[float(c) for c in line.split(",")] for line in text[1:]])
     if header == ["x1", "x2", "x3", "weight"]:
@@ -67,7 +78,7 @@ def write_samples_csv(path, records) -> None:
 
 def read_samples_csv(path) -> dict:
     """Returns arrays: chain, sweep, particle (ints) and values (complex)."""
-    text = Path(path).read_text().strip().splitlines()
+    text = _read_lines(path)
     if text[0] != "chain,sweep,particle,re,im":
         raise ValueError(f"unrecognized samples CSV header: {text[0]}")
     chains, sweeps, particles, values = [], [], [], []

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MissingBetaPrime
+from .errors import InadmissibleModel, MissingBetaPrime
 
 # Points of real supports are carried as complex values with (near-)zero
 # imaginary part; this is the membership tolerance on the imaginary part.
@@ -36,9 +36,6 @@ class Support(enum.Enum):
     HALF_LINE = "half_line"
     UNIT_SEGMENT = "unit_segment"
     UNIT_CIRCLE = "unit_circle"
-
-    def contains(self, z: complex) -> bool:
-        return bool(self.contains_array(np.array([z]))[0])
 
     def contains_array(self, zs: np.ndarray) -> np.ndarray:
         """Elementwise membership; no non-finite point is in any support."""
@@ -265,6 +262,26 @@ class GasModel:
         """Declared weak-growth admissibility: beta_prime > 1 and >= beta."""
         bp = self.potential.beta_prime
         return bp is not None and bp > 1.0 and bp >= self.beta
+
+    def require_weak_growth(self) -> None:
+        """Raise InadmissibleModel unless weak_growth_ok.
+
+        The message starts with the field at fault, named as in a run
+        config: model.potential.beta_prime when it is missing or at most
+        1, otherwise model.beta.
+        """
+        if self.weak_growth_ok:
+            return
+        bp = self.potential.beta_prime
+        if bp is None or bp <= 1.0:
+            raise InadmissibleModel(
+                f"model.potential.beta_prime: weak-growth admissibility needs a value "
+                f"above 1, got {bp}"
+            )
+        raise InadmissibleModel(
+            f"model.beta: {self.beta:g} exceeds beta_prime {bp:g}; "
+            "the model fails weak-growth admissibility"
+        )
 
     def potential_values(self, points) -> np.ndarray:
         """Evaluate V at points of the support (arrays accepted)."""

@@ -31,7 +31,6 @@ import numpy as np
 import scipy.linalg
 
 from .energy import log_density
-from .errors import InadmissibleModel
 from .model import (
     Admissibility,
     Configuration,
@@ -154,8 +153,7 @@ def mh_chains(
     for name in ("sweeps", "burn_in", "thin", "adapt"):
         if len({getattr(p, name) for p in params}) > 1:
             raise ValueError(f"chains must share {name}")
-    if not model.weak_growth_ok:
-        raise InadmissibleModel("model fails weak-growth admissibility")
+    model.require_weak_growth()
     for init in inits:
         validate_configuration(init, model)
     n = model.n

@@ -349,18 +349,37 @@ class TestMain:
         ("model.potential", {"name": "c", "params": [1.0]}, "model.potential.params"),
         ("model.support", ["real_line"], "model.support"),
         ("model.potential.v_infinity", 0.0, "v_infinity"),
+        ("model.beta", 3.0, "model.beta"),
+        pytest.param(
+            ("command", "model.support", "grid"),
+            ("equilibrium", "complex_plane", {"window": [[-4, 4], [-3, 3]], "resolution": 16}),
+            "grid.window", id="equilibrium-non-square-window"),
+        pytest.param(
+            ("command", "grid"), ("equilibrium", {"window": [-4, 5], "resolution": 16}),
+            "grid.window", id="equilibrium-asymmetric-window"),
+        pytest.param(
+            ("command", "model.support", "grid"),
+            ("equilibrium", "half_line", {"window": [0, 10], "resolution": 16}),
+            "model.support", id="equilibrium-half-line"),
+        pytest.param(
+            ("command", "model.support", "grid"),
+            ("equilibrium", "complex_plane", {"window": [-4, 4], "resolution": 16}),
+            "grid.window", id="equilibrium-line-window-on-plane"),
     ])
     def test_malformed_section_exits_two(self, tmp_path, capsys, path, value, named):
+        # a row sets one dotted path, or a tuple of paths to a tuple of values
         raw = json.loads(json.dumps(MINIMAL_SAMPLE))
-        *parents, last = path.split(".")
-        node = raw
-        for key in parents:
-            node = node[key]
-        node[last] = value
+        edits = zip(path, value) if isinstance(path, tuple) else [(path, value)]
+        for dotted, v in edits:
+            *parents, last = dotted.split(".")
+            node = raw
+            for key in parents:
+                node = node[key]
+            node[last] = v
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "o"
-        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main([raw["command"], "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
 
@@ -376,6 +395,24 @@ class TestMain:
         cfg.write_text(json.dumps(raw))
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "model.potential.params.poly_var" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"command": "verify", "out": "é"}'.encode("latin-1"))
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "latin1.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_analyze_input_exits_two(self, tmp_path, capsys):
+        source = tmp_path / "samples.csv"
+        source.write_text("")
+        cfg = tmp_path / "analyze.json"
+        cfg.write_text(json.dumps(
+            {"command": "analyze", "analyze": {"input": str(source), "reference": "cauchy"}}
+        ))
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "samples.csv" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["sample", "--config", "/nonexistent/x.json"]) == 2

@@ -5,25 +5,21 @@ import numpy as np
 import pytest
 
 from loggas import (
-    POLE,
     Configuration,
     DiscreteMeasure,
     GasModel,
     InadmissibleModel,
     PoleNotInvertible,
     PotentialSpec,
-    SpherePoint,
     Support,
     cauchy_potential,
     chordal_distance,
     compactified_potential,
     empirical_measure,
-    project,
     project_array,
     pushforward,
     quadratic_potential,
     spherical_potential,
-    unproject,
     unproject_array,
 )
 
@@ -33,25 +29,12 @@ def wide_complex(rng, count, max_exp=6.0):
     return mags * np.exp(2j * np.pi * rng.random(count))
 
 
-class TestSpherePoint:
-    def test_on_sphere_validation(self):
-        SpherePoint(0.0, 0.0, 0.0)
-        SpherePoint(0.5, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            SpherePoint(0.3, 0.3, 0.3)
-
-    def test_pole_is_explicit(self):
-        assert POLE.pole
-        assert (POLE.x1, POLE.x2, POLE.x3) == (0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            SpherePoint(0.1, 0.0, 1.0, pole=True)
-
-
 class TestProject:
     def test_examples(self):
-        assert project(0).as_array() == pytest.approx([0, 0, 0])
-        assert project(1).as_array() == pytest.approx([0.5, 0, 0.5])
-        assert project(1 + 1j).as_array() == pytest.approx([1 / 3, 1 / 3, 2 / 3])
+        zs = project_array([0, 1, 1 + 1j])
+        assert zs[0] == pytest.approx([0, 0, 0])
+        assert zs[1] == pytest.approx([0.5, 0, 0.5])
+        assert zs[2] == pytest.approx([1 / 3, 1 / 3, 2 / 3])
 
     def test_sphere_membership_100k(self):
         rng = np.random.default_rng(1)
@@ -62,11 +45,8 @@ class TestProject:
     def test_huge_modulus_stable(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z = project(1e200 + 1e200j)
             zs = project_array([1e200 + 1e200j, -1e300, 2.0])
-        assert z.x3 == pytest.approx(1.0)
-        assert np.isfinite(z.as_array()).all()
-        assert np.array_equal(zs[0], z.as_array())
+        assert zs[0, 2] == pytest.approx(1.0)
         assert np.isfinite(zs).all()
 
     def test_scalar_matches_array(self):
@@ -74,15 +54,14 @@ class TestProject:
         xs = wide_complex(rng, 100)
         arr = project_array(xs)
         for x, row in zip(xs, arr):
-            assert project(x).as_array() == pytest.approx(row, abs=0)
+            assert project_array(x) == pytest.approx(row, abs=0)
 
 
 class TestUnproject:
     def test_examples(self):
-        assert unproject(SpherePoint(0.0, 0.0, 0.0)) == 0
-        assert unproject(SpherePoint(0.5, 0.0, 0.5)) == pytest.approx(1.0)
-        with pytest.raises(PoleNotInvertible):
-            unproject(POLE)
+        xs = unproject_array(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5]]))
+        assert xs[0] == 0
+        assert xs[1] == pytest.approx(1.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -94,9 +73,9 @@ class TestUnproject:
         # at |x| = 1e200 the projected height rounds to exactly 1.0, but
         # the horizontal coordinates still carry the modulus
         x = 1e200 + 0j
-        z = project(x)
-        assert z.x3 == 1.0 and not z.pole
-        assert unproject(z) == pytest.approx(x, rel=1e-12)
+        z = project_array(x)
+        assert z[2] == 1.0
+        assert unproject_array(z) == pytest.approx(x, rel=1e-12)
 
     def test_scalar_matches_array(self):
         rng = np.random.default_rng(8)
@@ -104,11 +83,11 @@ class TestUnproject:
         assert np.any(zs[:, 2] > 0.5) and np.any(zs[:, 2] <= 0.5)
         back = unproject_array(zs)
         for row, x in zip(zs, back):
-            assert unproject(SpherePoint(*row)) == x
+            assert unproject_array(row) == x
 
     def test_exact_pole_coordinates_rejected(self):
         with pytest.raises(PoleNotInvertible):
-            unproject(SpherePoint(0.0, 0.0, 1.0))
+            unproject_array(np.array([0.0, 0.0, 1.0]))
         with pytest.raises(PoleNotInvertible):
             unproject_array(np.array([[0.0, 0.0, 1.0]]))
 
@@ -150,23 +129,23 @@ class TestCompactifiedPotential:
     def test_cauchy_identically_zero(self):
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
         pot = compactified_potential(model)
-        assert pot(POLE) == 0.0
+        assert pot.pole_value == 0.0
         for x in (-5.0, 0.0, 0.3, 100.0):
-            assert pot(project(x)) == pytest.approx(0.0, abs=1e-12)
+            assert pot.on_sphere_array(project_array(x)) == pytest.approx(0.0, abs=1e-12)
         assert not pot.pole_is_estimate
 
     def test_spherical_identically_zero(self):
         model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
         pot = compactified_potential(model)
-        assert pot(POLE) == 0.0
+        assert pot.pole_value == 0.0
         for x in (0j, 1 + 1j, -3j, 40 - 7j):
-            assert pot(project(x)) == pytest.approx(0.0, abs=1e-12)
+            assert pot.on_sphere_array(project_array(x)) == pytest.approx(0.0, abs=1e-12)
 
     def test_quadratic_values(self):
         model = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 1)
         pot = compactified_potential(model)
-        assert pot(project(1)) == pytest.approx(1.0 - math.log(2.0))
-        assert pot(POLE) == math.inf
+        assert pot.on_sphere_array(project_array(1)) == pytest.approx(1.0 - math.log(2.0))
+        assert pot.pole_value == math.inf
 
     def test_inadmissible_model_rejected(self):
         model = GasModel(Support.REAL_LINE, 2.5, cauchy_potential(), 1)

@@ -49,6 +49,15 @@ class TestMeasureCsv:
             read_measure_csv(path)
 
 
+@pytest.mark.parametrize("reader", [read_measure_csv, read_samples_csv])
+@pytest.mark.parametrize("text", ["", "\n \n"])
+def test_empty_file_names_the_file(tmp_path, reader, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="empty.csv"):
+        reader(path)
+
+
 class TestSamplesCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

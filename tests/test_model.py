@@ -27,16 +27,16 @@ def model(potential, beta=2.0, n=1, support=Support.REAL_LINE):
 
 class TestSupports:
     def test_membership(self):
-        assert Support.REAL_LINE.contains(1.5)
-        assert not Support.REAL_LINE.contains(1.5 + 1e-6j)
-        assert Support.REAL_LINE.contains(1.5 + 1e-13j)  # axis tolerance
-        assert Support.COMPLEX_PLANE.contains(3 - 2j)
-        assert Support.HALF_LINE.contains(0.0)
-        assert not Support.HALF_LINE.contains(-1e-3)
-        assert Support.UNIT_SEGMENT.contains(1.0)
-        assert not Support.UNIT_SEGMENT.contains(1.001)
-        assert Support.UNIT_CIRCLE.contains(np.exp(0.3j))
-        assert not Support.UNIT_CIRCLE.contains(1.01)
+        assert Support.REAL_LINE.contains_array(1.5)
+        assert not Support.REAL_LINE.contains_array(1.5 + 1e-6j)
+        assert Support.REAL_LINE.contains_array(1.5 + 1e-13j)  # axis tolerance
+        assert Support.COMPLEX_PLANE.contains_array(3 - 2j)
+        assert Support.HALF_LINE.contains_array(0.0)
+        assert not Support.HALF_LINE.contains_array(-1e-3)
+        assert Support.UNIT_SEGMENT.contains_array(1.0)
+        assert not Support.UNIT_SEGMENT.contains_array(1.001)
+        assert Support.UNIT_CIRCLE.contains_array(np.exp(0.3j))
+        assert not Support.UNIT_CIRCLE.contains_array(1.01)
 
     @pytest.mark.parametrize(
         "support, inside, outside",
@@ -54,7 +54,7 @@ class TestSupports:
         points = np.array(inside + outside + nonfinite, dtype=complex)
         expected = [True] * len(inside) + [False] * (len(outside) + len(nonfinite))
         assert support.contains_array(points).tolist() == expected
-        assert [support.contains(z) for z in points] == expected
+        assert [bool(support.contains_array(z)) for z in points] == expected
 
     def test_solver_gate(self):
         assert Support.REAL_LINE.solver_allowed

@@ -81,7 +81,7 @@ def per_move_chain(model, init, params):
         accepted = 0
         for i in range(n):
             x_new = x[i] * np.exp(1j * steps[i].real) if rotate else x[i] + steps[i]
-            if not model.support.contains(x_new):
+            if not model.support.contains_array(x_new):
                 continue
             delta = proposal_log_ratio(model, x, i, x_new)
             if delta >= 0.0 or u_accept[i] < math.exp(delta):
