@@ -64,7 +64,6 @@ from .geometry import (
 )
 from .model import (
     Admissibility,
-    AdmissibilityReport,
     Configuration,
     DiscreteMeasure,
     GasModel,
@@ -72,7 +71,6 @@ from .model import (
     Support,
     admissibility_check,
     cauchy_potential,
-    custom_potential,
     empirical_measure,
     quadratic_potential,
     spherical_potential,

@@ -7,7 +7,7 @@ angular reductions on the plane, exploiting rotational invariance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,11 +24,7 @@ class FitReport:
     reference: str
 
     def to_json(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "sample_size": self.sample_size,
-            "reference": self.reference,
-        }
+        return asdict(self)
 
 
 def ks_distance(samples, cdf, reference: str = "custom") -> FitReport:

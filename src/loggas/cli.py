@@ -33,7 +33,6 @@ from .model import (
     GasModel,
     PotentialSpec,
     Support,
-    custom_potential,
 )
 from .sampler import ChainParams, chain_seed, mh_chains
 from .verify import run_identity_suites
@@ -117,7 +116,7 @@ def _parse_potential(section, path="model.potential") -> tuple[PotentialSpec, di
         poly_var = params.get("poly_var", "r2")
         _require(poly_var in ("x", "r2"), f"{path}.params.poly_var", "must be 'x' or 'r2'")
         log_coeff = _number(params.get("log_coeff", 0.0), f"{path}.params.log_coeff")
-        pot = custom_potential(name, poly, poly_var, log_coeff)
+        pot = PotentialSpec(name, poly, poly_var, log_coeff)
         extra = {"params": {"poly": poly, "poly_var": poly_var, "log_coeff": log_coeff}}
     if section.get("beta_prime") is not None:
         bp = _number(section["beta_prime"], f"{path}.beta_prime")

@@ -22,7 +22,7 @@ min_a grad_a,  which bounds the suboptimality E(w) - E*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -175,7 +175,7 @@ def check_solvable(model: GasModel, grid: GridSpec) -> None:
     model.require_weak_growth()
     if grid.is_planar != (model.support is Support.COMPLEX_PLANE):
         raise ValueError("grid.window: grid dimensionality does not match the support")
-    if model.potential.is_even is not True:
+    if not model.potential.is_even:
         return
     for lo, hi in grid.window if grid.is_planar else (grid.window,):
         if abs(lo + hi) > 1e-9 * max(abs(lo), abs(hi), 1.0):
@@ -253,13 +253,7 @@ class GridMinimizeReport:
     converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "energy": self.energy,
-            "gap": self.gap,
-            "iterations": self.iterations,
-            "captured_mass": self.captured_mass,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def captured_mass(model: GasModel, grid: GridSpec) -> float | None:

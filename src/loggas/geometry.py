@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleNotInvertible
-from .model import DiscreteMeasure, GasModel, PROBE_EXPONENTS
+from .model import DiscreteMeasure, GasModel
 
 # Above this modulus the direct projection formula would square |x| into
 # overflow territory; an equivalent form in t = 1/|x| is used instead.
@@ -93,14 +93,12 @@ class CompactifiedPotential:
     """The sphere-side potential induced by a gas model.
 
     On projected points it equals V(x) - (beta/2) log(1 + |x|^2); at the
-    pole it takes the liminf of that expression, supplied in closed form
-    for structured potentials and otherwise estimated from the probe
-    grid (``pole_is_estimate`` is then True).
+    pole it takes the liminf of that expression, which
+    ``PotentialSpec.pole_value`` gives exactly from V's structure.
     """
 
     model: GasModel
     pole_value: float
-    pole_is_estimate: bool = False
 
     def on_plane(self, x) -> np.ndarray:
         """Evaluate at T(x) directly from planar coordinates (exact form)."""
@@ -120,16 +118,7 @@ def compactified_potential(model: GasModel) -> CompactifiedPotential:
     """Build the sphere-side potential for an admissible model."""
     # Without weak growth the potential would be -infinity at the pole.
     model.require_weak_growth()
-    pole = model.potential.pole_value(model.beta, model.support)
-    if pole is not None:
-        return CompactifiedPotential(model, float(pole))
-    # Probe estimate: infimum of V - (beta/2) log(1+|x|^2) over the two
-    # largest dyadic scales, flagged approximate.
-    rays = model.support.probe_rays()
-    radii = np.array([2.0**k for k in list(PROBE_EXPONENTS)[-2:]])
-    pts = (radii[:, None] * rays[None, :]).ravel()
-    vals = model.potential_values(pts) - (model.beta / 2.0) * np.log1p(np.abs(pts) ** 2)
-    return CompactifiedPotential(model, float(np.min(vals)), pole_is_estimate=True)
+    return CompactifiedPotential(model, model.potential.pole_value(model.beta, model.support))
 
 
 def pushforward(mu: DiscreteMeasure) -> DiscreteMeasure:

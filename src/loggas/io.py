@@ -77,17 +77,27 @@ def write_samples_csv(path, records) -> None:
 
 
 def read_samples_csv(path) -> dict:
-    """Returns arrays: chain, sweep, particle (ints) and values (complex)."""
+    """Returns arrays: chain, sweep, particle (ints) and values (complex).
+
+    Raises ValueError naming the file when it is empty, has another header
+    or has no data rows, and naming the file and the 1-based line for a
+    row that is not five parseable fields.
+    """
     text = _read_lines(path)
     if text[0] != "chain,sweep,particle,re,im":
-        raise ValueError(f"unrecognized samples CSV header: {text[0]}")
+        raise ValueError(f"{path}: unrecognized samples CSV header: {text[0]}")
+    if len(text) == 1:
+        raise ValueError(f"{path}: no data rows")
     chains, sweeps, particles, values = [], [], [], []
-    for line in text[1:]:
-        c, s, k, re, im = line.split(",")
-        chains.append(int(c))
-        sweeps.append(int(s))
-        particles.append(int(k))
-        values.append(complex(float(re), float(im)))
+    for lineno, line in enumerate(text[1:], start=2):
+        try:
+            c, s, k, re, im = line.split(",")
+            chains.append(int(c))
+            sweeps.append(int(s))
+            particles.append(int(k))
+            values.append(complex(float(re), float(im)))
+        except ValueError as e:
+            raise ValueError(f"{path}, line {lineno}: {e}") from e
     return {
         "chain": np.array(chains),
         "sweep": np.array(sweeps),

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .errors import InadmissibleModel, MissingBetaPrime
 # Points of real supports are carried as complex values with (near-)zero
 # imaginary part; this is the membership tolerance on the imaginary part.
 REAL_AXIS_TOL = 1e-12
-
-# Dyadic probe radii 2^k used by the growth classification heuristic.
-PROBE_EXPONENTS = range(4, 41)
 
 
 class Support(enum.Enum):
@@ -66,60 +63,84 @@ class Support(enum.Enum):
         """Only the full line and plane are accepted by equilibrium solvers."""
         return self in (Support.REAL_LINE, Support.COMPLEX_PLANE)
 
-    def probe_rays(self) -> np.ndarray:
-        """Unit directions along which the growth heuristic probes."""
-        if self is Support.COMPLEX_PLANE:
-            angles = np.arange(8) * (np.pi / 4.0)
-            return np.exp(1j * angles)
-        if self is Support.REAL_LINE:
-            return np.array([1.0 + 0j, -1.0 + 0j])
-        if self is Support.HALF_LINE:
-            return np.array([1.0 + 0j])
-        return np.array([], dtype=complex)  # bounded supports: nothing to probe
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """A named external potential with growth metadata.
+    """A named external potential of the structured family
 
-    ``evaluate`` maps a point of the support to a real value (or +inf);
-    it receives a float for real-axis supports and a complex number
-    otherwise, and must accept numpy arrays of the same kind.
+        V(x) = poly(s) + log_coeff * log(1 + |x|^2),   s = x or |x|^2.
+
+    ``poly`` lists coefficients from degree 0 upward in the variable
+    ``poly_var`` ("x" for the point itself on real supports, "r2" for
+    |x|^2); an empty ``poly`` or a zero ``log_coeff`` drops that term.
+    Values, gradient, parity and the pole value all follow from this
+    structure.
 
     ``beta_prime`` is the user-declared growth witness: the gas is
     weak-growth admissible at inverse temperature beta iff beta_prime
-    exists, beta_prime > 1 and beta_prime >= beta.
-
-    Potentials of the structured family
-
-        V(x) = poly(s) + log_coeff * log(1 + |x|^2),   s = x or |x|^2,
-
-    carry their structure in ``poly``/``poly_var``/``log_coeff``, from
-    which the pole value is computed exactly for any beta.
+    exists, beta_prime > 1, beta_prime >= beta and the structure bears
+    it out (``pole_value(beta_prime, support) > -inf``).
     """
 
     name: str
-    evaluate: Callable
-    beta_prime: float | None = None
-    gradient: Callable | None = None
-    poly: tuple[float, ...] | None = None
-    poly_var: str = "r2"  # "r2": polynomial in |x|^2; "x": polynomial in x
+    poly: tuple[float, ...] = ()
+    poly_var: str = "r2"
     log_coeff: float = 0.0
+    beta_prime: float | None = None
+
+    def __post_init__(self):
+        if self.poly_var not in ("x", "r2"):
+            raise ValueError(f"poly_var must be 'x' or 'r2', got {self.poly_var!r}")
+        object.__setattr__(self, "poly", tuple(float(c) for c in self.poly))
+        object.__setattr__(self, "log_coeff", float(self.log_coeff))
+
+    def evaluate(self, x):
+        """V at x: floats on real-axis supports, complex numbers otherwise; arrays accepted."""
+        r2 = np.square(np.abs(x))
+        s = r2 if self.poly_var == "r2" else x
+        if self.log_coeff == 0.0:
+            return _horner(self.poly, s)
+        log_term = self.log_coeff * np.log1p(r2)
+        if not self.poly:
+            return log_term
+        return _horner(self.poly, s) + log_term
+
+    def gradient(self, x):
+        """dV/dx on real-axis supports; dV/dRe x + i dV/dIm x in the plane."""
+        r2 = np.square(np.abs(x))
+        dcoeffs = tuple(k * c for k, c in enumerate(self.poly) if k)
+        if self.poly_var == "r2":
+            out = _horner(dcoeffs, r2) * 2.0 * x
+        else:
+            out = _horner(dcoeffs, x)
+        if self.log_coeff != 0.0:
+            out = out + self.log_coeff * 2.0 * x / (1.0 + r2)
+        return out
 
     @property
-    def is_even(self) -> bool | None:
-        """True/False if parity is known from the structure, else None."""
-        if self.poly is None:
-            return None
-        if self.poly_var == "r2":
-            return True
-        return all(c == 0.0 for c in self.poly[1::2])
+    def is_even(self) -> bool:
+        """Whether V(-x) = V(x): always for r2 polynomials, else when odd terms vanish."""
+        return self.poly_var == "r2" or all(c == 0.0 for c in self.poly[1::2])
 
-    def pole_value(self, beta: float, support: Support) -> float | None:
-        """Exact liminf of V(x) - (beta/2) log(1+|x|^2), or None if V has no structure."""
-        if self.poly is None:
-            return None
-        return _structured_pole_value(self.poly, self.poly_var, self.log_coeff, beta, support)
+    def pole_value(self, beta: float, support: Support) -> float:
+        """Exact liminf of V(x) - (beta/2) log(1+|x|^2) as |x| -> inf in the support.
+
+        Polynomial growth dominates the logarithm, so a nonconstant poly
+        part decides the liminf by itself; otherwise the sign of the
+        effective log coefficient does.
+        """
+        if self.poly_var == "x" and support is not Support.HALF_LINE:
+            poly_lim = min(_poly_end_limit(self.poly, +1.0), _poly_end_limit(self.poly, -1.0))
+        else:
+            poly_lim = _poly_end_limit(self.poly, +1.0)
+        if math.isinf(poly_lim):
+            return poly_lim
+        c_eff = self.log_coeff - beta / 2.0
+        if c_eff > 0:
+            return math.inf
+        if c_eff < 0:
+            return -math.inf
+        return poly_lim
 
 
 def _poly_end_limit(coeffs: Sequence[float], sign: float) -> float:
@@ -131,77 +152,6 @@ def _poly_end_limit(coeffs: Sequence[float], sign: float) -> float:
         return trimmed[0] if trimmed else 0.0
     lead = trimmed[-1] * (sign ** (len(trimmed) - 1))
     return math.inf if lead > 0 else -math.inf
-
-
-def _structured_pole_value(poly, poly_var, log_coeff, beta, support) -> float:
-    # Polynomial growth dominates the logarithm, so a nonconstant poly part
-    # decides the liminf by itself; otherwise the sign of the effective log
-    # coefficient does.
-    if poly_var == "r2":
-        poly_lim = _poly_end_limit(poly, +1.0)
-    else:
-        ends = [_poly_end_limit(poly, +1.0)]
-        if support is not Support.HALF_LINE:
-            ends.append(_poly_end_limit(poly, -1.0))
-        poly_lim = min(ends)
-    if math.isinf(poly_lim):
-        return poly_lim
-    c_eff = log_coeff - beta / 2.0
-    if c_eff > 0:
-        return math.inf
-    if c_eff < 0:
-        return -math.inf
-    return poly_lim
-
-
-def custom_potential(
-    name: str,
-    poly: Sequence[float],
-    poly_var: str = "r2",
-    log_coeff: float = 0.0,
-    beta_prime: float | None = None,
-) -> PotentialSpec:
-    """Potential from the structured family poly(s) + c*log(1+|x|^2).
-
-    ``poly`` lists coefficients from degree 0 upward in the variable
-    ``poly_var`` ("x" for the point itself on real supports, "r2" for
-    |x|^2).  Evaluation and gradient are generated from the structure;
-    an empty ``poly`` or a zero ``log_coeff`` drops that term.
-    """
-    if poly_var not in ("x", "r2"):
-        raise ValueError(f"poly_var must be 'x' or 'r2', got {poly_var!r}")
-    coeffs = tuple(float(c) for c in poly)
-    dcoeffs = tuple(k * c for k, c in enumerate(coeffs) if k)
-    log_coeff = float(log_coeff)
-
-    def evaluate(x):
-        r2 = np.square(np.abs(x))
-        if log_coeff == 0.0:
-            return _horner(coeffs, r2 if poly_var == "r2" else x)
-        log_term = log_coeff * np.log1p(r2)
-        if not coeffs:
-            return log_term
-        return _horner(coeffs, r2 if poly_var == "r2" else x) + log_term
-
-    def gradient(x):
-        r2 = np.square(np.abs(x))
-        if poly_var == "r2":
-            out = _horner(dcoeffs, r2) * 2.0 * x
-        else:
-            out = _horner(dcoeffs, x)
-        if log_coeff != 0.0:
-            out = out + log_coeff * 2.0 * x / (1.0 + r2)
-        return out
-
-    return PotentialSpec(
-        name=name,
-        evaluate=evaluate,
-        beta_prime=beta_prime,
-        gradient=gradient,
-        poly=coeffs,
-        poly_var=poly_var,
-        log_coeff=log_coeff,
-    )
 
 
 def _horner(coeffs: tuple[float, ...], s):
@@ -220,17 +170,17 @@ def _horner(coeffs: tuple[float, ...], s):
 
 def cauchy_potential() -> PotentialSpec:
     """V(x) = log(1 + |x|^2), the Cauchy weight on the real line."""
-    return custom_potential("cauchy", (), log_coeff=1.0, beta_prime=2.0)
+    return PotentialSpec("cauchy", log_coeff=1.0, beta_prime=2.0)
 
 
 def spherical_potential() -> PotentialSpec:
     """V(x) = log(1 + |x|^2), the spherical weight on the complex plane."""
-    return custom_potential("spherical", (), log_coeff=1.0, beta_prime=2.0)
+    return PotentialSpec("spherical", log_coeff=1.0, beta_prime=2.0)
 
 
 def quadratic_potential() -> PotentialSpec:
     """V(x) = |x|^2."""
-    return custom_potential("quadratic", (0.0, 1.0), beta_prime=2.0)
+    return PotentialSpec("quadratic", (0.0, 1.0), beta_prime=2.0)
 
 
 BUILTIN_POTENTIALS = {
@@ -259,16 +209,20 @@ class GasModel:
 
     @property
     def weak_growth_ok(self) -> bool:
-        """Declared weak-growth admissibility: beta_prime > 1 and >= beta."""
+        """Weak-growth admissibility: a declared beta_prime > 1 and >= beta that
+        V's structure bears out (not Inadmissible at beta_prime)."""
         bp = self.potential.beta_prime
-        return bp is not None and bp > 1.0 and bp >= self.beta
+        return (
+            bp is not None and bp > 1.0 and bp >= self.beta
+            and admissibility_check(self) is not Admissibility.INADMISSIBLE
+        )
 
     def require_weak_growth(self) -> None:
         """Raise InadmissibleModel unless weak_growth_ok.
 
         The message starts with the field at fault, named as in a run
-        config: model.potential.beta_prime when it is missing or at most
-        1, otherwise model.beta.
+        config: model.beta when it exceeds beta_prime, otherwise
+        model.potential.beta_prime.
         """
         if self.weak_growth_ok:
             return
@@ -278,9 +232,14 @@ class GasModel:
                 f"model.potential.beta_prime: weak-growth admissibility needs a value "
                 f"above 1, got {bp}"
             )
+        if bp < self.beta:
+            raise InadmissibleModel(
+                f"model.beta: {self.beta:g} exceeds beta_prime {bp:g}; "
+                "the model fails weak-growth admissibility"
+            )
         raise InadmissibleModel(
-            f"model.beta: {self.beta:g} exceeds beta_prime {bp:g}; "
-            "the model fails weak-growth admissibility"
+            f"model.potential.beta_prime: V contradicts {bp:g}, since "
+            f"V(x) - ({bp:g}/2) log(1+|x|^2) tends to -inf"
         )
 
     def potential_values(self, points) -> np.ndarray:
@@ -290,8 +249,6 @@ class GasModel:
         return np.asarray(self.potential.evaluate(arg), dtype=float)
 
     def potential_gradient(self, points) -> np.ndarray:
-        if self.potential.gradient is None:
-            raise ValueError(f"potential {self.potential.name!r} has no gradient")
         pts = np.asarray(points, dtype=complex)
         arg = pts.real if self.support.is_real else pts
         return np.asarray(self.potential.gradient(arg), dtype=complex)
@@ -397,56 +354,24 @@ class Admissibility(enum.Enum):
     INADMISSIBLE = "inadmissible"
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Heuristic growth classification plus the probe values behind it."""
+def admissibility_check(model: GasModel) -> Admissibility:
+    """The growth class of V against the declared beta_prime, exact from V's structure.
 
-    classification: Admissibility
-    radii: np.ndarray = field(default_factory=lambda: np.array([]))
-    ratio_min: np.ndarray = field(default_factory=lambda: np.array([]))
-    gap_min: np.ndarray = field(default_factory=lambda: np.array([]))
-    note: str = ""
-
-
-def admissibility_check(model: GasModel) -> AdmissibilityReport:
-    """Classify the growth of V against beta_prime * log|x| on dyadic probes.
-
-    Strong: V(x)/(beta' log|x|) stays above 1 at every probe (with 1e-9
-    slack; at the largest radii a ratio tending to 1 sits within an ulp
-    of it either way).
-    Inadmissible: V(x) - beta' log|x| is strictly decreasing across the
-    last 8 probe scales and clearly diverging (drops below -50 or by more
-    than 3 across those scales).
-    WeakOnly: everything else.
-
-    The result is diagnostic only; it never gates computation (gating
-    uses the declared weak-growth flag on the model).  Bounded supports
-    are vacuously Strong.
+    The class is read off the pole value at beta_prime, the liminf of
+    V(x) - (beta'/2) log(1+|x|^2) at infinity: +inf is Strong, a finite
+    value WeakOnly and -inf Inadmissible.  Bounded supports are vacuously
+    Strong.  Weak-growth admissibility rejects Inadmissible models, and
+    the sampler draws heavy-tailed proposals for targets that are not
+    Strong.
     """
     bp = model.potential.beta_prime
     if bp is None:
         raise MissingBetaPrime(f"potential {model.potential.name!r} declares no beta_prime")
     if model.support.is_bounded:
-        return AdmissibilityReport(
-            Admissibility.STRONG, note="bounded support: growth condition vacuous"
-        )
-
-    rays = model.support.probe_rays()
-    radii = np.array([2.0**k for k in PROBE_EXPONENTS])
-    points = radii[:, None] * rays[None, :]
-    values = model.potential_values(points.ravel()).reshape(points.shape)
-    log_r = np.log(radii)[:, None]
-    ratio = values / (bp * log_r)
-    gap = values - bp * log_r
-
-    ratio_min = ratio.min(axis=1)
-    gap_min = gap.min(axis=1)
-
-    if np.min(ratio_min) > 1.0 + 1e-9:
-        cls = Admissibility.STRONG
-    else:
-        tail = gap_min[-8:]
-        decreasing = bool(np.all(np.diff(tail) < 0))
-        diverging = tail[-1] <= -50.0 or (tail[-1] - tail[0]) <= -3.0
-        cls = Admissibility.INADMISSIBLE if (decreasing and diverging) else Admissibility.WEAK_ONLY
-    return AdmissibilityReport(cls, radii=radii, ratio_min=ratio_min, gap_min=gap_min)
+        return Admissibility.STRONG
+    pole = model.potential.pole_value(bp, model.support)
+    if pole == math.inf:
+        return Admissibility.STRONG
+    if pole == -math.inf:
+        return Admissibility.INADMISSIBLE
+    return Admissibility.WEAK_ONLY

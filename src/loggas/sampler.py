@@ -160,10 +160,7 @@ def mh_chains(
     support = model.support
     is_complex = support in (Support.COMPLEX_PLANE, Support.UNIT_CIRCLE)
     rotate = support is Support.UNIT_CIRCLE
-    heavy_tails = (
-        not rotate
-        and admissibility_check(model).classification is not Admissibility.STRONG
-    )
+    heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
 
     x = np.array([init.points for init in inits], dtype=complex)
     if any(len(np.unique(row)) != n for row in x):

@@ -20,6 +20,7 @@ from loggas import (
     DiscreteMeasure,
     GasModel,
     GridSpec,
+    PotentialSpec,
     Support,
     admissibility_check,
     angular_ks_distance,
@@ -27,7 +28,6 @@ from loggas import (
     cauchy_potential,
     chain_seed,
     closed_form_cell_masses,
-    custom_potential,
     el_residual,
     fekete_descent,
     grid_minimize,
@@ -235,17 +235,11 @@ def test_criterion_09_convergence_trend():
 
 
 def test_criterion_10_growth_classification():
-    strong = admissibility_check(
-        GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 1)
-    ).classification
-    weak = admissibility_check(
-        GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
-    ).classification
-    half_log = custom_potential("half_log", poly=[], poly_var="r2",
-                                log_coeff=0.5, beta_prime=2.0)
-    inadmissible = admissibility_check(
-        GasModel(Support.REAL_LINE, 2.0, half_log, 1)
-    ).classification
+    strong = admissibility_check(GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 1))
+    weak = admissibility_check(GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1))
+    half_log = PotentialSpec("half_log", poly=[], poly_var="r2",
+                             log_coeff=0.5, beta_prime=2.0)
+    inadmissible = admissibility_check(GasModel(Support.REAL_LINE, 2.0, half_log, 1))
     ok = (
         strong is Admissibility.STRONG
         and weak is Admissibility.WEAK_ONLY

@@ -19,6 +19,10 @@ MINIMAL_SAMPLE = {
 }
 
 
+# V = (1/2) log(1+x^2): V - (beta'/2) log(1+x^2) tends to -inf at beta' = 2
+HALF_LOG = {"name": "half_log", "params": {"log_coeff": 0.5}, "beta_prime": 2.0}
+
+
 REPLAY_CASES = {
     "custom_sample": {
         "command": "sample",
@@ -88,7 +92,7 @@ class TestParseConfig:
         config = parse_config(json.dumps(MINIMAL_SAMPLE), command_override="verify")
         assert config.command == "verify"
 
-    def test_custom_potential(self):
+    def test_potential_from_params(self):
         raw = json.loads(json.dumps(MINIMAL_SAMPLE))
         raw["model"]["potential"] = {
             "name": "quartic",
@@ -365,6 +369,13 @@ class TestMain:
             ("command", "model.support", "grid"),
             ("equilibrium", "complex_plane", {"window": [-4, 4], "resolution": 16}),
             "grid.window", id="equilibrium-line-window-on-plane"),
+        pytest.param(
+            "model.potential", HALF_LOG, "model.potential.beta_prime",
+            id="sample-contradicted-beta-prime"),
+        pytest.param(
+            ("command", "model.potential", "grid"),
+            ("equilibrium", HALF_LOG, {"window": [-10, 10], "resolution": 16}),
+            "model.potential.beta_prime", id="equilibrium-contradicted-beta-prime"),
     ])
     def test_malformed_section_exits_two(self, tmp_path, capsys, path, value, named):
         # a row sets one dotted path, or a tuple of paths to a tuple of values
@@ -404,15 +415,29 @@ class TestMain:
         assert "latin1.json" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_analyze_input_exits_two(self, tmp_path, capsys):
+    @staticmethod
+    def _analyze(tmp_path, text: str) -> int:
+        """Exit code of ``loggas analyze`` on a samples.csv holding ``text``."""
         source = tmp_path / "samples.csv"
-        source.write_text("")
+        source.write_text(text)
         cfg = tmp_path / "analyze.json"
         cfg.write_text(json.dumps(
             {"command": "analyze", "analyze": {"input": str(source), "reference": "cauchy"}}
         ))
-        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        return main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    def test_empty_analyze_input_exits_two(self, tmp_path, capsys):
+        assert self._analyze(tmp_path, "") == 2
         assert "samples.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        ("chain,sweep,particle,re,im\n", "samples.csv: no data rows"),
+        ("chain,sweep,particle,re,im\n0,0,0,1.5,0.0\n0,0,1,2.5\n", "samples.csv, line 3"),
+        ("chain,sweep,particle,re,im\n0,0,0,abc,0.0\n", "samples.csv, line 2"),
+    ], ids=["header-only", "short-row", "non-numeric"])
+    def test_bad_analyze_input_names_file_and_line(self, tmp_path, capsys, text, named):
+        assert self._analyze(tmp_path, text) == 2
+        assert named in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["sample", "--config", "/nonexistent/x.json"]) == 2

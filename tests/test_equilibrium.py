@@ -12,13 +12,13 @@ from loggas import (
     GridSpec,
     InadmissibleModel,
     NoClosedForm,
+    PotentialSpec,
     Support,
     cauchy_law,
     cauchy_potential,
     circle_uniform_law,
     closed_form,
     closed_form_cell_masses,
-    custom_potential,
     el_residual,
     fekete_descent,
     grid_minimize,
@@ -40,7 +40,7 @@ QUADRATIC = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 1)
 # V(x) = x^2 + x/2 is not even, so v differs from its mirror image.
 TILTED = GasModel(
     Support.REAL_LINE, 2.0,
-    custom_potential("tilted", [0.0, 0.5, 1.0], "x", beta_prime=2.0), 1,
+    PotentialSpec("tilted", [0.0, 0.5, 1.0], "x", beta_prime=2.0), 1,
 )
 
 

@@ -10,7 +10,6 @@ from loggas import (
     GasModel,
     InadmissibleModel,
     PoleNotInvertible,
-    PotentialSpec,
     Support,
     cauchy_potential,
     chordal_distance,
@@ -132,7 +131,6 @@ class TestCompactifiedPotential:
         assert pot.pole_value == 0.0
         for x in (-5.0, 0.0, 0.3, 100.0):
             assert pot.on_sphere_array(project_array(x)) == pytest.approx(0.0, abs=1e-12)
-        assert not pot.pole_is_estimate
 
     def test_spherical_identically_zero(self):
         model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
@@ -152,18 +150,6 @@ class TestCompactifiedPotential:
         assert not model.weak_growth_ok
         with pytest.raises(InadmissibleModel):
             compactified_potential(model)
-
-    def test_probe_estimate_flagged(self):
-        # no declared structure: the pole value is estimated from probes
-        pot_spec = PotentialSpec(
-            name="opaque",
-            evaluate=lambda x: np.log1p(np.square(x)),
-            beta_prime=2.0,
-        )
-        model = GasModel(Support.REAL_LINE, 2.0, pot_spec, 1)
-        pot = compactified_potential(model)
-        assert pot.pole_is_estimate
-        assert pot.pole_value == pytest.approx(0.0, abs=1e-9)
 
     def test_plane_form_matches_sphere_form(self):
         model = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 1)

@@ -10,10 +10,10 @@ from loggas import (
     DiscreteMeasure,
     GasModel,
     MissingBetaPrime,
+    PotentialSpec,
     Support,
     admissibility_check,
     cauchy_potential,
-    custom_potential,
     empirical_measure,
     quadratic_potential,
     spherical_potential,
@@ -279,7 +279,7 @@ class TestPotentials:
         assert pot.pole_value(3.0, Support.REAL_LINE) == -math.inf
 
     def test_custom_structured_potential(self):
-        pot = custom_potential("mix", poly=[0.0, 0.5], poly_var="r2", log_coeff=0.3,
+        pot = PotentialSpec("mix", poly=[0.0, 0.5], poly_var="r2", log_coeff=0.3,
                                beta_prime=2.0)
         x = 1.7
         assert pot.evaluate(x) == pytest.approx(0.5 * x**2 + 0.3 * math.log(1 + x**2))
@@ -288,7 +288,7 @@ class TestPotentials:
         fd = (pot.evaluate(x + eps) - pot.evaluate(x - eps)) / (2 * eps)
         assert pot.gradient(x) == pytest.approx(fd, rel=1e-6)
         assert pot.is_even is True
-        odd = custom_potential("odd", poly=[0.0, 1.0], poly_var="x")
+        odd = PotentialSpec("odd", poly=[0.0, 1.0], poly_var="x")
         assert odd.is_even is False
 
     @pytest.mark.parametrize("support", [Support.COMPLEX_PLANE, Support.UNIT_CIRCLE])
@@ -313,7 +313,7 @@ class TestPotentials:
         np.testing.assert_allclose(gradient, fd_re + 1j * fd_im, rtol=1e-6)
 
     @pytest.mark.parametrize("potential", [
-        cauchy_potential(), custom_potential("c", [], "r2", 1.0), quadratic_potential(),
+        cauchy_potential(), PotentialSpec("c", [], "r2", 1.0), quadratic_potential(),
     ])
     def test_infinite_at_huge_modulus(self, potential):
         # |x|^2 overflows to inf; V must follow it to +inf, not turn into nan
@@ -324,11 +324,11 @@ class TestPotentials:
     def test_constant_potentials_keep_the_shape(self):
         xs = np.array([0.0, 1.0, 1e200])
         with np.errstate(over="ignore"):
-            assert np.array_equal(custom_potential("z", []).evaluate(xs), np.zeros(3))
-            assert np.array_equal(custom_potential("c", [1.5]).evaluate(xs), np.full(3, 1.5))
+            assert np.array_equal(PotentialSpec("z", []).evaluate(xs), np.zeros(3))
+            assert np.array_equal(PotentialSpec("c", [1.5]).evaluate(xs), np.full(3, 1.5))
 
     def test_odd_polynomial_pole_is_minus_infinity(self):
-        pot = custom_potential("cubic", poly=[0.0, 0.0, 0.0, 1.0], poly_var="x")
+        pot = PotentialSpec("cubic", poly=[0.0, 0.0, 0.0, 1.0], poly_var="x")
         assert pot.pole_value(2.0, Support.REAL_LINE) == -math.inf
         # on the half-line only the +infinity end matters
         assert pot.pole_value(2.0, Support.HALF_LINE) == math.inf
@@ -343,7 +343,7 @@ class TestGasModel:
 
     @pytest.mark.parametrize("support", [Support.COMPLEX_PLANE, Support.UNIT_CIRCLE])
     def test_x_polynomial_needs_a_real_support(self, support):
-        tilted = custom_potential("tilted", [0.0, 1.0, 1.0], "x", beta_prime=2.0)
+        tilted = PotentialSpec("tilted", [0.0, 1.0, 1.0], "x", beta_prime=2.0)
         with pytest.raises(ValueError, match="real support"):
             model(tilted, support=support)
         model(tilted, support=Support.HALF_LINE)
@@ -351,18 +351,17 @@ class TestGasModel:
     def test_weak_growth_flag(self):
         assert model(cauchy_potential(), beta=2.0).weak_growth_ok
         assert not model(cauchy_potential(), beta=2.5).weak_growth_ok  # beta' < beta
-        nameless = custom_potential("bare", poly=[0.0, 1.0])
+        nameless = PotentialSpec("bare", poly=[0.0, 1.0])
         assert not model(nameless, beta=2.0).weak_growth_ok  # no beta'
 
 
 class TestAdmissibility:
     def test_quadratic_strong(self):
-        # oracle: probe the ratio V/(beta' log r) directly on the dyadic grid
+        # oracle: the ratio V/(beta' log r) grows without bound on the dyadic grid
         radii = np.array([2.0**k for k in range(4, 41)])
         ratios = radii**2 / (2.0 * np.log(radii))
         assert ratios.min() > 1.0
-        rep = admissibility_check(model(quadratic_potential()))
-        assert rep.classification is Admissibility.STRONG
+        assert admissibility_check(model(quadratic_potential())) is Admissibility.STRONG
 
     def test_cauchy_weak_only(self):
         # oracle: the gap log(1+r^2) - 2 log r tends to 0 (bounded below),
@@ -370,41 +369,51 @@ class TestAdmissibility:
         radii = np.array([2.0**k for k in range(4, 41)])
         gap = np.log1p(radii**2) - 2.0 * np.log(radii)
         assert gap.min() > -1.0
-        rep = admissibility_check(model(cauchy_potential()))
-        assert rep.classification is Admissibility.WEAK_ONLY
+        assert admissibility_check(model(cauchy_potential())) is Admissibility.WEAK_ONLY
 
     def test_half_log_inadmissible(self):
         # oracle: 0.5 log(1+r^2) - 2 log r drifts down like -log r, unbounded
         radii = np.array([2.0**k for k in range(4, 41)])
         gap = 0.5 * np.log1p(radii**2) - 2.0 * np.log(radii)
         assert gap[-1] - gap[-8] < -3.0
-        pot = custom_potential("half_log", poly=[], poly_var="r2", log_coeff=0.5,
-                               beta_prime=2.0)
-        rep = admissibility_check(model(pot))
-        assert rep.classification is Admissibility.INADMISSIBLE
+        pot = PotentialSpec("half_log", poly=[], poly_var="r2", log_coeff=0.5,
+                            beta_prime=2.0)
+        assert admissibility_check(model(pot)) is Admissibility.INADMISSIBLE
 
     def test_cauchy_never_strong_for_admissible_beta_prime(self):
-        # any declared beta' >= beta = 2 fails the strong ratio test
+        # log(1+x^2) - (beta'/2) log(1+x^2) is 0 or tends to -inf for beta' >= 2
         for bp in (2.0, 2.5, 3.0, 10.0):
-            pot = custom_potential("c", poly=[], poly_var="r2", log_coeff=1.0,
-                                   beta_prime=bp)
-            rep = admissibility_check(model(pot, beta=2.0))
-            assert rep.classification is not Admissibility.STRONG
+            pot = PotentialSpec("c", poly=[], poly_var="r2", log_coeff=1.0,
+                                beta_prime=bp)
+            assert admissibility_check(model(pot, beta=2.0)) is not Admissibility.STRONG
+
+    @pytest.mark.parametrize("shift", [-5.0, 1e-6, 1.0])
+    def test_constant_shift_keeps_the_class(self, shift):
+        # V + c is the same gas as V: log(1+x^2) + c - log(1+x^2) -> c, finite
+        pot = PotentialSpec("shifted", poly=[shift], log_coeff=1.0, beta_prime=2.0)
+        assert admissibility_check(model(pot)) is Admissibility.WEAK_ONLY
+
+    @pytest.mark.parametrize("pot, support, expected", [
+        # 0.9 log(1+x^2) - log(1+x^2) = -0.1 log(1+x^2) -> -inf
+        (PotentialSpec("weak_log", log_coeff=0.9, beta_prime=2.0), Support.REAL_LINE,
+         Admissibility.INADMISSIBLE),
+        # 1e6 r^2 - 1e-30 r^4: the quartic wins at r^2 > 1e36
+        (PotentialSpec("quartic", [0.0, 1e6, -1e-30], beta_prime=2.0), Support.REAL_LINE,
+         Admissibility.INADMISSIBLE),
+        # x^3 falls to -inf on the left end of the line only
+        (PotentialSpec("cubic", [0.0, 0.0, 0.0, 1.0], "x", beta_prime=2.0), Support.REAL_LINE,
+         Admissibility.INADMISSIBLE),
+        (PotentialSpec("cubic", [0.0, 0.0, 0.0, 1.0], "x", beta_prime=2.0), Support.HALF_LINE,
+         Admissibility.STRONG),
+    ], ids=["0.9-log", "r2-quartic", "cubic-line", "cubic-half-line"])
+    def test_class_is_the_exact_limit(self, pot, support, expected):
+        assert admissibility_check(model(pot, support=support)) is expected
 
     def test_missing_beta_prime(self):
-        pot = custom_potential("bare", poly=[0.0, 1.0])
+        pot = PotentialSpec("bare", poly=[0.0, 1.0])
         with pytest.raises(MissingBetaPrime):
             admissibility_check(model(pot))
 
     def test_bounded_support_vacuous(self):
-        rep = admissibility_check(
-            model(cauchy_potential(), support=Support.UNIT_CIRCLE)
-        )
-        assert rep.classification is Admissibility.STRONG
-        assert "vacuous" in rep.note
-
-    def test_witness_recorded(self):
-        rep = admissibility_check(model(cauchy_potential()))
-        assert len(rep.radii) == 37
-        assert len(rep.ratio_min) == 37
-        assert len(rep.gap_min) == 37
+        gas = model(cauchy_potential(), support=Support.UNIT_CIRCLE)
+        assert admissibility_check(gas) is Admissibility.STRONG

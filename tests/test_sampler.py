@@ -58,9 +58,7 @@ def per_move_chain(model, init, params):
     n = model.n
     is_complex = model.support in (Support.COMPLEX_PLANE, Support.UNIT_CIRCLE)
     rotate = model.support is Support.UNIT_CIRCLE
-    heavy_tails = not rotate and (
-        admissibility_check(model).classification is not Admissibility.STRONG
-    )
+    heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
     rng = np.random.default_rng(params.seed)
     x = np.array(init.points, dtype=complex)
     scale = params.step_scale
