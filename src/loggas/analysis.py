@@ -46,16 +46,12 @@ def ks_distance(samples, cdf, reference: str = "custom") -> FitReport:
 def radial_cdf_distance(samples, radial_cdf, reference: str = "custom") -> FitReport:
     """KS statistic of the sample moduli against a radial CDF."""
     zs = np.asarray(samples, dtype=complex)
-    if len(zs) == 0:
-        raise EmptySample("radial_cdf_distance needs at least one sample")
     return ks_distance(np.abs(zs), radial_cdf, reference=reference)
 
 
 def angular_ks_distance(samples, reference: str = "uniform_angle") -> FitReport:
     """KS statistic of sample angles in [0, 2pi) against the uniform law."""
     zs = np.asarray(samples, dtype=complex)
-    if len(zs) == 0:
-        raise EmptySample("angular_ks_distance needs at least one sample")
     angles = np.mod(np.angle(zs), 2.0 * np.pi)
     return ks_distance(angles, lambda a: a / (2.0 * np.pi), reference=reference)
 

@@ -105,7 +105,6 @@ def _weighted_energy(
 def measure_energy(
     mu: DiscreteMeasure,
     model: GasModel,
-    side: str | None = None,
     policy: DiagonalPolicy = DiagonalPolicy.OFF_DIAGONAL_ONLY,
     spacing: float | np.ndarray | None = None,
 ) -> float:
@@ -116,8 +115,6 @@ def measure_energy(
     spacing (``spacing`` or the nearest-neighbor distance).  Coincident
     atoms give +inf.
     """
-    if side is not None and side != mu.side:
-        raise ValueError(f"measure is {mu.side}-side, asked for {side}")
     if mu.side == "plane":
         v = model.potential_values(mu.positions)
     else:

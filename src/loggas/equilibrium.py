@@ -133,16 +133,23 @@ class GridSpec:
 
     def __post_init__(self):
         if self.resolution < 16:
-            raise ValueError("resolution must be at least 16")
+            raise ValueError(f"grid.resolution: must be an integer >= 16, got {self.resolution}")
+        if not all(lo < hi for lo, hi in self.axes):
+            raise ValueError("grid.window: needs lo < hi")
         if self.is_planar:
             (xlo, xhi), (ylo, yhi) = self.window
             wx, wy = xhi - xlo, yhi - ylo
-            if abs(wx - wy) > 1e-12 * max(abs(wx), abs(wy)):
-                raise ValueError("planar windows must be square")
+            if abs(wx - wy) > 1e-12 * max(wx, wy):
+                raise ValueError("grid.window: planar windows must be square")
 
     @property
     def is_planar(self) -> bool:
         return hasattr(self.window[0], "__len__")
+
+    @property
+    def axes(self) -> tuple:
+        """The (lo, hi) pair of each axis."""
+        return self.window if self.is_planar else (self.window,)
 
     def atoms(self) -> tuple[np.ndarray, float]:
         """Cell-center positions (complex array) and the cell spacing."""
@@ -177,7 +184,7 @@ def check_solvable(model: GasModel, grid: GridSpec) -> None:
         raise ValueError("grid.window: grid dimensionality does not match the support")
     if not model.potential.is_even:
         return
-    for lo, hi in grid.window if grid.is_planar else (grid.window,):
+    for lo, hi in grid.axes:
         if abs(lo + hi) > 1e-9 * max(abs(lo), abs(hi), 1.0):
             raise ValueError("grid.window: must be symmetric about 0 for an even potential")
 
@@ -230,12 +237,12 @@ class GridKernel:
         return kw + 0.5 * v * w.sum() + 0.5 * (v @ w)
 
 
-def _spectral_norm(q: GridKernel, iters: int = 80) -> float:
+def _spectral_norm(q: GridKernel) -> float:
     rng = np.random.default_rng(0)
     v = rng.standard_normal(len(q.atoms))
     v /= np.linalg.norm(v)
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(80):
         w = q(v)
         lam = np.linalg.norm(w)
         if lam == 0.0:
@@ -387,7 +394,6 @@ def _pairwise_gradient(points: np.ndarray, model: GasModel) -> np.ndarray:
 def fekete_descent(
     model: GasModel,
     init: Configuration,
-    step: float | None = None,
     max_iter: int = 2000,
     grad_tol: float = 1e-10,
 ) -> Configuration:
@@ -396,13 +402,14 @@ def fekete_descent(
     Stops when the sup-norm of the position gradient drops to grad_tol or
     after max_iter accepted steps; the log-density never decreases across
     accepted iterations, and steps that would collide particles or leave
-    the support are rejected by the line search.
+    the support are rejected by the line search, whose first trial step
+    is 0.1/n.
     """
     validate_configuration(init, model)
     x = np.array(init.points, dtype=complex)
     if len(np.unique(x)) != len(x):
         raise CoincidentPoints("initial configuration has coincident points")
-    gamma = step if step is not None else 0.1 / model.n
+    gamma = 0.1 / model.n
     ld = log_density(Configuration(x), model)
 
     for _ in range(max_iter):
@@ -467,36 +474,16 @@ def _log_potential_line(law: ClosedFormLaw, x: float) -> float:
 def _log_potential_radial(law: ClosedFormLaw, x: float) -> float:
     """integral of log|x - y| against a radial area density on the plane.
 
-    Polar coordinates: the angular integral is evaluated adaptively with
-    a split at the angle of closest approach, the radial integral splits
-    at r = |x|.
+    By Jensen's formula the angular mean of log|x - r e^{i theta}| is
+    log max(x, r), so the integral is
+    F(x) log x + int_x^inf 2 pi rho(r) r log r dr, F the radial CDF.
     """
-    inner_fail, outer_fail = 1e-8, 1e-6
-    inner_opts = dict(limit=200, epsabs=1e-12, epsrel=1e-12)
 
-    def angular(r: float) -> float:
-        if r == 0.0:
-            return 2.0 * math.pi * math.log(x) if x > 0 else -math.inf
+    def f(r: float) -> float:
+        return 2.0 * math.pi * float(law.density(complex(r))) * r * math.log(r)
 
-        def f(theta):
-            d2 = x * x + r * r - 2.0 * x * r * math.cos(theta)
-            return 0.5 * math.log(d2)
-
-        return _quad(f, -math.pi, math.pi, inner_fail, points=[0.0], **inner_opts)
-
-    def radial_integrand(r: float) -> float:
-        return float(law.density(complex(r))) * r * angular(r)
-
-    pieces = []
-    mid = x + 10.0
-    outer_opts = dict(limit=200, epsabs=1e-9, epsrel=1e-9)
-    if x > 0:
-        pieces.append(_quad(radial_integrand, 0.0, x, outer_fail, **outer_opts))
-        pieces.append(_quad(radial_integrand, x, mid, outer_fail, **outer_opts))
-    else:
-        pieces.append(_quad(radial_integrand, 0.0, mid, outer_fail, **outer_opts))
-    pieces.append(_quad(radial_integrand, mid, math.inf, outer_fail, **outer_opts))
-    return math.fsum(pieces)
+    inside = float(law.cdf(x)) * math.log(x) if x > 0 else 0.0
+    return inside + _quad(f, x, math.inf, 1e-8, **_QUAD_OPTS)
 
 
 def _log_potential_atoms(mu: DiscreteMeasure, x: complex) -> float:

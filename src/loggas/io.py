@@ -37,19 +37,22 @@ def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a text file, surrounding blank space stripped.
+def _read_lines(path) -> tuple[int, list[str]]:
+    """The lines of a text file, surrounding blank space stripped, and the
+    1-based number in the file of the first of them.
 
     Raises ValueError naming the file when nothing is left.
     """
-    lines = Path(path).read_text().strip().splitlines()
+    text = Path(path).read_text()
+    body = text.lstrip()
+    lines = body.rstrip().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
-    return lines
+    return text[: len(text) - len(body)].count("\n") + 1, lines
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
-    text = _read_lines(path)
+    _, text = _read_lines(path)
     header = text[0].split(",")
     rows = np.array([[float(c) for c in line.split(",")] for line in text[1:]])
     if header == ["x1", "x2", "x3", "weight"]:
@@ -80,16 +83,16 @@ def read_samples_csv(path) -> dict:
     """Returns arrays: chain, sweep, particle (ints) and values (complex).
 
     Raises ValueError naming the file when it is empty, has another header
-    or has no data rows, and naming the file and the 1-based line for a
-    row that is not five parseable fields.
+    or has no data rows, and naming the file and the line (numbered as in
+    the file) for a row that is not five parseable fields.
     """
-    text = _read_lines(path)
+    first, text = _read_lines(path)
     if text[0] != "chain,sweep,particle,re,im":
         raise ValueError(f"{path}: unrecognized samples CSV header: {text[0]}")
     if len(text) == 1:
         raise ValueError(f"{path}: no data rows")
     chains, sweeps, particles, values = [], [], [], []
-    for lineno, line in enumerate(text[1:], start=2):
+    for lineno, line in enumerate(text[1:], start=first + 1):
         try:
             c, s, k, re, im = line.split(",")
             chains.append(int(c))

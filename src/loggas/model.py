@@ -6,7 +6,9 @@ count n).  The joint particle density is proportional to
     prod_{i<j} |x_i - x_j|^beta * prod_i exp(-n * V(x_i))
 
 on the n-fold product of the support.  Everything here is an immutable
-value type; functions elsewhere never mutate them.
+value type; functions elsewhere never mutate them.  Constructors reject
+out-of-range values with a ValueError that starts with the field's path
+in a run config (model.beta, model.n, ...).
 """
 
 from __future__ import annotations
@@ -76,10 +78,10 @@ class PotentialSpec:
     Values, gradient, parity and the pole value all follow from this
     structure.
 
-    ``beta_prime`` is the user-declared growth witness: the gas is
-    weak-growth admissible at inverse temperature beta iff beta_prime
-    exists, beta_prime > 1, beta_prime >= beta and the structure bears
-    it out (``pole_value(beta_prime, support) > -inf``).
+    ``beta_prime`` is the user-declared growth witness, above 1 when
+    given: the gas is weak-growth admissible at inverse temperature beta
+    iff beta_prime exists, beta_prime >= beta and the structure bears it
+    out (``pole_value(beta_prime, support) > -inf``).
     """
 
     name: str
@@ -90,7 +92,9 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.poly_var not in ("x", "r2"):
-            raise ValueError(f"poly_var must be 'x' or 'r2', got {self.poly_var!r}")
+            raise ValueError("model.potential.params.poly_var: must be 'x' or 'r2'")
+        if self.beta_prime is not None and not self.beta_prime > 1.0:
+            raise ValueError(f"model.potential.beta_prime: must exceed 1, got {self.beta_prime}")
         object.__setattr__(self, "poly", tuple(float(c) for c in self.poly))
         object.__setattr__(self, "log_coeff", float(self.log_coeff))
 
@@ -201,46 +205,32 @@ class GasModel:
 
     def __post_init__(self):
         if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise ValueError(f"model.beta: must be positive, got {self.beta}")
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise ValueError(f"model.n: must be an integer >= 1, got {self.n}")
         if self.potential.poly_var == "x" and not self.support.is_real:
-            raise ValueError(f"an x-polynomial V needs a real support, not {self.support.value}")
-
-    @property
-    def weak_growth_ok(self) -> bool:
-        """Weak-growth admissibility: a declared beta_prime > 1 and >= beta that
-        V's structure bears out (not Inadmissible at beta_prime)."""
-        bp = self.potential.beta_prime
-        return (
-            bp is not None and bp > 1.0 and bp >= self.beta
-            and admissibility_check(self) is not Admissibility.INADMISSIBLE
-        )
+            raise ValueError("model.potential.params.poly_var: 'x' needs a real support, "
+                             f"not {self.support.value}; use 'r2'")
 
     def require_weak_growth(self) -> None:
-        """Raise InadmissibleModel unless weak_growth_ok.
+        """Raise InadmissibleModel unless V bears out a declared beta_prime >= beta.
 
         The message starts with the field at fault, named as in a run
         config: model.beta when it exceeds beta_prime, otherwise
         model.potential.beta_prime.
         """
-        if self.weak_growth_ok:
-            return
         bp = self.potential.beta_prime
-        if bp is None or bp <= 1.0:
-            raise InadmissibleModel(
-                f"model.potential.beta_prime: weak-growth admissibility needs a value "
-                f"above 1, got {bp}"
-            )
+        if bp is None:
+            raise InadmissibleModel("model.potential.beta_prime: weak-growth admissibility "
+                                    "needs a declared value")
         if bp < self.beta:
             raise InadmissibleModel(
                 f"model.beta: {self.beta:g} exceeds beta_prime {bp:g}; "
                 "the model fails weak-growth admissibility"
             )
-        raise InadmissibleModel(
-            f"model.potential.beta_prime: V contradicts {bp:g}, since "
-            f"V(x) - ({bp:g}/2) log(1+|x|^2) tends to -inf"
-        )
+        if admissibility_check(self) is Admissibility.INADMISSIBLE:
+            raise InadmissibleModel(f"model.potential.beta_prime: V contradicts {bp:g}, since "
+                                    f"V(x) - ({bp:g}/2) log(1+|x|^2) tends to -inf")
 
     def potential_values(self, points) -> np.ndarray:
         """Evaluate V at points of the support (arrays accepted)."""

@@ -57,12 +57,14 @@ class ChainParams:
     thin: int = 1
 
     def __post_init__(self):
+        if self.sweeps < 2:
+            raise ValueError(f"chain.sweeps: must be an integer >= 2, got {self.sweeps}")
         if not 0 <= self.burn_in < self.sweeps:
-            raise ValueError("need 0 <= burn_in < sweeps")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise ValueError("chain.burn_in: must satisfy 0 <= burn_in < sweeps")
         if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
+            raise ValueError("chain.step_scale: must be positive")
+        if self.thin < 1:
+            raise ValueError("chain.thin: must be an integer >= 1")
 
 
 @dataclass

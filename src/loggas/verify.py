@@ -39,6 +39,11 @@ from .model import (
     spherical_potential,
 )
 
+# Suite sizes: draws per suite, particles per configuration, atoms per measure.
+PAIRS = 100_000
+CONFIGS, CONFIG_SIZE = 60, 50
+MEASURES, MEASURE_ATOMS = 20, 100
+
 _MODELS = {
     "cauchy": lambda n=1: GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), n),
     "spherical": lambda n=1: GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), n),
@@ -46,8 +51,8 @@ _MODELS = {
 }
 
 
-def _wide_complex(rng, count, max_exp=6.0):
-    mags = 10.0 ** rng.uniform(-3.0, max_exp, count)
+def _wide_complex(rng, count):
+    mags = 10.0 ** rng.uniform(-3.0, 6.0, count)
     phases = np.exp(2j * np.pi * rng.random(count))
     return mags * phases
 
@@ -123,27 +128,27 @@ def _random_configuration(rng, n, real: bool) -> np.ndarray:
             return pts
 
 
-def density_transport_deviation(rng, configs, n=50) -> float:
+def density_transport_deviation(rng, configs) -> float:
     worst = 0.0
     for make in _MODELS.values():
-        model = make(n)
+        model = make(CONFIG_SIZE)
         real = model.support is Support.REAL_LINE
         for _ in range(configs):
-            config = Configuration(_random_configuration(rng, n, real))
+            config = Configuration(_random_configuration(rng, CONFIG_SIZE, real))
             lhs = log_density(config, model)
             rhs = log_density_sphere(config, model)
             worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def energy_transport_deviation(rng, measures, atoms=100) -> float:
+def energy_transport_deviation(rng, measures) -> float:
     worst = 0.0
     for make in _MODELS.values():
         model = make()
         real = model.support is Support.REAL_LINE
         for _ in range(measures):
-            pts = _random_configuration(rng, atoms, real)
-            w = rng.exponential(size=atoms)
+            pts = _random_configuration(rng, MEASURE_ATOMS, real)
+            w = rng.exponential(size=MEASURE_ATOMS)
             w /= w.sum()
             mu = DiscreteMeasure(pts, w, side="plane")
             plane = measure_energy(mu, model)
@@ -161,17 +166,15 @@ SUITE_TOLERANCES = {
 }
 
 
-def run_identity_suites(
-    seed: int = 0, pairs: int = 100_000, configs: int = 60, measures: int = 20
-) -> dict:
+def run_identity_suites(seed: int = 0) -> dict:
     """Run every identity suite; returns per-suite deviations and verdicts."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1D]))
     deviations = {
-        "metric": metric_identity_deviation(rng, pairs),
-        "pole": pole_identity_deviation(rng, pairs),
-        "kernel_transport": kernel_transport_deviation(rng, pairs),
-        "density_transport": density_transport_deviation(rng, configs),
-        "energy_transport": energy_transport_deviation(rng, measures),
+        "metric": metric_identity_deviation(rng, PAIRS),
+        "pole": pole_identity_deviation(rng, PAIRS),
+        "kernel_transport": kernel_transport_deviation(rng, PAIRS),
+        "density_transport": density_transport_deviation(rng, CONFIGS),
+        "energy_transport": energy_transport_deviation(rng, MEASURES),
     }
     suites = {}
     for name, dev in deviations.items():
@@ -179,7 +182,7 @@ def run_identity_suites(
         suites[name] = {"max_deviation": dev, "tolerance": tol, "pass": dev <= tol}
     return {
         "seed": int(seed),
-        "pairs": int(pairs),
+        "pairs": PAIRS,
         "suites": suites,
         "pass": all(s["pass"] for s in suites.values()),
     }

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from loggas import ParseError, Support, ValidationError
+from loggas import (
+    ChainParams,
+    GasModel,
+    GridSpec,
+    ParseError,
+    PotentialSpec,
+    Support,
+    ValidationError,
+    cauchy_potential,
+)
 from loggas.cli import main, parse_config, run
 from loggas.io import read_json, read_samples_csv
 
@@ -101,7 +110,7 @@ class TestParseConfig:
         }
         config = parse_config(json.dumps(raw))
         assert config.model.potential.evaluate(2.0) == pytest.approx(16.0)
-        assert config.model.weak_growth_ok
+        config.model.require_weak_growth()
 
     @pytest.mark.parametrize("value", [True, "7", -1, 2**64])
     def test_seed_must_be_unsigned_integer(self, value):
@@ -146,6 +155,48 @@ class TestParseConfig:
             parse_config(json.dumps({"command": "sample"}))
         with pytest.raises(ValidationError):
             parse_config(json.dumps({"command": "analyze"}))
+
+    @pytest.mark.parametrize("edits, build, field", [
+        ({"model.beta": -1.0},
+         lambda: GasModel(Support.REAL_LINE, -1.0, cauchy_potential(), 64), "model.beta"),
+        ({"model.n": 0},
+         lambda: GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 0), "model.n"),
+        ({"model.potential": {"name": "p", "params": {"poly_var": "y"}}},
+         lambda: PotentialSpec("p", poly_var="y"), "model.potential.params.poly_var"),
+        ({"model.potential.beta_prime": 0.5},
+         lambda: PotentialSpec("p", beta_prime=0.5), "model.potential.beta_prime"),
+        ({"chain": {"sweeps": 1, "burn_in": 0}},
+         lambda: ChainParams(sweeps=1, burn_in=0), "chain.sweeps"),
+        ({"chain": {"sweeps": 10, "burn_in": 10}},
+         lambda: ChainParams(sweeps=10, burn_in=10), "chain.burn_in"),
+        ({"chain.thin": 0}, lambda: ChainParams(sweeps=10, burn_in=5, thin=0), "chain.thin"),
+        ({"chain.step_scale": 0.0},
+         lambda: ChainParams(sweeps=10, burn_in=5, step_scale=0.0), "chain.step_scale"),
+        ({"grid.resolution": 8}, lambda: GridSpec((-10.0, 10.0), 8), "grid.resolution"),
+        ({"grid.window": [10, -10]}, lambda: GridSpec((10.0, -10.0), 64), "grid.window"),
+        ({"model.support": "complex_plane", "model.potential.name": "spherical",
+          "grid.window": [[-4, 4], [-3, 3]]},
+         lambda: GridSpec(((-4.0, 4.0), (-3.0, 3.0)), 64), "grid.window"),
+    ], ids=["beta", "n", "poly_var", "beta_prime", "sweeps", "burn_in", "thin",
+            "step_scale", "resolution", "window-reversed", "window-not-square"])
+    def test_config_and_library_reject_alike(self, edits, build, field):
+        # a grid row is checked in an equilibrium config, any other in a sample one
+        raw = json.loads(json.dumps(MINIMAL_SAMPLE))
+        if any(key.startswith("grid") for key in edits):
+            raw.update(command="equilibrium", grid={"window": [-10, 10], "resolution": 64})
+            del raw["chain"]
+        for dotted, value in edits.items():
+            *parents, last = dotted.split(".")
+            node = raw
+            for key in parents:
+                node = node[key]
+            node[last] = value
+        with pytest.raises(ValidationError) as config_error:
+            parse_config(json.dumps(raw))
+        with pytest.raises(ValueError) as library_error:
+            build()
+        assert str(config_error.value).startswith(f"{field}:")
+        assert str(library_error.value).startswith(f"{field}:")
 
 
 def small_config(out, seed=0, n=8, sweeps=60):
@@ -434,7 +485,8 @@ class TestMain:
         ("chain,sweep,particle,re,im\n", "samples.csv: no data rows"),
         ("chain,sweep,particle,re,im\n0,0,0,1.5,0.0\n0,0,1,2.5\n", "samples.csv, line 3"),
         ("chain,sweep,particle,re,im\n0,0,0,abc,0.0\n", "samples.csv, line 2"),
-    ], ids=["header-only", "short-row", "non-numeric"])
+        ("\n\nchain,sweep,particle,re,im\n0,0,0,1.5,0.0\n0,0,1,2.5\n", "samples.csv, line 5"),
+    ], ids=["header-only", "short-row", "non-numeric", "leading-blank-lines"])
     def test_bad_analyze_input_names_file_and_line(self, tmp_path, capsys, text, named):
         assert self._analyze(tmp_path, text) == 2
         assert named in capsys.readouterr().err

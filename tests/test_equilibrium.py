@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from loggas import (
+    ClosedFormLaw,
     Configuration,
     DiscreteMeasure,
     GasModel,
@@ -425,6 +426,19 @@ class TestElResidual:
         u = el_residual(spherical_law(), SPHERICAL, [0.0, 1.0, 3.0])
         assert np.max(u) - np.min(u) <= 1e-5
         assert np.max(np.abs(u)) <= 1e-5
+
+    def test_gaussian_radial_oracle(self):
+        # e^{-|z|^2}/pi has log potential log|x| + E1(|x|^2)/2, -gamma/2 at 0;
+        # with V = 0 the residual is -beta times it
+        gauss = ClosedFormLaw("gauss", lambda z: np.exp(-np.abs(z) ** 2) / np.pi,
+                              lambda r: -np.expm1(-np.square(r)), "r")
+        flat = GasModel(Support.COMPLEX_PLANE, 2.0, PotentialSpec("zero"), 1)
+        probes = np.array([0.0, 0.3, 1.0, 3.0, 10.0])
+        exact = np.array([-np.euler_gamma / 2] + [
+            math.log(x) + 0.5 * special.exp1(x * x) for x in probes[1:]
+        ])
+        u = el_residual(gauss, flat, probes)
+        assert np.max(np.abs(u + 2.0 * exact)) <= 1e-10
 
     def test_quadrature_failure_raised(self):
         from loggas import QuadratureFailure

@@ -147,7 +147,8 @@ class TestCompactifiedPotential:
 
     def test_inadmissible_model_rejected(self):
         model = GasModel(Support.REAL_LINE, 2.5, cauchy_potential(), 1)
-        assert not model.weak_growth_ok
+        with pytest.raises(InadmissibleModel, match="model.beta"):
+            model.require_weak_growth()
         with pytest.raises(InadmissibleModel):
             compactified_potential(model)
 

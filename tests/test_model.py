@@ -9,6 +9,7 @@ from loggas import (
     Configuration,
     DiscreteMeasure,
     GasModel,
+    InadmissibleModel,
     MissingBetaPrime,
     PotentialSpec,
     Support,
@@ -349,10 +350,12 @@ class TestGasModel:
         model(tilted, support=Support.HALF_LINE)
 
     def test_weak_growth_flag(self):
-        assert model(cauchy_potential(), beta=2.0).weak_growth_ok
-        assert not model(cauchy_potential(), beta=2.5).weak_growth_ok  # beta' < beta
+        model(cauchy_potential(), beta=2.0).require_weak_growth()
+        with pytest.raises(InadmissibleModel, match="model.beta"):  # beta' < beta
+            model(cauchy_potential(), beta=2.5).require_weak_growth()
         nameless = PotentialSpec("bare", poly=[0.0, 1.0])
-        assert not model(nameless, beta=2.0).weak_growth_ok  # no beta'
+        with pytest.raises(InadmissibleModel, match="model.potential.beta_prime"):  # no beta'
+            model(nameless, beta=2.0).require_weak_growth()
 
 
 class TestAdmissibility:
