@@ -7,15 +7,34 @@ temperature beta and external potential V:
 * model        gas models, potentials, configurations, discrete measures
 * geometry     projection onto the Riemann sphere and its exact identities
 * energy       discrete energies, Gibbs log-densities
-* equilibrium  closed-form limiting laws, grid minimization, optimality
+* equilibrium  grid minimization, mode descent, optimality residuals
 * sampler      Metropolis chains and exact beta = 2 matrix-model samplers
-* analysis     goodness-of-fit distances and rate-function gaps
+* analysis     closed-form limiting laws, goodness-of-fit distances and
+               rate-function gaps
 * cli          reproducible runs: sample | equilibrium | verify | analyze
+
+Importing the package loads NumPy alone.  The solver's names (``GridSpec``,
+``grid_minimize``, ...) import ``equilibrium``, and with it ``scipy.fft``,
+on first access.  ``sample_spherical_ensemble`` loads ``scipy.linalg``, and
+``el_residual`` on a closed-form law ``scipy.integrate``, when called.
 """
 
 __version__ = "0.1.0"
 
-from .analysis import FitReport, angular_ks_distance, ks_distance, radial_cdf_distance, rate_gap
+from .analysis import (
+    ClosedFormLaw,
+    FitReport,
+    angular_ks_distance,
+    cauchy_law,
+    circle_uniform_law,
+    closed_form,
+    ks_distance,
+    radial_cdf_distance,
+    rate_gap,
+    reference_energy,
+    sphere_uniform_law,
+    spherical_law,
+)
 from .energy import (
     DiagonalPolicy,
     align_measures,
@@ -24,21 +43,6 @@ from .energy import (
     log_density_sphere,
     measure_energy,
     signed_log_energy,
-)
-from .equilibrium import (
-    ClosedFormLaw,
-    GridMinimizeReport,
-    GridSpec,
-    cauchy_law,
-    circle_uniform_law,
-    closed_form,
-    closed_form_cell_masses,
-    el_residual,
-    fekete_descent,
-    grid_minimize,
-    reference_energy,
-    sphere_uniform_law,
-    spherical_law,
 )
 from .errors import (
     CoincidentPoints,
@@ -87,3 +91,25 @@ from .sampler import (
     sample_spherical_ensemble,
 )
 from .verify import run_identity_suites
+
+_EQUILIBRIUM_EXPORTS = (
+    "GridMinimizeReport",
+    "GridSpec",
+    "closed_form_cell_masses",
+    "el_residual",
+    "fekete_descent",
+    "grid_minimize",
+)
+
+
+def __getattr__(name):
+    """The solver's names, looked up in ``equilibrium`` at each access (PEP 562)."""
+    if name in _EQUILIBRIUM_EXPORTS:
+        from . import equilibrium
+
+        return getattr(equilibrium, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_EQUILIBRIUM_EXPORTS])

@@ -19,12 +19,24 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+# NumPy loads these on first use: numpy.random at a command's first seed or
+# draw, numpy.ma inside np.unique.  Loading them here keeps start-up cost out
+# of run().
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from . import __version__
-from .analysis import angular_ks_distance, ks_distance, radial_cdf_distance
-from .equilibrium import GridSpec, cauchy_law, check_solvable, grid_minimize, spherical_law
+from .analysis import (
+    angular_ks_distance,
+    cauchy_law,
+    ks_distance,
+    radial_cdf_distance,
+    spherical_law,
+)
 from .errors import InadmissibleModel, LogGasError, ParseError, ValidationError
 from .io import read_samples_csv, write_json, write_measure_csv, write_samples_csv
 from .model import (
@@ -36,6 +48,9 @@ from .model import (
 )
 from .sampler import ChainParams, chain_seed, mh_chains
 from .verify import run_identity_suites
+
+if TYPE_CHECKING:
+    from .equilibrium import GridSpec
 
 COMMANDS = ("sample", "equilibrium", "verify", "analyze")
 
@@ -155,6 +170,9 @@ def _parse_chain(section, path="chain") -> tuple[ChainParams, dict]:
 
 
 def _parse_grid(section, path="grid") -> tuple[GridSpec, dict]:
+    # The solver, and with it scipy.fft, loads only for a config with a grid.
+    from .equilibrium import GridSpec
+
     section = _section(section, path, {"window", "resolution", "tol", "max_iter"})
     window = section.get("window")
     _require(isinstance(window, list) and len(window) == 2, f"{path}.window",
@@ -225,6 +243,8 @@ def parse_config(
         for key in needs.get(command, ()):
             _require(key in settings, key, f"required for the {command} command")
         if command == "equilibrium":
+            from .equilibrium import check_solvable
+
             check_solvable(built["model"], built["grid"])
         elif command == "sample":
             built["model"].require_weak_growth()
@@ -280,6 +300,8 @@ def _run_sample(config: RunConfig, out_dir: Path) -> int:
 
 
 def _run_equilibrium(config: RunConfig, out_dir: Path) -> int:
+    from .equilibrium import grid_minimize
+
     tol, max_iter = config.settings["grid"]["tol"], config.settings["grid"]["max_iter"]
     measure, report = grid_minimize(config.model, config.grid, tol=tol, max_iter=max_iter)
     write_measure_csv(out_dir / "measure.csv", measure)

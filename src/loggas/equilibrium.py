@@ -1,10 +1,11 @@
-"""Limiting measures: closed forms, grid minimization, and optimality checks.
+"""Limiting measures: grid minimization and optimality checks.
 
-For the two beta = 2 reference models the limiting measure is known in
-closed form (a Cauchy law on the line, a heavy-tailed radial law on the
-plane; their sphere-side push-forwards are the uniform measures on the
-meridian circle and on the whole sphere).  For everything else a convex
-discrete energy is minimized over probability weights on a grid.
+A convex discrete energy is minimized over probability weights on a
+grid.  The closed-form laws of the two beta = 2 reference models live in
+``analysis``; here they give the mass a window captures and serve as
+candidates for the effective-potential residual.  No other loggas module
+loads ``scipy.fft``, which this one imports at load time; ``scipy.integrate``
+loads at the first quadrature.
 
 The discrete objective is E(w) = w^T Q w with Q the pair kernel matrix,
 off-diagonal entries the weighted log kernel and diagonal entries the
@@ -23,101 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import fft, integrate
+from scipy import fft
 
+from .analysis import ClosedFormLaw, closed_form
 from .energy import _pair_kernel, log_density
-from .errors import (
-    CoincidentPoints,
-    InadmissibleModel,
-    NoClosedForm,
-    QuadratureFailure,
-)
+from .errors import CoincidentPoints, InadmissibleModel, NoClosedForm, QuadratureFailure
 from .model import Configuration, DiscreteMeasure, GasModel, Support, validate_configuration
-
-
-@dataclass(frozen=True)
-class ClosedFormLaw:
-    """A limiting law with a density and a one-dimensional CDF reduction.
-
-    ``variable`` names the reduction the CDF applies to: "x" for a real
-    coordinate, "r" for the modulus, "angle" for the position angle on
-    the meridian circle, "height" for the third sphere coordinate.
-    """
-
-    name: str
-    density: Callable
-    cdf: Callable
-    variable: str
-
-
-def cauchy_law() -> ClosedFormLaw:
-    return ClosedFormLaw(
-        name="cauchy",
-        density=lambda x: 1.0 / (np.pi * (1.0 + np.square(x))),
-        cdf=lambda x: 0.5 + np.arctan(x) / np.pi,
-        variable="x",
-    )
-
-
-def spherical_law() -> ClosedFormLaw:
-    """Area density 1/(pi (1+|z|^2)^2) on the plane; CDF is radial."""
-    return ClosedFormLaw(
-        name="spherical",
-        density=lambda z: 1.0 / (np.pi * np.square(1.0 + np.abs(z) ** 2)),
-        cdf=lambda r: np.square(r) / (1.0 + np.square(r)),
-        variable="r",
-    )
-
-
-def circle_uniform_law() -> ClosedFormLaw:
-    """Uniform measure on the meridian circle, parameterized by angle in [0, 2pi)."""
-    return ClosedFormLaw(
-        name="circle_uniform",
-        density=lambda a: np.full_like(np.asarray(a, dtype=float), 1.0 / (2.0 * np.pi)),
-        cdf=lambda a: np.asarray(a, dtype=float) / (2.0 * np.pi),
-        variable="angle",
-    )
-
-
-def sphere_uniform_law() -> ClosedFormLaw:
-    """Uniform measure on the sphere; the height coordinate is uniform on [0, 1]."""
-    return ClosedFormLaw(
-        name="sphere_uniform",
-        density=lambda z: np.full_like(np.asarray(z, dtype=float), 1.0 / np.pi),
-        cdf=lambda t: np.clip(np.asarray(t, dtype=float), 0.0, 1.0),
-        variable="height",
-    )
-
-
-def _is_beta_two(model: GasModel) -> bool:
-    return abs(model.beta - 2.0) <= 1e-12
-
-
-def closed_form(model: GasModel, side: str = "plane") -> ClosedFormLaw:
-    """The known limiting law of a built-in model, or NoClosedForm."""
-    name = model.potential.name
-    if name == "cauchy" and model.support is Support.REAL_LINE and _is_beta_two(model):
-        return cauchy_law() if side == "plane" else circle_uniform_law()
-    if name == "spherical" and model.support is Support.COMPLEX_PLANE and _is_beta_two(model):
-        return spherical_law() if side == "plane" else sphere_uniform_law()
-    raise NoClosedForm(f"no closed-form limit for ({name}, beta={model.beta})")
-
-
-# Converged reference energies of the two closed-form models: the log
-# energy of the uniform measure on a circle of radius 1/2 and on the
-# sphere of radius 1/2.
-REFERENCE_ENERGIES = {"cauchy": math.log(2.0), "spherical": 0.5}
-
-
-def reference_energy(model: GasModel) -> float | None:
-    try:
-        law = closed_form(model)
-    except NoClosedForm:
-        return None
-    return REFERENCE_ENERGIES[law.name]
 
 
 @dataclass(frozen=True)
@@ -263,21 +178,33 @@ class GridMinimizeReport:
         return asdict(self)
 
 
-def captured_mass(model: GasModel, grid: GridSpec) -> float | None:
-    """Closed-form mass inside the grid window, when a closed form exists."""
+def _spherical_quadrant_mass(a: float, b: float) -> float:
+    """pi times the spherical law's mass on [0, a] x [0, b]; odd in a and in b.
+
+    The integral of 1/(1 + x^2 + y^2)^2 over the rectangle, in closed form.
+    """
+    sa, sb = math.sqrt(1.0 + a * a), math.sqrt(1.0 + b * b)
+    return 0.5 * (a / sa * math.atan(b / sa) + b / sb * math.atan(a / sb))
+
+
+def captured_mass(model: GasModel, window: tuple) -> float | None:
+    """Closed-form mass inside a grid window, when a closed form exists.
+
+    ``window`` is (lo, hi) on the line, where the mass is a CDF difference,
+    or ((xlo, xhi), (ylo, yhi)) on the plane, where it is the
+    inclusion-exclusion sum of the exact quadrant masses at its corners.
+    """
     try:
         law = closed_form(model)
     except NoClosedForm:
         return None
     if law.variable == "x":
-        lo, hi = grid.window
+        lo, hi = window
         return float(law.cdf(hi) - law.cdf(lo))
-    (xlo, xhi), (ylo, yhi) = grid.window
-    val, _ = integrate.dblquad(
-        lambda y, x: 1.0 / (np.pi * (1.0 + x * x + y * y) ** 2),
-        xlo, xhi, ylo, yhi, epsabs=1e-10,
-    )
-    return float(val)
+    (xlo, xhi), (ylo, yhi) = window
+    g = _spherical_quadrant_mass
+    corners = [g(xhi, yhi), -g(xlo, yhi), -g(xhi, ylo), g(xlo, ylo)]
+    return math.fsum(corners) / math.pi
 
 
 def grid_minimize(
@@ -350,7 +277,7 @@ def grid_minimize(
         energy=float(weights @ q(weights)),
         gap=best_gap,
         iterations=iterations,
-        captured_mass=captured_mass(model, grid),
+        captured_mass=captured_mass(model, grid.window),
         converged=converged,
     )
     return measure, report
@@ -443,6 +370,8 @@ _QUAD_OPTS = dict(limit=200, epsabs=1e-11, epsrel=1e-11)
 
 
 def _quad(f, a, b, fail_tol: float, **kw):
+    from scipy import integrate
+
     res = integrate.quad(f, a, b, full_output=1, **kw)
     val, abserr = res[0], res[1]
     if abserr > fail_tol:

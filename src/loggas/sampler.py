@@ -28,7 +28,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .energy import log_density
 from .model import (
@@ -281,6 +280,8 @@ def sample_spherical_ensemble(n: int, seed: int = 0) -> Configuration:
     singular second matrix is a probability-zero event and is retried
     with a fresh draw.
     """
+    import scipy.linalg
+
     if not 1 <= n <= MAX_ENSEMBLE_SIZE:
         raise ValueError(f"need 1 <= n <= {MAX_ENSEMBLE_SIZE}")
     rng = np.random.default_rng(seed)

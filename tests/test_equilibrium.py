@@ -171,6 +171,25 @@ class TestProjectToSimplex:
         assert project_to_simplex(w) == pytest.approx(w)
 
 
+class TestCapturedMass:
+    @pytest.mark.parametrize("window", [
+        ((-4.0, 4.0), (-4.0, 4.0)),
+        ((-20.0, 20.0), (-20.0, 20.0)),
+        ((-1.0, 3.0), (-2.0, 5.0)),
+        ((0.5, 1.0), (0.2, 7.0)),
+    ])
+    def test_planar_mass_matches_quadrature(self, window):
+        (xlo, xhi), (ylo, yhi) = window
+        oracle, _ = integrate.dblquad(
+            lambda y, x: 1.0 / (np.pi * (1.0 + x * x + y * y) ** 2),
+            xlo, xhi, ylo, yhi, epsabs=1e-10,
+        )
+        assert abs(equilibrium.captured_mass(SPHERICAL, window) - oracle) <= 1e-14
+
+    def test_no_closed_form(self):
+        assert equilibrium.captured_mass(QUADRATIC, (-4.0, 4.0)) is None
+
+
 class TestGridMinimize:
     def test_cauchy_small(self):
         grid = GridSpec((-12.0, 12.0), 128)
