@@ -36,8 +36,8 @@ pool = np.concatenate([s.points.real for s in samples])
 print(f"  recorded {len(samples)} sweeps, pooled {len(pool)} values")
 print(f"  acceptance rate {stats.acceptance_rate:.3f} "
       f"(tuned step scale {stats.final_step_scale:.3f})")
-print(f"  log-density drifted {stats.energy_trace[0]:.1f} -> "
-      f"{stats.energy_trace[-1]:.1f} across the recorded phase")
+print(f"  log-density drifted {stats.log_density_trace[0]:.1f} -> "
+      f"{stats.log_density_trace[-1]:.1f} across the recorded phase")
 fit = ks_distance(pool, cauchy_law().cdf, reference="cauchy")
 print(f"  KS distance to the Cauchy law: {fit.statistic:.4f}")
 

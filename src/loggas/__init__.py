@@ -38,7 +38,6 @@ from .analysis import (
 from .energy import (
     DiagonalPolicy,
     align_measures,
-    config_energy,
     log_density,
     log_density_sphere,
     measure_energy,

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, MismatchedSupports
+from .errors import MismatchedSupports
 from .geometry import chordal_distance, compactified_potential, project_array
 from .model import Configuration, DiscreteMeasure, GasModel, _atom_groups
 
@@ -121,21 +121,6 @@ def measure_energy(
         v = compactified_potential(model).on_sphere_array(mu.positions)
     value = _weighted_energy(mu.weights, mu.positions, model.beta, v, policy, spacing)
     return math.inf if value is None else value
-
-
-def config_energy(config: Configuration, model: GasModel) -> float:
-    """(1/n^2) sum_{i != j} F(x_i, x_j); errors on coincident points."""
-    pts = config.points
-    n = len(pts)
-    if n < 2:
-        return 0.0
-    value = _weighted_energy(
-        np.ones(n), pts, model.beta, model.potential_values(pts),
-        DiagonalPolicy.OFF_DIAGONAL_ONLY, None,
-    )
-    if value is None:
-        raise CoincidentPoints("configuration contains coincident points")
-    return value / n**2
 
 
 def log_density(config: Configuration, model: GasModel) -> float:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from loggas import (
-    CoincidentPoints,
     Configuration,
     DiagonalPolicy,
     DiscreteMeasure,
@@ -14,7 +13,6 @@ from loggas import (
     align_measures,
     cauchy_potential,
     compactified_potential,
-    config_energy,
     empirical_measure,
     log_density,
     log_density_sphere,
@@ -194,19 +192,6 @@ class TestEnergiesMatchDenseReference:
                 ref = dense_energy(m.weights, m.positions, model.beta, v, policy, h)
                 assert got == ref
 
-    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.potential.name)
-    def test_config_energy(self, model):
-        rng = np.random.default_rng(8)
-        for n in (2, 3, 40):
-            pts = rng.standard_normal(n).astype(complex)
-            if not model.support.is_real:
-                pts = pts + 1j * rng.standard_normal(n)
-            ref = dense_energy(
-                np.ones(n), pts, model.beta, model.potential_values(pts),
-                DiagonalPolicy.OFF_DIAGONAL_ONLY,
-            )
-            assert config_energy(Configuration(pts), model) == ref / n**2
-
     @pytest.mark.parametrize("m", [1, 2, 17, 64])
     def test_signed_log_energy(self, m):
         rng = np.random.default_rng(m)
@@ -228,38 +213,6 @@ class TestEnergiesMatchDenseReference:
         one = DiscreteMeasure(np.array([0.5j]), np.array([1.0]))
         with pytest.raises(ValueError, match="two atoms"):
             measure_energy(one, CAUCHY, policy=REG)
-
-
-class TestConfigEnergy:
-    def test_examples(self):
-        assert config_energy(
-            Configuration(np.array([-1.0, 1.0], dtype=complex)), CAUCHY
-        ) == pytest.approx(0.0, abs=1e-15)
-        assert config_energy(
-            Configuration(np.array([0.0, 1.0], dtype=complex)), CAUCHY
-        ) == pytest.approx(0.25 * 2 * (math.log(2) / 2))
-        with pytest.raises(CoincidentPoints):
-            config_energy(Configuration(np.array([0.5, 0.5], dtype=complex)), CAUCHY)
-
-    def test_matches_empirical_measure_energy(self):
-        rng = np.random.default_rng(4)
-        pts = rng.standard_normal(7)
-        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 7)
-        config = Configuration(pts.astype(complex))
-        assert config_energy(config, model) == pytest.approx(
-            measure_energy(empirical_measure(config), model), abs=1e-14
-        )
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(5)
-        pts = rng.standard_normal(9).astype(complex)
-        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 9)
-        base = config_energy(Configuration(pts), model)
-        for _ in range(5):
-            perm = rng.permutation(9)
-            assert config_energy(Configuration(pts[perm]), model) == pytest.approx(
-                base, abs=1e-12
-            )
 
 
 class TestIdentitySuiteSeeds:

@@ -24,7 +24,8 @@ from loggas import (
     sample_spherical_ensemble,
     spherical_potential,
 )
-from loggas.sampler import _log_separation_change
+from loggas import sampler
+from loggas.sampler import TRACE_RECOMPUTE_EVERY, _log_separation_change
 
 CAUCHY2 = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
 
@@ -202,12 +203,6 @@ class TestMhChain:
         for got, want in zip(samples, reference):
             assert np.array_equal(got.points, want)
 
-    def test_energy_trace_recorded(self):
-        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 4)
-        samples, stats = small_chain(model, sweeps=30, burn_in=10)
-        assert len(stats.energy_trace) == len(samples)
-        assert all(np.isfinite(stats.energy_trace))
-
 
 ALL_SUPPORTS = [
     GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 8),
@@ -223,7 +218,8 @@ def assert_same_chain(got, want):
     assert len(got_samples) == len(want_samples)
     for a, b in zip(got_samples, want_samples):
         assert np.array_equal(a.points, b.points)
-    assert got_stats.energy_trace == want_stats.energy_trace
+    assert got_stats.log_density_trace == want_stats.log_density_trace
+    assert got_stats.trace_drift == want_stats.trace_drift
     assert got_stats.acceptance_rate == want_stats.acceptance_rate
     assert got_stats.final_step_scale == want_stats.final_step_scale
 
@@ -239,6 +235,28 @@ class TestMhChains:
         assert len(batch) == 8
         for j in range(8):
             assert_same_chain(batch[j], mh_chains(model, [inits[j]], [params[j]])[0])
+
+    @pytest.mark.parametrize("model", ALL_SUPPORTS, ids=lambda m: m.support.value)
+    def test_log_density_trace(self, model, monkeypatch):
+        # 230 recorded sweeps thinned by 2 give 115 samples: exact resets at
+        # k = 0 and k = 100, running sums in between.
+        calls = []
+
+        def counted(config, m):
+            calls.append(1)
+            return log_density(config, m)
+
+        monkeypatch.setattr(sampler, "log_density", counted)
+        samples, stats = small_chain(model, seed=4, sweeps=260, burn_in=30, thin=2)
+        assert len(samples) == len(stats.log_density_trace) == 115
+        resets = range(0, len(samples), TRACE_RECOMPUTE_EVERY)
+        assert len(calls) == 1 + len(resets)
+        for k, (config, value) in enumerate(zip(samples, stats.log_density_trace)):
+            exact = log_density(config, model)
+            assert abs(value - exact) <= 1e-9 * abs(exact)
+            if k in resets:
+                assert value == exact
+        assert 0.0 <= stats.trace_drift <= 1e-9
 
     def test_equals_a_loop_of_mh_chain(self):
         model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 10)
