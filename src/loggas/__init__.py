@@ -9,8 +9,9 @@ temperature beta and external potential V:
 * energy       discrete energies, Gibbs log-densities
 * equilibrium  grid minimization, mode descent, optimality residuals
 * sampler      Metropolis chains and exact beta = 2 matrix-model samplers
-* analysis     closed-form limiting laws, goodness-of-fit distances and
-               rate-function gaps
+* analysis     closed-form limiting laws (any V = log(1+|x|^2) at
+               beta = 2 on the line or the plane, whatever its name),
+               goodness-of-fit distances and rate-function gaps
 * cli          reproducible runs: sample | equilibrium | verify | analyze
 
 Importing the package loads NumPy alone.  The solver's names (``GridSpec``,
@@ -31,7 +32,6 @@ from .analysis import (
     ks_distance,
     radial_cdf_distance,
     rate_gap,
-    reference_energy,
     sphere_uniform_law,
     spherical_law,
 )

@@ -1,19 +1,20 @@
 """Closed-form limit laws, goodness-of-fit distances and rate-function gaps.
 
-For the two beta = 2 reference models the limiting measure is known in
-closed form (a Cauchy law on the line, a heavy-tailed radial law on the
-plane; their sphere-side push-forwards are the uniform measures on the
-meridian circle and on the whole sphere), and so is its energy.  Weak
-convergence of the empirical measures is checked with the
-Kolmogorov-Smirnov statistic against those CDFs (radial and angular
-reductions on the plane, exploiting rotational invariance).
+Any V = log(1+|x|^2) at beta = 2 on the line or the plane, whatever its
+name, has a limiting measure known in closed form, with its energy: a
+Cauchy law on the line, a heavy-tailed radial law on the plane, whose
+sphere-side push-forwards are the uniform measures on the meridian
+circle and on the whole sphere.  Weak convergence of the empirical
+measures is checked with the Kolmogorov-Smirnov statistic against those
+CDFs (radial and angular reductions on the plane, exploiting rotational
+invariance).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,26 +25,51 @@ from .model import DiscreteMeasure, GasModel, Support
 
 @dataclass(frozen=True)
 class ClosedFormLaw:
-    """A limiting law with a density and a one-dimensional CDF reduction.
+    """A limiting law: density, one-dimensional CDF reduction, energy and box masses.
 
     ``variable`` names the reduction the CDF applies to: "x" for a real
     coordinate, "r" for the modulus, "angle" for the position angle on
     the meridian circle, "height" for the third sphere coordinate.
+    ``energy`` is the minimal energy of the models the law is the limit
+    of.  The mixed finite difference of ``corner`` over the corners of a
+    box is the box's mass: on one axis it is the CDF, on the plane the
+    quadrant mass G(a, b) = mu([0, a] x [0, b]).
     """
 
     name: str
     density: Callable
     cdf: Callable
     variable: str
+    energy: float
+    corner: Callable
+
+    def box_masses(self, edges: Sequence) -> np.ndarray:
+        """Mass of each box of the grid cut at ``edges``, one array per axis.
+
+        On the plane the result is indexed [y, x], like ``GridSpec.atoms``.
+        """
+        masses = self.corner(*np.meshgrid(*(np.asarray(e, dtype=float) for e in edges)))
+        for axis in range(masses.ndim):
+            masses = np.diff(masses, axis=axis)
+        return masses
 
 
 def cauchy_law() -> ClosedFormLaw:
+    cdf = lambda x: 0.5 + np.arctan(x) / np.pi
     return ClosedFormLaw(
         name="cauchy",
         density=lambda x: 1.0 / (np.pi * (1.0 + np.square(x))),
-        cdf=lambda x: 0.5 + np.arctan(x) / np.pi,
+        cdf=cdf,
         variable="x",
+        energy=math.log(2.0),
+        corner=cdf,
     )
+
+
+def _spherical_quadrant_mass(a, b):
+    """The spherical law's mass on [0, a] x [0, b], in closed form; odd in a and in b."""
+    sa, sb = np.sqrt(1.0 + a * a), np.sqrt(1.0 + b * b)
+    return (a / sa * np.arctan(b / sa) + b / sb * np.arctan(a / sb)) / (2.0 * np.pi)
 
 
 def spherical_law() -> ClosedFormLaw:
@@ -53,55 +79,53 @@ def spherical_law() -> ClosedFormLaw:
         density=lambda z: 1.0 / (np.pi * np.square(1.0 + np.abs(z) ** 2)),
         cdf=lambda r: np.square(r) / (1.0 + np.square(r)),
         variable="r",
+        energy=0.5,
+        corner=_spherical_quadrant_mass,
     )
 
 
 def circle_uniform_law() -> ClosedFormLaw:
     """Uniform measure on the meridian circle, parameterized by angle in [0, 2pi)."""
+    cdf = lambda a: np.asarray(a, dtype=float) / (2.0 * np.pi)
     return ClosedFormLaw(
         name="circle_uniform",
         density=lambda a: np.full_like(np.asarray(a, dtype=float), 1.0 / (2.0 * np.pi)),
-        cdf=lambda a: np.asarray(a, dtype=float) / (2.0 * np.pi),
+        cdf=cdf,
         variable="angle",
+        energy=math.log(2.0),
+        corner=cdf,
     )
 
 
 def sphere_uniform_law() -> ClosedFormLaw:
     """Uniform measure on the sphere; the height coordinate is uniform on [0, 1]."""
+    cdf = lambda t: np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
     return ClosedFormLaw(
         name="sphere_uniform",
         density=lambda z: np.full_like(np.asarray(z, dtype=float), 1.0 / np.pi),
-        cdf=lambda t: np.clip(np.asarray(t, dtype=float), 0.0, 1.0),
+        cdf=cdf,
         variable="height",
+        energy=0.5,
+        corner=cdf,
     )
 
 
-def _is_beta_two(model: GasModel) -> bool:
-    return abs(model.beta - 2.0) <= 1e-12
-
-
 def closed_form(model: GasModel, side: str = "plane") -> ClosedFormLaw:
-    """The known limiting law of a built-in model, or NoClosedForm."""
-    name = model.potential.name
-    if name == "cauchy" and model.support is Support.REAL_LINE and _is_beta_two(model):
-        return cauchy_law() if side == "plane" else circle_uniform_law()
-    if name == "spherical" and model.support is Support.COMPLEX_PLANE and _is_beta_two(model):
-        return spherical_law() if side == "plane" else sphere_uniform_law()
-    raise NoClosedForm(f"no closed-form limit for ({name}, beta={model.beta})")
+    """The limiting law of ``model`` on ``side`` ("plane" or "sphere"), or NoClosedForm.
 
-
-# Converged reference energies of the two closed-form models: the log
-# energy of the uniform measure on a circle of radius 1/2 and on the
-# sphere of radius 1/2.
-REFERENCE_ENERGIES = {"cauchy": math.log(2.0), "spherical": 0.5}
-
-
-def reference_energy(model: GasModel) -> float | None:
-    try:
-        law = closed_form(model)
-    except NoClosedForm:
-        return None
-    return REFERENCE_ENERGIES[law.name]
+    The law is known for any V = log(1+|x|^2) (log_coeff 1, no nonzero
+    poly coefficient) at beta = 2 on the line or the plane, whatever the
+    potential's name.
+    """
+    if side not in ("plane", "sphere"):
+        raise ValueError(f"side: must be 'plane' or 'sphere', got {side!r}")
+    v = model.potential
+    if v.log_coeff == 1.0 and not any(v.poly) and abs(model.beta - 2.0) <= 1e-12:
+        if model.support is Support.REAL_LINE:
+            return cauchy_law() if side == "plane" else circle_uniform_law()
+        if model.support is Support.COMPLEX_PLANE:
+            return spherical_law() if side == "plane" else sphere_uniform_law()
+    raise NoClosedForm(f"no closed-form limit on {model.support.value} at beta={model.beta}")
 
 
 @dataclass(frozen=True)
@@ -148,15 +172,17 @@ def rate_gap(
 ) -> float:
     """Energy of mu above the minimal energy of the model.
 
-    The reference is the closed-form minimal energy for the two built-in
-    beta = 2 models, or a caller-supplied value (e.g. from a converged
-    grid minimizer).  The off-diagonal surrogate can make the gap
-    slightly negative for atomic measures.
+    The reference is the closed-form law's energy for any
+    V = log(1+|x|^2) at beta = 2 on the line or the plane, whatever its
+    name, or a caller-supplied value (e.g. from a converged grid
+    minimizer).  The off-diagonal surrogate can make the gap slightly
+    negative for atomic measures.
     """
     if reference is None:
-        reference = reference_energy(model)
-        if reference is None:
+        try:
+            reference = closed_form(model).energy
+        except NoClosedForm:
             raise NoReference(
                 "model has no closed-form reference energy; pass one explicitly"
-            )
+            ) from None
     return float(measure_energy(mu, model) - reference)

@@ -1,11 +1,12 @@
 """Limiting measures: grid minimization and optimality checks.
 
 A convex discrete energy is minimized over probability weights on a
-grid.  The closed-form laws of the two beta = 2 reference models live in
-``analysis``; here they give the mass a window captures and serve as
-candidates for the effective-potential residual.  No other loggas module
-loads ``scipy.fft``, which this one imports at load time; ``scipy.integrate``
-loads at the first quadrature.
+grid.  ``analysis`` knows the closed-form law of any V = log(1+|x|^2)
+at beta = 2 on the line or the plane, whatever its name; here its box
+masses give the mass a window captures and the exact mass of each grid
+cell, and such laws serve as candidates for the effective-potential
+residual.  No other loggas module loads ``scipy.fft``, which this one
+imports at load time; ``scipy.integrate`` loads at the first quadrature.
 
 The discrete objective is E(w) = w^T Q w with Q the pair kernel matrix,
 off-diagonal entries the weighted log kernel and diagonal entries the
@@ -69,18 +70,12 @@ class GridSpec:
     def atoms(self) -> tuple[np.ndarray, float]:
         """Cell-center positions (complex array) and the cell spacing."""
         m = self.resolution
+        h = [(hi - lo) / m for lo, hi in self.axes]
+        centers = [lo + (np.arange(m) + 0.5) * hk for (lo, _), hk in zip(self.axes, h)]
         if not self.is_planar:
-            lo, hi = self.window
-            h = (hi - lo) / m
-            xs = lo + (np.arange(m) + 0.5) * h
-            return xs.astype(complex), h
-        (xlo, xhi), (ylo, yhi) = self.window
-        hx = (xhi - xlo) / m
-        hy = (yhi - ylo) / m
-        xs = xlo + (np.arange(m) + 0.5) * hx
-        ys = ylo + (np.arange(m) + 0.5) * hy
-        grid = xs[None, :] + 1j * ys[:, None]
-        return grid.ravel(), hx
+            return centers[0].astype(complex), h[0]
+        xs, ys = centers
+        return (xs[None, :] + 1j * ys[:, None]).ravel(), h[0]
 
 
 def check_solvable(model: GasModel, grid: GridSpec) -> None:
@@ -178,33 +173,17 @@ class GridMinimizeReport:
         return asdict(self)
 
 
-def _spherical_quadrant_mass(a: float, b: float) -> float:
-    """pi times the spherical law's mass on [0, a] x [0, b]; odd in a and in b.
-
-    The integral of 1/(1 + x^2 + y^2)^2 over the rectangle, in closed form.
-    """
-    sa, sb = math.sqrt(1.0 + a * a), math.sqrt(1.0 + b * b)
-    return 0.5 * (a / sa * math.atan(b / sa) + b / sb * math.atan(a / sb))
-
-
 def captured_mass(model: GasModel, window: tuple) -> float | None:
-    """Closed-form mass inside a grid window, when a closed form exists.
+    """Closed-form mass inside a grid window, None without a closed form.
 
-    ``window`` is (lo, hi) on the line, where the mass is a CDF difference,
-    or ((xlo, xhi), (ylo, yhi)) on the plane, where it is the
-    inclusion-exclusion sum of the exact quadrant masses at its corners.
+    ``window`` is (lo, hi) on the line or ((xlo, xhi), (ylo, yhi)) on the
+    plane: the one box whose mass ``ClosedFormLaw.box_masses`` gives.
     """
     try:
         law = closed_form(model)
     except NoClosedForm:
         return None
-    if law.variable == "x":
-        lo, hi = window
-        return float(law.cdf(hi) - law.cdf(lo))
-    (xlo, xhi), (ylo, yhi) = window
-    g = _spherical_quadrant_mass
-    corners = [g(xhi, yhi), -g(xlo, yhi), -g(xhi, ylo), g(xlo, ylo)]
-    return math.fsum(corners) / math.pi
+    return law.box_masses(np.reshape(window, (-1, 2))).item()
 
 
 def grid_minimize(
@@ -284,28 +263,14 @@ def grid_minimize(
 
 
 def closed_form_cell_masses(model: GasModel, grid: GridSpec) -> np.ndarray:
-    """Window-renormalized closed-form mass of each grid cell.
+    """Window-renormalized closed-form mass of each grid cell, in atom order.
 
-    Used to compare solver weights against the known law: exact CDF
-    differences on the line, tensor Gauss-Legendre cell integrals on the
-    plane (midpoint would be visibly biased at coarse spacings).
+    Used to compare solver weights against the known law of any
+    V = log(1+|x|^2) at beta = 2 on the line or the plane: the cells are
+    the boxes of ``ClosedFormLaw.box_masses``, so each mass is exact.
     """
-    law = closed_form(model)
-    atoms, h = grid.atoms()
-    if law.variable == "x":
-        edges = np.concatenate([atoms.real - h / 2.0, [atoms.real[-1] + h / 2.0]])
-        masses = np.diff(law.cdf(edges))
-    else:
-        nodes, wts = np.polynomial.legendre.leggauss(8)
-        dx = nodes[None, :] * (h / 2.0)
-        wx = wts * (h / 2.0)
-        pts = (
-            atoms[:, None, None]
-            + dx[..., None, :].reshape(1, 8, 1)
-            + 1j * dx.reshape(1, 1, 8)
-        )
-        vals = law.density(pts)
-        masses = np.einsum("i,j,nij->n", wx, wx, vals)
+    edges = [np.linspace(lo, hi, grid.resolution + 1) for lo, hi in grid.axes]
+    masses = closed_form(model).box_masses(edges).ravel()
     return masses / math.fsum(masses.tolist())
 
 

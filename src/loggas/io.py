@@ -84,7 +84,8 @@ def read_samples_csv(path) -> dict:
 
     Raises ValueError naming the file when it is empty, has another header
     or has no data rows, and naming the file and the line (numbered as in
-    the file) for a row that is not five parseable fields.
+    the file) for a row that is not five parseable fields or holds a
+    non-finite value.
     """
     first, text = _read_lines(path)
     if text[0] != "chain,sweep,particle,re,im":
@@ -101,11 +102,15 @@ def read_samples_csv(path) -> dict:
             values.append(complex(float(re), float(im)))
         except ValueError as e:
             raise ValueError(f"{path}, line {lineno}: {e}") from e
+    values = np.array(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{path}, line {first + 1 + bad[0]}: non-finite value {values[bad[0]]}")
     return {
         "chain": np.array(chains),
         "sweep": np.array(sweeps),
         "particle": np.array(particles),
-        "values": np.array(values),
+        "values": values,
     }
 
 

@@ -274,6 +274,31 @@ class TestRun:
         assert "loggas: error: not converged: gap" in err
         assert "> tol 1e-12 after 5 iterations" in err
 
+    @pytest.mark.parametrize("support, window, resolution, potentials, mass", [
+        ("real_line", [-20, 20], 400,
+         [{"name": "mycauchy", "params": {"log_coeff": 1.0}, "beta_prime": 2}, {"name": "cauchy"}],
+         0.9681954974876472),
+        ("complex_plane", [[-4, 4], [-4, 4]], 60,
+         [{"name": "cauchy"}, {"name": "spherical"}],
+         0.9514241225854796),
+    ], ids=["renamed-line", "cauchy-on-plane"])
+    def test_same_structure_same_outputs(self, tmp_path, support, window, resolution,
+                                         potentials, mass):
+        # the closed-form law follows V's structure and the support, not its name
+        outputs = []
+        for k, potential in enumerate(potentials):
+            raw = {
+                "command": "equilibrium",
+                "model": {"support": support, "beta": 2.0, "n": 1, "potential": potential},
+                "grid": {"window": window, "resolution": resolution},
+                "out": str(tmp_path / str(k)),
+            }
+            assert run(parse_config(json.dumps(raw))) == 0
+            outputs.append([(tmp_path / str(k) / f).read_bytes()
+                            for f in ("measure.csv", "report.json")])
+            assert read_json(tmp_path / str(k) / "report.json")["captured_mass"] == mass
+        assert outputs[0] == outputs[1]
+
     def test_verify_exits_zero(self, tmp_path):
         raw = {"command": "verify", "out": str(tmp_path), "seed": 1}
         assert run(parse_config(json.dumps(raw))) == 0
@@ -467,13 +492,13 @@ class TestMain:
         assert not out.exists()
 
     @staticmethod
-    def _analyze(tmp_path, text: str) -> int:
+    def _analyze(tmp_path, text: str, reference: str = "cauchy") -> int:
         """Exit code of ``loggas analyze`` on a samples.csv holding ``text``."""
         source = tmp_path / "samples.csv"
         source.write_text(text)
         cfg = tmp_path / "analyze.json"
         cfg.write_text(json.dumps(
-            {"command": "analyze", "analyze": {"input": str(source), "reference": "cauchy"}}
+            {"command": "analyze", "analyze": {"input": str(source), "reference": reference}}
         ))
         return main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
@@ -490,6 +515,14 @@ class TestMain:
     def test_bad_analyze_input_names_file_and_line(self, tmp_path, capsys, text, named):
         assert self._analyze(tmp_path, text) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reference", ["cauchy", "spherical"])
+    @pytest.mark.parametrize("bad", ["nan,0.0", "0.5,-inf"])
+    def test_non_finite_analyze_input_exits_two(self, tmp_path, capsys, reference, bad):
+        text = f"chain,sweep,particle,re,im\n0,0,0,1.5,0.0\n0,0,1,{bad}\n0,0,2,0.5,0.0\n"
+        assert self._analyze(tmp_path, text, reference) == 2
+        assert "samples.csv, line 3: non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "fit.json").exists()
 
     def test_missing_config_file(self, capsys):
         assert main(["sample", "--config", "/nonexistent/x.json"]) == 2

@@ -25,7 +25,6 @@ from loggas import (
     grid_minimize,
     measure_energy,
     quadratic_potential,
-    reference_energy,
     sphere_uniform_law,
     spherical_law,
     spherical_potential,
@@ -90,15 +89,29 @@ class TestClosedForm:
         assert mass == pytest.approx(0.5, abs=1e-10)
         assert law.cdf(1.0) == pytest.approx(0.5)
 
+    def test_matched_by_structure(self):
+        # the law follows V's structure and the support, not the potential's name
+        renamed = PotentialSpec("mine", log_coeff=1.0, poly=(0.0,), beta_prime=2.0)
+        for support, name in [(Support.REAL_LINE, "cauchy"), (Support.COMPLEX_PLANE, "spherical")]:
+            for potential in (cauchy_potential(), spherical_potential(), renamed):
+                assert closed_form(GasModel(support, 2.0, potential, 1)).name == name
+
     def test_no_closed_form(self):
         with pytest.raises(NoClosedForm):
             closed_form(QUADRATIC)
         with pytest.raises(NoClosedForm):
             closed_form(GasModel(Support.REAL_LINE, 1.5, cauchy_potential(), 1))
+        tilted_log = PotentialSpec("cauchy", (0.0, 0.1), "x", log_coeff=1.0, beta_prime=2.0)
+        with pytest.raises(NoClosedForm):
+            closed_form(GasModel(Support.REAL_LINE, 2.0, tilted_log, 1))
+        with pytest.raises(NoClosedForm):
+            closed_form(GasModel(Support.HALF_LINE, 2.0, cauchy_potential(), 1))
 
     def test_sphere_side_laws(self):
         assert closed_form(CAUCHY, side="sphere").name == "circle_uniform"
         assert closed_form(SPHERICAL, side="sphere").name == "sphere_uniform"
+        with pytest.raises(ValueError, match="side"):
+            closed_form(CAUCHY, side="bogus")
 
     def test_densities_normalized(self):
         val, _ = integrate.quad(cauchy_law().density, -np.inf, np.inf)
@@ -120,15 +133,16 @@ class TestClosedForm:
             0, 2 * np.pi,
         )
         assert -mean_log == pytest.approx(math.log(2), abs=1e-9)
-        assert reference_energy(CAUCHY) == pytest.approx(math.log(2))
+        assert closed_form(CAUCHY).energy == closed_form(CAUCHY, side="sphere").energy
+        assert closed_form(CAUCHY).energy == pytest.approx(math.log(2))
         # uniform sphere of radius R: mean of log distance under the
         # polar-angle density sin(t)/2 gives energy 1/2 at R = 1/2
         mean_log, _ = integrate.quad(
             lambda t: np.log(2 * 0.5 * np.sin(t / 2)) * np.sin(t) / 2, 0, np.pi
         )
         assert -mean_log == pytest.approx(0.5, abs=1e-9)
-        assert reference_energy(SPHERICAL) == pytest.approx(0.5)
-        assert reference_energy(QUADRATIC) is None
+        assert closed_form(SPHERICAL).energy == closed_form(SPHERICAL, side="sphere").energy
+        assert closed_form(SPHERICAL).energy == pytest.approx(0.5)
 
 
 class TestGridSpec:
@@ -171,20 +185,51 @@ class TestProjectToSimplex:
         assert project_to_simplex(w) == pytest.approx(w)
 
 
+def spherical_mass_by_quadrature(box) -> float:
+    (xlo, xhi), (ylo, yhi) = box
+    mass, _ = integrate.dblquad(
+        lambda y, x: 1.0 / (np.pi * (1.0 + x * x + y * y) ** 2),
+        xlo, xhi, ylo, yhi, epsabs=1e-10,
+    )
+    return mass
+
+
 class TestCapturedMass:
-    @pytest.mark.parametrize("window", [
+    WINDOWS = [
         ((-4.0, 4.0), (-4.0, 4.0)),
         ((-20.0, 20.0), (-20.0, 20.0)),
         ((-1.0, 3.0), (-2.0, 5.0)),
         ((0.5, 1.0), (0.2, 7.0)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("window", WINDOWS)
     def test_planar_mass_matches_quadrature(self, window):
-        (xlo, xhi), (ylo, yhi) = window
-        oracle, _ = integrate.dblquad(
-            lambda y, x: 1.0 / (np.pi * (1.0 + x * x + y * y) ** 2),
-            xlo, xhi, ylo, yhi, epsabs=1e-10,
-        )
+        oracle = spherical_mass_by_quadrature(window)
         assert abs(equilibrium.captured_mass(SPHERICAL, window) - oracle) <= 1e-14
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_planar_cells_share_the_window_path(self, window):
+        # the cells of a grid on the window are boxes of the same
+        # corner-difference path as the window itself
+        m = 16
+        edges = [np.linspace(lo, hi, m + 1) for lo, hi in window]
+        cells = closed_form(SPHERICAL).box_masses(edges)
+        assert cells.shape == (m, m)
+        window_mass = equilibrium.captured_mass(SPHERICAL, window)
+        assert abs(cells.sum() - window_mass) <= 1e-14
+        for iy, ix in [(0, 0), (0, m - 1), (m // 2, m // 2 - 1), (m - 1, 3)]:
+            box = ((edges[0][ix], edges[0][ix + 1]), (edges[1][iy], edges[1][iy + 1]))
+            oracle = spherical_mass_by_quadrature(box) / spherical_mass_by_quadrature(window)
+            assert abs(cells[iy, ix] / cells.sum() - oracle) <= 1e-13
+
+    def test_planar_cell_masses_in_atom_order(self):
+        # off-center in x only, so a transposed mass array would not match
+        grid = GridSpec(((-1.0, 5.0), (-3.0, 3.0)), 16)
+        masses = closed_form_cell_masses(SPHERICAL, grid)
+        atoms, _ = grid.atoms()
+        assert masses.sum() == pytest.approx(1.0, abs=1e-14)
+        midpoint = spherical_law().density(atoms)
+        assert np.max(np.abs(masses / (midpoint / midpoint.sum()) - 1.0)) <= 0.05
 
     def test_no_closed_form(self):
         assert equilibrium.captured_mass(QUADRATIC, (-4.0, 4.0)) is None
@@ -449,8 +494,12 @@ class TestElResidual:
     def test_gaussian_radial_oracle(self):
         # e^{-|z|^2}/pi has log potential log|x| + E1(|x|^2)/2, -gamma/2 at 0;
         # with V = 0 the residual is -beta times it
-        gauss = ClosedFormLaw("gauss", lambda z: np.exp(-np.abs(z) ** 2) / np.pi,
-                              lambda r: -np.expm1(-np.square(r)), "r")
+        gauss = ClosedFormLaw(
+            "gauss", lambda z: np.exp(-np.abs(z) ** 2) / np.pi,
+            lambda r: -np.expm1(-np.square(r)), "r",
+            energy=(np.euler_gamma - math.log(2.0)) / 2.0,
+            corner=lambda a, b: special.erf(a) * special.erf(b) / 4.0,
+        )
         flat = GasModel(Support.COMPLEX_PLANE, 2.0, PotentialSpec("zero"), 1)
         probes = np.array([0.0, 0.3, 1.0, 3.0, 10.0])
         exact = np.array([-np.euler_gamma / 2] + [
