@@ -30,8 +30,8 @@ from loggas.io import write_measure_csv
 
 print("=== line gas with V = log(1+x^2), beta = 2 ===")
 model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
-grid = GridSpec((-20.0, 20.0), 400)
-measure, report = grid_minimize(model, grid, tol=1e-4, max_iter=100000)
+grid = GridSpec((-20.0, 20.0), 400, tol=1e-4, max_iter=100000)
+measure, report = grid_minimize(model, grid)
 ref = closed_form_cell_masses(model, grid)
 print(f"  converged={report.converged} after {report.iterations} iterations, "
       f"duality gap {report.gap:.2e}")
@@ -47,8 +47,8 @@ print("  weights written to cauchy_equilibrium.csv")
 print()
 print("=== plane gas with V = log(1+|x|^2), beta = 2 ===")
 model_c = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
-grid_c = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 20)
-measure_c, report_c = grid_minimize(model_c, grid_c, tol=1e-4, max_iter=100000)
+grid_c = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 20, tol=1e-4, max_iter=100000)
+measure_c, report_c = grid_minimize(model_c, grid_c)
 print(f"  converged={report_c.converged}, gap {report_c.gap:.2e}")
 print(f"  discrete energy  {report_c.energy:.6f}")
 print("  reference energy 0.500000  (log-energy of the uniform sphere)")

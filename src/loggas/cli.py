@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,12 +41,11 @@ from .errors import InadmissibleModel, LogGasError, ParseError, ValidationError
 from .io import read_samples_csv, write_json, write_measure_csv, write_samples_csv
 from .model import (
     BUILTIN_POTENTIALS,
-    Configuration,
     GasModel,
     PotentialSpec,
     Support,
 )
-from .sampler import ChainParams, chain_seed, mh_chains
+from .sampler import ChainParams, chain_seed, initial_configuration, mh_chains
 from .verify import run_identity_suites
 
 if TYPE_CHECKING:
@@ -155,18 +154,17 @@ def _parse_chain(section, path="chain") -> tuple[ChainParams, dict]:
         section, path, {"sweeps", "burn_in", "step_scale", "adapt", "thin", "chains"}
     )
     sweeps = _number(section.get("sweeps"), f"{path}.sweeps", integer=True)
-    burn_in = _number(
-        section.get("burn_in", min(1000, sweeps // 2)), f"{path}.burn_in", integer=True
-    )
-    step_scale = _number(section.get("step_scale", 1.0), f"{path}.step_scale")
-    thin = _number(section.get("thin", 1), f"{path}.thin", integer=True)
+    given = {"sweeps": sweeps, "burn_in": min(1000, sweeps // 2)}
+    for key, integer in (("burn_in", True), ("step_scale", False), ("thin", True)):
+        if key in section:
+            given[key] = _number(section[key], f"{path}.{key}", integer=integer)
     chains = _number(section.get("chains", 1), f"{path}.chains", integer=True)
     _require(chains >= 1, f"{path}.chains", "integer >= 1")
-    adapt = section.get("adapt", True)
-    _require(isinstance(adapt, bool), f"{path}.adapt", "must be boolean")
-    settings = {"sweeps": sweeps, "burn_in": burn_in, "step_scale": step_scale,
-                "adapt": adapt, "thin": thin, "chains": chains}
-    return ChainParams(sweeps, burn_in, step_scale, adapt, thin=thin), settings
+    if "adapt" in section:
+        _require(isinstance(section["adapt"], bool), f"{path}.adapt", "must be boolean")
+        given["adapt"] = section["adapt"]
+    params = ChainParams(**given)
+    return params, {**asdict(params), "chains": chains}
 
 
 def _parse_grid(section, path="grid") -> tuple[GridSpec, dict]:
@@ -180,18 +178,15 @@ def _parse_grid(section, path="grid") -> tuple[GridSpec, dict]:
     if isinstance(window[0], list):
         _require(all(isinstance(w, list) and len(w) == 2 for w in window),
                  f"{path}.window", "needs two [lo, hi] pairs")
-        window = [[_number(x, f"{path}.window") for x in w] for w in window]
-        spec_window = tuple(tuple(w) for w in window)
+        window = tuple(tuple(_number(x, f"{path}.window") for x in w) for w in window)
     else:
-        window = [_number(x, f"{path}.window") for x in window]
-        spec_window = tuple(window)
-    resolution = _number(section.get("resolution"), f"{path}.resolution", integer=True)
-    tol = _number(section.get("tol", 1e-4), f"{path}.tol")
-    _require(tol > 0, f"{path}.tol", "must be positive")
-    max_iter = _number(section.get("max_iter", 20000), f"{path}.max_iter", integer=True)
-    _require(max_iter >= 1, f"{path}.max_iter", "integer >= 1")
-    settings = {"window": window, "resolution": resolution, "tol": tol, "max_iter": max_iter}
-    return GridSpec(spec_window, resolution), settings
+        window = tuple(_number(x, f"{path}.window") for x in window)
+    given = {"resolution": _number(section.get("resolution"), f"{path}.resolution", integer=True)}
+    for key, integer in (("tol", False), ("max_iter", True)):
+        if key in section:
+            given[key] = _number(section[key], f"{path}.{key}", integer=integer)
+    grid = GridSpec(window, **given)
+    return grid, json.loads(json.dumps(asdict(grid)))  # the window's tuples as JSON lists
 
 
 def _parse_analyze(section, path="analyze") -> dict:
@@ -253,24 +248,6 @@ def parse_config(
     return RunConfig(settings, **built)
 
 
-def _initial_configuration(model: GasModel, rng: np.random.Generator) -> Configuration:
-    n = model.n
-    for _ in range(100):
-        if model.support is Support.COMPLEX_PLANE:
-            pts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        elif model.support is Support.UNIT_CIRCLE:
-            pts = np.exp(2j * np.pi * rng.random(n))
-        elif model.support is Support.UNIT_SEGMENT:
-            pts = rng.random(n).astype(complex)
-        elif model.support is Support.HALF_LINE:
-            pts = np.abs(rng.standard_normal(n)).astype(complex)
-        else:
-            pts = rng.standard_normal(n).astype(complex)
-        if len(np.unique(pts)) == n:
-            return Configuration(pts)
-    raise RuntimeError("could not draw a duplicate-free initial configuration")
-
-
 def _write_manifest(config: RunConfig, out_dir: Path) -> None:
     write_json(out_dir / "manifest.json", {
         "config": config.settings,
@@ -281,14 +258,12 @@ def _write_manifest(config: RunConfig, out_dir: Path) -> None:
 
 def _run_sample(config: RunConfig, out_dir: Path) -> int:
     chains = range(config.settings["chain"]["chains"])
-    params = [replace(config.chain, seed=chain_seed(config.seed, j)) for j in chains]
     inits = [
-        _initial_configuration(
-            config.model, np.random.default_rng(np.random.SeedSequence([config.seed, j, 0xA11CE]))
-        )
+        initial_configuration(config.model, np.random.default_rng([config.seed, j, 0xA11CE]))
         for j in chains
     ]
-    results = mh_chains(config.model, inits, params)
+    seeds = [chain_seed(config.seed, j) for j in chains]
+    results = mh_chains(config.model, inits, config.chain, seeds)
     records = [
         (j, config.chain.burn_in + k * config.chain.thin, cfg.points)
         for j, (samples, _) in enumerate(results)
@@ -302,13 +277,12 @@ def _run_sample(config: RunConfig, out_dir: Path) -> int:
 def _run_equilibrium(config: RunConfig, out_dir: Path) -> int:
     from .equilibrium import grid_minimize
 
-    tol, max_iter = config.settings["grid"]["tol"], config.settings["grid"]["max_iter"]
-    measure, report = grid_minimize(config.model, config.grid, tol=tol, max_iter=max_iter)
+    measure, report = grid_minimize(config.model, config.grid)
     write_measure_csv(out_dir / "measure.csv", measure)
     write_json(out_dir / "report.json", report.to_json())
     if not report.converged:
         print(
-            f"loggas: error: not converged: gap {report.gap:.3e} > tol {tol:g} "
+            f"loggas: error: not converged: gap {report.gap:.3e} > tol {config.grid.tol:g} "
             f"after {report.iterations} iterations",
             file=sys.stderr,
         )

@@ -38,18 +38,25 @@ from .model import Configuration, DiscreteMeasure, GasModel, Support, validate_c
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A discretization window and per-axis atom count.
+    """A discretization window, per-axis atom count and solver stopping rule.
 
     ``window`` is (lo, hi) on the line or ((xlo, xhi), (ylo, yhi)) on the
-    plane (square windows only); atoms sit at cell centers.
+    plane (square windows only); atoms sit at cell centers.  A solve stops
+    at a duality gap below ``tol`` or after ``max_iter`` iterations.
     """
 
     window: tuple
     resolution: int
+    tol: float = 1e-4
+    max_iter: int = 20000
 
     def __post_init__(self):
         if self.resolution < 16:
             raise ValueError(f"grid.resolution: must be an integer >= 16, got {self.resolution}")
+        if not self.tol > 0:
+            raise ValueError("grid.tol: must be positive")
+        if self.max_iter < 1:
+            raise ValueError("grid.max_iter: integer >= 1")
         if not all(lo < hi for lo, hi in self.axes):
             raise ValueError("grid.window: needs lo < hi")
         if self.is_planar:
@@ -189,8 +196,6 @@ def captured_mass(model: GasModel, window: tuple) -> float | None:
 def grid_minimize(
     model: GasModel,
     grid: GridSpec,
-    tol: float = 1e-5,
-    max_iter: int = 20000,
     init_weights: np.ndarray | None = None,
     on_iterate=None,
 ) -> tuple[DiscreteMeasure, GridMinimizeReport]:
@@ -199,10 +204,10 @@ def grid_minimize(
     Returns the minimizing measure and a report with the final energy,
     duality gap, iteration count, and the closed-form mass captured by
     the window (None when no closed form exists).  If the gap is still
-    above tol at max_iter the best iterate is returned flagged
-    (converged=False).  ``on_iterate(k, energy, gap)``, when given, is
-    called once per iteration with the monotone objective value and the
-    certificate gap.
+    above ``grid.tol`` after ``grid.max_iter`` iterations the best iterate
+    is returned flagged (converged=False).  ``on_iterate(k, energy, gap)``,
+    when given, is called once per iteration with the monotone objective
+    value and the certificate gap.
     """
     check_solvable(model, grid)
 
@@ -223,7 +228,7 @@ def grid_minimize(
     t = 1.0
     iterations = 0
     converged = False
-    for k in range(1, max_iter + 1):
+    for k in range(1, grid.max_iter + 1):
         iterations = k
         z = project_to_simplex(y - step * 2.0 * q(y))
         qz = q(z)
@@ -246,7 +251,7 @@ def grid_minimize(
             on_iterate(k, energy_w, gap)
         if gap < best_gap:
             best_w, best_gap = w, gap
-        if gap < tol:
+        if gap < grid.tol:
             converged = True
             break
 

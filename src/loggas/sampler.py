@@ -7,12 +7,12 @@ afterward, so the recorded chain is a fixed Markov kernel.  Models that
 are only weakly confining mix a 10% fraction of heavy-tailed proposal
 steps so the polynomial tails of the target get explored.
 
-``mh_chains`` runs C chains of one model together: their state is a
-(C, n) array and move i is one set of array calls across all chains,
-with each chain's acceptance decided by the scalar Metropolis test.
-Each chain draws from its own Generator in a fixed order and adapts its
-own step scale, so chain j's samples do not depend on C; ``mh_chain`` is
-the C = 1 case.
+``mh_chains`` runs C chains of one model on one ``ChainParams`` schedule
+together: their state is a (C, n) array and move i is one set of array
+calls across all chains, with each chain's acceptance decided by the
+scalar Metropolis test.  Each chain draws from its own seeded Generator
+in a fixed order and adapts its own step scale, so chain j's samples do
+not depend on C; ``mh_chain`` is the C = 1 case.
 
 Each chain's log-density trace is a running sum: it starts at the exact
 ``log_density`` of the initial configuration and adds the log ratio of
@@ -55,13 +55,13 @@ TRACE_RECOMPUTE_EVERY = 100
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Sweep counts, proposal scale, adaptation switch, seed, thinning."""
+    """The schedule all chains of a run share: sweep counts, initial proposal
+    scale, adaptation switch (burn-in only), thinning."""
 
     sweeps: int
     burn_in: int
     step_scale: float = 1.0
     adapt: bool = True
-    seed: int = 0
     thin: int = 1
 
     def __post_init__(self):
@@ -156,39 +156,34 @@ def _sweep_randoms(
 
 
 def mh_chains(
-    model: GasModel, inits: Sequence[Configuration], params: Sequence[ChainParams]
+    model: GasModel, inits: Sequence[Configuration], params: ChainParams, seeds: Sequence[int]
 ) -> list[tuple[list[Configuration], ChainStats]]:
     """Run C single-particle Metropolis chains together; one result per chain.
 
-    The chains share the sweep schedule (sweeps, burn_in, thin, adapt) and
-    may differ in seed and step scale.  Their state is one (C, n) array and
-    move i is one set of array calls across all rows, but each chain draws
-    from its own Generator in a fixed order and adapts its own scale, so
-    chain j's samples and stats do not depend on C.
+    Chain j starts at ``inits[j]`` and draws from ``seeds[j]``; all follow
+    the schedule ``params``.  Their state is one (C, n) array and move i
+    is one set of array calls across all rows, but each chain draws from
+    its own Generator in a fixed order and adapts its own scale, so chain
+    j's samples and stats do not depend on C.
     """
-    params = list(params)
-    if not params or len(inits) != len(params):
-        raise ValueError("need one ChainParams per initial configuration, at least one")
-    for name in ("sweeps", "burn_in", "thin", "adapt"):
-        if len({getattr(p, name) for p in params}) > 1:
-            raise ValueError(f"chains must share {name}")
+    if not inits or len(inits) != len(seeds):
+        raise ValueError("need one seed per initial configuration, at least one")
     model.require_weak_growth()
     for init in inits:
         validate_configuration(init, model)
     n = model.n
     support = model.support
-    is_complex = support in (Support.COMPLEX_PLANE, Support.UNIT_CIRCLE)
+    is_complex = not support.is_real
     rotate = support is Support.UNIT_CIRCLE
     heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
 
     x = np.array([init.points for init in inits], dtype=complex)
     if any(len(np.unique(row)) != n for row in x):
         raise ValueError("initial configuration has coincident points")
-    rngs = [np.random.default_rng(p.seed) for p in params]
-    scales = [p.step_scale for p in params]
-    schedule = params[0]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    scales = [params.step_scale] * len(seeds)
     beta = model.beta
-    chains = range(len(params))
+    chains = range(len(seeds))
 
     steps = np.empty(x.shape, dtype=complex)
     u_accept = np.empty(x.shape)
@@ -198,7 +193,7 @@ def mh_chains(
     drifts = [0.0 for _ in chains]
     accepted_recorded = [0 for _ in chains]
 
-    for sweep in range(schedule.sweeps):
+    for sweep in range(params.sweeps):
         for c in chains:
             steps[c], u_accept[c] = _sweep_randoms(rngs[c], n, scales[c], is_complex, heavy_tails)
 
@@ -237,8 +232,8 @@ def mh_chains(
                             acc_sweep[c] += 1
                             running[c] += delta
 
-        if sweep < schedule.burn_in:
-            if schedule.adapt:
+        if sweep < params.burn_in:
+            if params.adapt:
                 gain = (sweep + 1.0) ** -0.6
                 scales = [
                     scale * math.exp(gain * (acc / n - TARGET_ACCEPTANCE))
@@ -247,7 +242,7 @@ def mh_chains(
         else:
             for c in chains:
                 accepted_recorded[c] += acc_sweep[c]
-            if (sweep - schedule.burn_in) % schedule.thin == 0:
+            if (sweep - params.burn_in) % params.thin == 0:
                 for c in chains:
                     config = Configuration(x[c])
                     if len(samples[c]) % TRACE_RECOMPUTE_EVERY == 0:
@@ -258,7 +253,7 @@ def mh_chains(
                     samples[c].append(config)
                     traces[c].append(running[c])
 
-    proposed_recorded = n * (schedule.sweeps - schedule.burn_in)
+    proposed_recorded = n * (params.sweeps - params.burn_in)
     return [
         (
             samples[c],
@@ -269,10 +264,24 @@ def mh_chains(
 
 
 def mh_chain(
-    model: GasModel, init: Configuration, params: ChainParams
+    model: GasModel, init: Configuration, params: ChainParams, seed: int = 0
 ) -> tuple[list[Configuration], ChainStats]:
     """Run one single-particle Metropolis chain; returns thinned samples."""
-    return mh_chains(model, [init], [params])[0]
+    return mh_chains(model, [init], params, [seed])[0]
+
+
+def initial_configuration(model: GasModel, rng: np.random.Generator) -> Configuration:
+    """A chain's starting state: n points drawn on the support from ``rng``."""
+    n, support = model.n, model.support
+    if support is Support.COMPLEX_PLANE:
+        return Configuration(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if support is Support.UNIT_CIRCLE:
+        return Configuration(np.exp(2j * np.pi * rng.random(n)))
+    if support is Support.UNIT_SEGMENT:
+        return Configuration(rng.random(n))
+    if support is Support.HALF_LINE:
+        return Configuration(np.abs(rng.standard_normal(n)))
+    return Configuration(rng.standard_normal(n))
 
 
 def chain_seed(base_seed: int, chain_index: int) -> int:

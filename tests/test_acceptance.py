@@ -59,11 +59,11 @@ def _report(num, description, ok, detail=""):
 def cauchy_chain_pool():
     """(cauchy, beta=2, N=128): 2000 recorded sweeps after 1000 burn-in."""
     model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 128)
-    params = ChainParams(sweeps=3000, burn_in=1000, seed=2024)
+    params = ChainParams(sweeps=3000, burn_in=1000)
     rng = np.random.default_rng(77)
     init = Configuration(rng.standard_normal(128).astype(complex))
     t0 = time.perf_counter()
-    samples, _ = mh_chain(model, init, params)
+    samples, _ = mh_chain(model, init, params, seed=2024)
     elapsed = time.perf_counter() - t0
     pool = np.concatenate([s.points.real for s in samples])
     return pool, elapsed
@@ -98,11 +98,11 @@ def test_criterion_02_cauchy_limit_law(cauchy_chain_pool):
 
 def test_criterion_03_spherical_limit_law():
     model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 128)
-    params = ChainParams(sweeps=3000, burn_in=1000, seed=512)
+    params = ChainParams(sweeps=3000, burn_in=1000)
     rng = np.random.default_rng(99)
     init = Configuration(rng.standard_normal(128) + 1j * rng.standard_normal(128))
     t0 = time.perf_counter()
-    samples, _ = mh_chain(model, init, params)
+    samples, _ = mh_chain(model, init, params, seed=512)
     elapsed = time.perf_counter() - t0
     pool = np.concatenate([s.points for s in samples])
     radial = radial_cdf_distance(pool, spherical_law().cdf).statistic
@@ -124,13 +124,13 @@ def test_criterion_04_pushforward_uniformity(cauchy_chain_pool):
 
 def test_criterion_05_equilibrium_golden_energies():
     cauchy_model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
-    grid_r = GridSpec((-20.0, 20.0), 400)
-    mu_r, rep_r = grid_minimize(cauchy_model, grid_r, tol=1e-4, max_iter=100000)
+    grid_r = GridSpec((-20.0, 20.0), 400, tol=1e-4, max_iter=100000)
+    mu_r, rep_r = grid_minimize(cauchy_model, grid_r)
     l1_r = float(np.sum(np.abs(mu_r.weights - closed_form_cell_masses(cauchy_model, grid_r))))
 
     spherical_model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
-    grid_c = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 20)
-    mu_c, rep_c = grid_minimize(spherical_model, grid_c, tol=1e-4, max_iter=100000)
+    grid_c = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 20, tol=1e-4, max_iter=100000)
+    mu_c, rep_c = grid_minimize(spherical_model, grid_c)
     l1_c = float(np.sum(np.abs(mu_c.weights - closed_form_cell_masses(spherical_model, grid_c))))
 
     ok = (
@@ -194,13 +194,13 @@ def test_criterion_08_convexity_and_uniqueness():
     zero = signed_log_energy(mu_eq, mu_eq, policy=reg)
 
     model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
-    grid = GridSpec((-20.0, 20.0), 400)
     tol = 1e-4
+    grid = GridSpec((-20.0, 20.0), 400, tol=tol, max_iter=100000)
     energies = []
     for _ in range(5):
         w0 = rng.exponential(size=400)
         w0 /= w0.sum()
-        _, rep = grid_minimize(model, grid, tol=tol, max_iter=100000, init_weights=w0)
+        _, rep = grid_minimize(model, grid, init_weights=w0)
         energies.append(rep.energy)
     spread = max(energies) - min(energies)
 
@@ -212,12 +212,11 @@ def test_criterion_08_convexity_and_uniqueness():
 
 def test_criterion_09_convergence_trend():
     law = cauchy_law()
+    params = ChainParams(sweeps=1200, burn_in=400)
     medians = []
     for n in (16, 64, 256):
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), n)
         seeds = range(5)
-        params = [ChainParams(sweeps=1200, burn_in=400, seed=chain_seed(seed, n))
-                  for seed in seeds]
         inits = [
             Configuration(
                 np.random.default_rng(chain_seed(seed, n + 1)).standard_normal(n).astype(complex)
@@ -225,7 +224,8 @@ def test_criterion_09_convergence_trend():
             for seed in seeds
         ]
         stats = []
-        for samples, _ in mh_chains(model, inits, params):
+        chain_seeds = [chain_seed(seed, n) for seed in seeds]
+        for samples, _ in mh_chains(model, inits, params, chain_seeds):
             pool = np.concatenate([s.points.real for s in samples])
             stats.append(ks_distance(pool, law.cdf).statistic)
         medians.append(float(np.median(stats)))

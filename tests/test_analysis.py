@@ -124,8 +124,8 @@ class TestRateGap:
         from loggas import grid_minimize, measure_energy
 
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
-        grid = GridSpec((-10.0, 10.0), 64)
-        mu, rep = grid_minimize(model, grid, tol=1e-5, max_iter=50000)
+        grid = GridSpec((-10.0, 10.0), 64, tol=1e-5, max_iter=50000)
+        mu, rep = grid_minimize(model, grid)
         # referencing the minimizer's own off-diagonal energy gives zero
         ref = measure_energy(mu, model)
         assert rate_gap(mu, model, reference=ref) == 0.0

@@ -177,8 +177,11 @@ class TestParseConfig:
         ({"model.support": "complex_plane", "model.potential.name": "spherical",
           "grid.window": [[-4, 4], [-3, 3]]},
          lambda: GridSpec(((-4.0, 4.0), (-3.0, 3.0)), 64), "grid.window"),
+        ({"grid.tol": 0}, lambda: GridSpec((-10.0, 10.0), 64, tol=0.0), "grid.tol"),
+        ({"grid.max_iter": 0}, lambda: GridSpec((-10.0, 10.0), 64, max_iter=0), "grid.max_iter"),
     ], ids=["beta", "n", "poly_var", "beta_prime", "sweeps", "burn_in", "thin",
-            "step_scale", "resolution", "window-reversed", "window-not-square"])
+            "step_scale", "resolution", "window-reversed", "window-not-square", "tol",
+            "max_iter"])
     def test_config_and_library_reject_alike(self, edits, build, field):
         # a grid row is checked in an equilibrium config, any other in a sample one
         raw = json.loads(json.dumps(MINIMAL_SAMPLE))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,9 +167,9 @@ class TestGridSpec:
             GridSpec(((-2.0, 2.0), (-1.0, 1.0)), 16).atoms()
 
     def test_symmetric_window_enforced_for_even_potentials(self):
-        grid = GridSpec((-1.0, 3.0), 32)
+        grid = GridSpec((-1.0, 3.0), 32, max_iter=10)
         with pytest.raises(ValueError):
-            grid_minimize(CAUCHY, grid, max_iter=10)
+            grid_minimize(CAUCHY, grid)
 
 
 class TestProjectToSimplex:
@@ -237,8 +238,8 @@ class TestCapturedMass:
 
 class TestGridMinimize:
     def test_cauchy_small(self):
-        grid = GridSpec((-12.0, 12.0), 128)
-        mu, rep = grid_minimize(CAUCHY, grid, tol=1e-5, max_iter=50000)
+        grid = GridSpec((-12.0, 12.0), 128, tol=1e-5, max_iter=50000)
+        mu, rep = grid_minimize(CAUCHY, grid)
         assert rep.converged
         assert rep.gap <= 1e-5
         assert abs(rep.energy - math.log(2)) <= 0.06
@@ -259,26 +260,26 @@ class TestGridMinimize:
             )
 
     def test_initializations_agree(self):
-        grid = GridSpec((-10.0, 10.0), 64)
         tol = 1e-5
+        grid = GridSpec((-10.0, 10.0), 64, tol=tol, max_iter=50000)
         rng = np.random.default_rng(1)
         energies = []
         for _ in range(3):
             w0 = rng.exponential(size=64)
             w0 /= w0.sum()
-            _, rep = grid_minimize(CAUCHY, grid, tol=tol, max_iter=50000, init_weights=w0)
+            _, rep = grid_minimize(CAUCHY, grid, init_weights=w0)
             energies.append(rep.energy)
         assert max(energies) - min(energies) <= 2 * tol
 
     def test_symmetric_weights_for_even_potential(self):
-        grid = GridSpec((-8.0, 8.0), 64)
-        mu, _ = grid_minimize(CAUCHY, grid, tol=1e-7, max_iter=50000)
+        grid = GridSpec((-8.0, 8.0), 64, tol=1e-7, max_iter=50000)
+        mu, _ = grid_minimize(CAUCHY, grid)
         assert np.max(np.abs(mu.weights - mu.weights[::-1])) <= 1e-9
 
     def test_permutation_invariance(self):
         # relabeling the grid atoms relabels the weights and nothing else
-        grid = GridSpec((-8.0, 8.0), 32)
-        mu, rep = grid_minimize(CAUCHY, grid, tol=1e-8, max_iter=50000)
+        grid = GridSpec((-8.0, 8.0), 32, tol=1e-8, max_iter=50000)
+        mu, rep = grid_minimize(CAUCHY, grid)
         atoms, h = grid.atoms()
         rng = np.random.default_rng(2)
         perm = rng.permutation(len(atoms))
@@ -293,10 +294,10 @@ class TestGridMinimize:
         assert np.max(np.abs(unpermuted - mu.weights)) <= 1e-6
 
     def test_objective_monotone_and_gap_nonnegative(self):
-        grid = GridSpec((-10.0, 10.0), 64)
+        grid = GridSpec((-10.0, 10.0), 64, tol=1e-7, max_iter=5000)
         energies, gaps = [], []
         grid_minimize(
-            CAUCHY, grid, tol=1e-7, max_iter=5000,
+            CAUCHY, grid,
             on_iterate=lambda k, e, g: (energies.append(e), gaps.append(g)),
         )
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
@@ -305,8 +306,8 @@ class TestGridMinimize:
     def test_minimizer_pushforward_near_uniform_on_circle(self):
         from loggas import pushforward
 
-        grid = GridSpec((-20.0, 20.0), 400)
-        mu, _ = grid_minimize(CAUCHY, grid, tol=1e-4, max_iter=100000)
+        grid = GridSpec((-20.0, 20.0), 400, tol=1e-4, max_iter=100000)
+        mu, _ = grid_minimize(CAUCHY, grid)
         nu = pushforward(mu)
         angles = np.mod(
             np.arctan2(nu.positions[:, 2] - 0.5, nu.positions[:, 0]), 2 * np.pi
@@ -321,15 +322,15 @@ class TestGridMinimize:
         assert stat <= 0.05
 
     def test_nonconvergence_flagged(self):
-        grid = GridSpec((-10.0, 10.0), 64)
-        mu, rep = grid_minimize(CAUCHY, grid, tol=1e-12, max_iter=5)
+        grid = GridSpec((-10.0, 10.0), 64, tol=1e-12, max_iter=5)
+        mu, rep = grid_minimize(CAUCHY, grid)
         assert not rep.converged
         assert rep.gap > 1e-12
         assert len(mu) == 64
 
     def test_quadratic_support_concentration(self):
-        grid = GridSpec((-2.0, 2.0), 400)
-        mu, rep = grid_minimize(QUADRATIC, grid, tol=1e-4, max_iter=50000)
+        grid = GridSpec((-2.0, 2.0), 400, tol=1e-4, max_iter=50000)
+        mu, rep = grid_minimize(QUADRATIC, grid)
         edge = math.sqrt(2) + 0.1
         inside = np.abs(mu.positions.real) <= edge
         assert mu.weights[inside].sum() >= 0.99
@@ -366,10 +367,9 @@ class TestGridKernel:
         (TILTED, GridSpec((-1.5, 2.5), 64)),
     ])
     def test_solve_matches_dense_solve(self, model, grid, monkeypatch):
-        mu, rep = grid_minimize(model, grid, tol=1e-4, max_iter=100000)
-        mu_d, rep_d = dense_grid_minimize(
-            monkeypatch, model, grid, tol=1e-4, max_iter=100000
-        )
+        grid = replace(grid, tol=1e-4, max_iter=100000)
+        mu, rep = grid_minimize(model, grid)
+        mu_d, rep_d = dense_grid_minimize(monkeypatch, model, grid)
         assert rep.iterations == rep_d.iterations
         assert rep.converged and rep_d.converged
         assert abs(rep.energy - rep_d.energy) <= 1e-12
@@ -382,8 +382,8 @@ class TestGridKernel:
 
     def test_plane_60_iterations(self):
         # the dense solver took 308 iterations on this grid
-        grid = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60)
-        _, rep = grid_minimize(SPHERICAL, grid, tol=1e-4)
+        grid = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60, tol=1e-4)
+        _, rep = grid_minimize(SPHERICAL, grid)
         assert rep.converged and rep.iterations == 308
         assert abs(rep.energy - 0.5) <= 0.05
 

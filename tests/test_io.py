@@ -3,6 +3,7 @@ import pytest
 
 from loggas import Configuration, DiscreteMeasure, empirical_measure, pushforward
 from loggas.io import (
+    _BLOCK_ROWS,
     read_json,
     read_measure_csv,
     read_samples_csv,
@@ -48,6 +49,18 @@ class TestMeasureCsv:
         with pytest.raises(ValueError):
             read_measure_csv(path)
 
+    @pytest.mark.parametrize("row, reason", [
+        ("1.0,abc", "could not convert string to float: 'abc'"),
+        ("1.0", "expected 2 fields, got 1"),
+        ("1.0,nan", "non-finite value"),
+    ], ids=["non-numeric", "short-row", "nan-weight"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
+        path = tmp_path / "m.csv"
+        path.write_text(f"\nx,weight\n0.5,0.5\n{row}\n")
+        with pytest.raises(ValueError) as error:
+            read_measure_csv(path)
+        assert str(error.value).startswith(f"{path}, line 4: {reason}")
+
 
 @pytest.mark.parametrize("reader", [read_measure_csv, read_samples_csv])
 @pytest.mark.parametrize("text", ["", "\n \n"])
@@ -73,6 +86,23 @@ class TestSamplesCsv:
         assert data["chain"].tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 1]
         assert data["values"][0] == records[0][2][0]
 
+    def test_rows_past_the_first_block(self, tmp_path):
+        # the reader converts rows in blocks; a bad row in a later block is
+        # still named by its line in the file
+        n = _BLOCK_ROWS + 10
+        rng = np.random.default_rng(2)
+        points = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, [(0, 3, points)])
+        data = read_samples_csv(path)
+        assert data["particle"].tolist() == list(range(n))
+        assert data["values"].tobytes() == points.tobytes()
+        lines = path.read_text().splitlines()
+        lines[n - 2] = "0,3,x,0.5,0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"samples.csv, line {n - 1}: invalid literal"):
+            read_samples_csv(path)
+
     def test_byte_identical_rewrite(self, tmp_path):
         rng = np.random.default_rng(1)
         records = [(0, 5, rng.standard_normal(4).astype(complex))]
@@ -97,6 +127,7 @@ class TestSamplesCsv:
                 want.append(f"{chain},{sweep},{k},{repr(float(p.real))},{repr(float(p.imag))}")
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
         assert "0,7,1,-0.0,0.3333333333333333" in path.read_text()
+        assert read_samples_csv(path)["values"].tobytes() == points.tobytes()
 
 
 class TestJson:

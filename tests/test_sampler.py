@@ -25,32 +25,21 @@ from loggas import (
     spherical_potential,
 )
 from loggas import sampler
-from loggas.sampler import TRACE_RECOMPUTE_EVERY, _log_separation_change
+from loggas.sampler import TRACE_RECOMPUTE_EVERY, _log_separation_change, initial_configuration
 
 CAUCHY2 = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
 
 
-def initial_configuration(model, seed):
-    rng = np.random.default_rng(seed + 1)
-    if model.support is Support.COMPLEX_PLANE:
-        pts = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
-    elif model.support is Support.UNIT_CIRCLE:
-        pts = np.exp(2j * np.pi * rng.random(model.n))
-    elif model.support is Support.HALF_LINE:
-        pts = np.abs(rng.standard_normal(model.n)).astype(complex)
-    elif model.support is Support.UNIT_SEGMENT:
-        pts = rng.random(model.n).astype(complex)
-    else:
-        pts = rng.standard_normal(model.n).astype(complex)
-    return Configuration(pts)
+def seeded_init(model, seed):
+    return initial_configuration(model, np.random.default_rng(seed + 1))
 
 
 def small_chain(model, seed=0, sweeps=60, burn_in=20, **kw):
-    params = ChainParams(sweeps=sweeps, burn_in=burn_in, seed=seed, **kw)
-    return mh_chain(model, initial_configuration(model, seed), params)
+    params = ChainParams(sweeps=sweeps, burn_in=burn_in, **kw)
+    return mh_chain(model, seeded_init(model, seed), params, seed=seed)
 
 
-def per_move_chain(model, init, params):
+def per_move_chain(model, init, params, seed):
     """Reference for mh_chain: the same random draws, one proposal at a time.
 
     Each move is built from the current position and decided with the
@@ -60,7 +49,7 @@ def per_move_chain(model, init, params):
     is_complex = model.support in (Support.COMPLEX_PLANE, Support.UNIT_CIRCLE)
     rotate = model.support is Support.UNIT_CIRCLE
     heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     x = np.array(init.points, dtype=complex)
     scale = params.step_scale
     samples = []
@@ -195,10 +184,10 @@ class TestMhChain:
         ids=lambda m: m.support.value,
     )
     def test_matches_per_move_reference(self, model):
-        init = initial_configuration(model, seed=11)
-        params = ChainParams(sweeps=80, burn_in=30, seed=11, thin=2)
-        samples, _ = mh_chain(model, init, params)
-        reference = per_move_chain(model, init, params)
+        init = seeded_init(model, seed=11)
+        params = ChainParams(sweeps=80, burn_in=30, thin=2)
+        samples, _ = mh_chain(model, init, params, seed=11)
+        reference = per_move_chain(model, init, params, seed=11)
         assert len(samples) == len(reference)
         for got, want in zip(samples, reference):
             assert np.array_equal(got.points, want)
@@ -229,12 +218,13 @@ class TestMhChains:
     def test_chain_does_not_depend_on_batch_size(self, model):
         # The real line, half line, segment and plane mix in heavy-tailed
         # Cauchy steps; the circle rotates.
-        inits = [initial_configuration(model, seed=20 + j) for j in range(8)]
-        params = [ChainParams(sweeps=60, burn_in=20, seed=chain_seed(9, j)) for j in range(8)]
-        batch = mh_chains(model, inits, params)
+        inits = [seeded_init(model, seed=20 + j) for j in range(8)]
+        params = ChainParams(sweeps=60, burn_in=20)
+        seeds = [chain_seed(9, j) for j in range(8)]
+        batch = mh_chains(model, inits, params, seeds)
         assert len(batch) == 8
         for j in range(8):
-            assert_same_chain(batch[j], mh_chains(model, [inits[j]], [params[j]])[0])
+            assert_same_chain(batch[j], mh_chains(model, [inits[j]], params, [seeds[j]])[0])
 
     @pytest.mark.parametrize("model", ALL_SUPPORTS, ids=lambda m: m.support.value)
     def test_log_density_trace(self, model, monkeypatch):
@@ -260,34 +250,22 @@ class TestMhChains:
 
     def test_equals_a_loop_of_mh_chain(self):
         model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 10)
-        inits = [initial_configuration(model, seed=j) for j in range(5)]
-        params = [
-            ChainParams(sweeps=50, burn_in=10, seed=100 + j, step_scale=0.2 + 0.5 * j,
-                        adapt=False, thin=3)
-            for j in range(5)
-        ]
-        batch = mh_chains(model, inits, params)
-        for init, p, got in zip(inits, params, batch):
-            assert_same_chain(got, mh_chain(model, init, p))
-
-    @pytest.mark.parametrize(
-        "field, value", [("sweeps", 41), ("burn_in", 5), ("thin", 2), ("adapt", False)]
-    )
-    def test_schedule_mismatch_names_the_field(self, field, value):
-        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 4)
-        inits = [initial_configuration(model, seed=j) for j in range(2)]
-        base = dict(sweeps=40, burn_in=10, thin=1, adapt=True)
-        params = [ChainParams(**base, seed=0), ChainParams(**{**base, field: value}, seed=1)]
-        with pytest.raises(ValueError, match=field):
-            mh_chains(model, inits, params)
+        inits = [seeded_init(model, seed=j) for j in range(5)]
+        params = ChainParams(sweeps=50, burn_in=10, step_scale=0.7, adapt=False, thin=3)
+        seeds = [100 + j for j in range(5)]
+        batch = mh_chains(model, inits, params, seeds)
+        for init, seed, got in zip(inits, seeds, batch):
+            assert_same_chain(got, mh_chain(model, init, params, seed=seed))
 
     def test_one_params_per_init(self):
+        # one schedule for the run, one seed per initial configuration
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 4)
-        init = initial_configuration(model, seed=0)
+        init = seeded_init(model, seed=0)
+        params = ChainParams(sweeps=10, burn_in=2)
         with pytest.raises(ValueError):
-            mh_chains(model, [init, init], [ChainParams(sweeps=10, burn_in=2)])
+            mh_chains(model, [init, init], params, [0])
         with pytest.raises(ValueError):
-            mh_chains(model, [], [])
+            mh_chains(model, [], params, [])
 
     def test_coincident_proposal_is_minus_inf_in_its_row_only(self):
         x = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, 3.0]], dtype=complex)
