@@ -14,9 +14,8 @@ temperature beta and external potential V:
                goodness-of-fit distances and rate-function gaps
 * cli          reproducible runs: sample | equilibrium | verify | analyze
 
-Importing the package loads NumPy alone.  The solver's names (``GridSpec``,
-``grid_minimize``, ...) import ``equilibrium``, and with it ``scipy.fft``,
-on first access.  ``sample_spherical_ensemble`` loads ``scipy.linalg``, and
+Importing the package loads NumPy alone; the grid solver's FFT is
+NumPy's.  ``sample_spherical_ensemble`` loads ``scipy.linalg``, and
 ``el_residual`` on a closed-form law ``scipy.integrate``, when called.
 """
 
@@ -42,6 +41,14 @@ from .energy import (
     log_density_sphere,
     measure_energy,
     signed_log_energy,
+)
+from .equilibrium import (
+    GridMinimizeReport,
+    GridSpec,
+    closed_form_cell_masses,
+    el_residual,
+    fekete_descent,
+    grid_minimize,
 )
 from .errors import (
     CoincidentPoints,
@@ -90,25 +97,3 @@ from .sampler import (
     sample_spherical_ensemble,
 )
 from .verify import run_identity_suites
-
-_EQUILIBRIUM_EXPORTS = (
-    "GridMinimizeReport",
-    "GridSpec",
-    "closed_form_cell_masses",
-    "el_residual",
-    "fekete_descent",
-    "grid_minimize",
-)
-
-
-def __getattr__(name):
-    """The solver's names, looked up in ``equilibrium`` at each access (PEP 562)."""
-    if name in _EQUILIBRIUM_EXPORTS:
-        from . import equilibrium
-
-        return getattr(equilibrium, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted([*globals(), *_EQUILIBRIUM_EXPORTS])

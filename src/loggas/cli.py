@@ -19,7 +19,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .analysis import (
     radial_cdf_distance,
     spherical_law,
 )
+from .equilibrium import GridSpec, check_solvable, grid_minimize
 from .errors import InadmissibleModel, LogGasError, ParseError, ValidationError
 from .io import read_samples_csv, write_json, write_measure_csv, write_samples_csv
 from .model import (
@@ -47,9 +47,6 @@ from .model import (
 )
 from .sampler import ChainParams, chain_seed, initial_configuration, mh_chains
 from .verify import run_identity_suites
-
-if TYPE_CHECKING:
-    from .equilibrium import GridSpec
 
 COMMANDS = ("sample", "equilibrium", "verify", "analyze")
 
@@ -123,14 +120,16 @@ def _parse_potential(section, path="model.potential") -> tuple[PotentialSpec, di
         extra = {}
     else:
         _require("params" in section, f"{path}.params", "required for custom potentials")
-        params = _section(section["params"], f"{path}.params", {"poly", "poly_var", "log_coeff"})
-        poly = params.get("poly", [])
-        _require(isinstance(poly, list), f"{path}.params.poly", "must be a list")
-        poly = [_number(c, f"{path}.params.poly") for c in poly]
-        poly_var = params.get("poly_var", "r2")
-        log_coeff = _number(params.get("log_coeff", 0.0), f"{path}.params.log_coeff")
-        pot = PotentialSpec(name, poly, poly_var, log_coeff)
-        extra = {"params": {"poly": poly, "poly_var": poly_var, "log_coeff": log_coeff}}
+        given = dict(_section(section["params"], f"{path}.params",
+                              {"poly", "poly_var", "log_coeff"}))
+        if "poly" in given:
+            _require(isinstance(given["poly"], list), f"{path}.params.poly", "must be a list")
+            given["poly"] = [_number(c, f"{path}.params.poly") for c in given["poly"]]
+        if "log_coeff" in given:
+            given["log_coeff"] = _number(given["log_coeff"], f"{path}.params.log_coeff")
+        pot = PotentialSpec(name, **given)
+        extra = {"params": {"poly": list(pot.poly), "poly_var": pot.poly_var,
+                            "log_coeff": pot.log_coeff}}
     if section.get("beta_prime") is not None:
         pot = replace(pot, beta_prime=_number(section["beta_prime"], f"{path}.beta_prime"))
     return pot, {"name": name, "beta_prime": pot.beta_prime, **extra}
@@ -168,9 +167,6 @@ def _parse_chain(section, path="chain") -> tuple[ChainParams, dict]:
 
 
 def _parse_grid(section, path="grid") -> tuple[GridSpec, dict]:
-    # The solver, and with it scipy.fft, loads only for a config with a grid.
-    from .equilibrium import GridSpec
-
     section = _section(section, path, {"window", "resolution", "tol", "max_iter"})
     window = section.get("window")
     _require(isinstance(window, list) and len(window) == 2, f"{path}.window",
@@ -238,8 +234,6 @@ def parse_config(
         for key in needs.get(command, ()):
             _require(key in settings, key, f"required for the {command} command")
         if command == "equilibrium":
-            from .equilibrium import check_solvable
-
             check_solvable(built["model"], built["grid"])
         elif command == "sample":
             built["model"].require_weak_growth()
@@ -275,8 +269,6 @@ def _run_sample(config: RunConfig, out_dir: Path) -> int:
 
 
 def _run_equilibrium(config: RunConfig, out_dir: Path) -> int:
-    from .equilibrium import grid_minimize
-
     measure, report = grid_minimize(config.model, config.grid)
     write_measure_csv(out_dir / "measure.csv", measure)
     write_json(out_dir / "report.json", report.to_json())

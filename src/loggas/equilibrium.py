@@ -5,8 +5,8 @@ grid.  ``analysis`` knows the closed-form law of any V = log(1+|x|^2)
 at beta = 2 on the line or the plane, whatever its name; here its box
 masses give the mass a window captures and the exact mass of each grid
 cell, and such laws serve as candidates for the effective-potential
-residual.  No other loggas module loads ``scipy.fft``, which this one
-imports at load time; ``scipy.integrate`` loads at the first quadrature.
+residual.  The solve needs only NumPy (its FFT included);
+``scipy.integrate`` loads at the first quadrature.
 
 The discrete objective is E(w) = w^T Q w with Q the pair kernel matrix,
 off-diagonal entries the weighted log kernel and diagonal entries the
@@ -28,11 +28,11 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 
 from .analysis import ClosedFormLaw, closed_form
 from .energy import _pair_kernel, log_density
-from .errors import CoincidentPoints, InadmissibleModel, NoClosedForm, QuadratureFailure
+from .errors import InadmissibleModel, NoClosedForm, QuadratureFailure
 from .model import Configuration, DiscreteMeasure, GasModel, Support, validate_configuration
 
 
@@ -106,6 +106,16 @@ def check_solvable(model: GasModel, grid: GridSpec) -> None:
             raise ValueError("grid.window: must be symmetric about 0 for an even potential")
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth integer >= n, a length the real FFT handles fast.
+
+    Below 2**64 an integer is 5-smooth exactly when it divides 30**64.
+    """
+    while pow(30, 64, n):
+        n += 1
+    return n
+
+
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
     u = np.sort(v)[::-1]
@@ -124,7 +134,8 @@ class GridKernel:
     K is tabulated once over the offsets -(m-1)..m-1 per axis and
     embedded in a circulant of at least 2m - 1 points per axis, whose
     action is a pointwise product of real FFTs; the potential part is
-    applied as the rank-2 term v (1^T w)/2 + (v^T w) 1/2.
+    applied as the rank-2 term v (1^T w)/2 + (v^T w) 1/2.  The unscaled
+    inverse FFT is multiplied once by 1/N (N the circulant size), not per axis.
     """
 
     def __init__(self, model: GasModel, grid: GridSpec):
@@ -132,7 +143,9 @@ class GridKernel:
         m = grid.resolution
         ndim = 2 if grid.is_planar else 1
         self._shape = (m,) * ndim
-        self._fft_shape = (fft.next_fast_len(2 * m - 1, real=True),) * ndim
+        self._fft_shape = (_fft_length(2 * m - 1),) * ndim
+        self._axes = tuple(range(ndim))
+        self._scale = 1.0 / math.prod(self._fft_shape)
         offsets = np.arange(1 - m, m) * h
         if grid.is_planar:
             dist = np.hypot(offsets[:, None], offsets[None, :])
@@ -142,14 +155,14 @@ class GridKernel:
         circulant = np.zeros(self._fft_shape)
         wrapped = np.arange(1 - m, m) % self._fft_shape[0]
         circulant[np.ix_(*(wrapped,) * ndim)] = _pair_kernel(model.beta, dist, 0.0, 0.0)
-        self._kernel_hat = fft.rfftn(circulant)
+        self._kernel_hat = fft.rfftn(circulant, axes=self._axes)
         self._potential = model.potential_values(self.atoms)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         """Q w for any real w; the weights need not sum to 1."""
-        spectrum = fft.rfftn(w.reshape(self._shape), self._fft_shape) * self._kernel_hat
-        conv = fft.irfftn(spectrum, self._fft_shape)
-        kw = conv[tuple(slice(m) for m in self._shape)].ravel()
+        spectrum = fft.rfftn(w.reshape(self._shape), self._fft_shape, self._axes)
+        conv = fft.irfftn(spectrum * self._kernel_hat, self._fft_shape, self._axes, "forward")
+        kw = (conv[tuple(slice(m) for m in self._shape)] * self._scale).ravel()
         v = self._potential
         return kw + 0.5 * v * w.sum() + 0.5 * (v @ w)
 
@@ -303,11 +316,9 @@ def fekete_descent(
     is 0.1/n.
     """
     validate_configuration(init, model)
-    x = np.array(init.points, dtype=complex)
-    if len(np.unique(x)) != len(x):
-        raise CoincidentPoints("initial configuration has coincident points")
+    x = init.points
     gamma = 0.1 / model.n
-    ld = log_density(Configuration(x), model)
+    ld = log_density(init, model)
 
     for _ in range(max_iter):
         g = _pairwise_gradient(x, model)

@@ -17,7 +17,7 @@ class PoleNotInvertible(LogGasError):
     """The north pole has no finite preimage under the projection."""
 
 
-class CoincidentPoints(LogGasError):
+class CoincidentPoints(LogGasError, ValueError):
     """Two particles occupy the same position (energy would be infinite)."""
 
 

@@ -56,6 +56,17 @@ def project_array(xs) -> np.ndarray:
     return out
 
 
+def _unproject(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """unproject_array, nan at the pole, with its x3 > 1/2 mask and s = hypot(x1, x2)."""
+    x1, x2, x3 = zs[..., 0], zs[..., 1], zs[..., 2]
+    high = x3 > 0.5
+    s = np.hypot(x1, x2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low_form = (x1 + 1j * x2) / (1.0 - x3)
+        high_form = (x1 / s + 1j * (x2 / s)) * (x3 / s)
+    return np.where(high, high_form, low_form), high, s
+
+
 def unproject_array(zs: np.ndarray) -> np.ndarray:
     """Inverse of project_array on rows (x1, x2, x3) of sphere points.
 
@@ -64,16 +75,10 @@ def unproject_array(zs: np.ndarray) -> np.ndarray:
     x1^2 + x2^2 = x3 (1 - x3) is used to rebuild the modulus from the
     well-scaled horizontal coordinates instead.
     """
-    zs = np.asarray(zs, dtype=float)
-    x1, x2, x3 = zs[..., 0], zs[..., 1], zs[..., 2]
-    high = x3 > 0.5
-    s = np.hypot(x1, x2)
+    xs, high, s = _unproject(np.asarray(zs, dtype=float))
     if np.any(high & (s == 0.0)):
         raise PoleNotInvertible("a point coincides with the north pole")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        low_form = (x1 + 1j * x2) / (1.0 - x3)
-        high_form = (x1 / s + 1j * (x2 / s)) * (x3 / s)
-    return np.where(high, high_form, low_form)
+    return xs
 
 
 def chordal_distance(x, y):
@@ -107,11 +112,19 @@ class CompactifiedPotential:
         return v - (self.model.beta / 2.0) * np.log1p(np.abs(xs) ** 2)
 
     def on_sphere_array(self, zs: np.ndarray) -> np.ndarray:
-        """Evaluate at sphere points given as rows of an (n, 3) array."""
+        """Evaluate at sphere points given as rows (x1, x2, x3) of an array.
+
+        Above the half-height log(1 - x3) is taken as log((x1^2 + x2^2)/x3),
+        from the sphere constraint as in unproject_array, so it keeps its
+        relative precision up to the pole, where the value is pole_value.
+        """
         zs = np.asarray(zs, dtype=float)
-        xs = unproject_array(zs)
-        v = self.model.potential_values(xs)
-        return v + (self.model.beta / 2.0) * np.log1p(-zs[..., 2])
+        xs, high, s = _unproject(zs)
+        x3 = zs[..., 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_gap = np.where(high, 2.0 * np.log(s) - np.log(x3), np.log1p(-x3))
+        w = self.model.potential_values(xs) + (self.model.beta / 2.0) * log_gap
+        return np.where(high & (s == 0.0), self.pole_value, w)
 
 
 def compactified_potential(model: GasModel) -> CompactifiedPotential:

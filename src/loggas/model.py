@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InadmissibleModel, MissingBetaPrime
+from .errors import CoincidentPoints, InadmissibleModel, MissingBetaPrime
 
 # Points of real supports are carried as complex values with (near-)zero
 # imaginary part; this is the membership tolerance on the imaginary part.
@@ -260,13 +260,15 @@ class Configuration:
 
 
 def validate_configuration(config: Configuration, model: GasModel) -> None:
-    """Raise ValueError unless config has n points, all in the support."""
+    """Raise ValueError unless config has n distinct points, all in the support."""
     if len(config) != model.n:
         raise ValueError(f"configuration has {len(config)} points, model expects {model.n}")
     ok = model.support.contains_array(config.points)
     if not np.all(ok):
         bad = config.points[~ok][0]
         raise ValueError(f"point {bad} is not in support {model.support.value}")
+    if len(np.unique(config.points)) != len(config):
+        raise CoincidentPoints("configuration has coincident points")
 
 
 @dataclass(frozen=True)

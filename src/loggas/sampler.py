@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,8 +88,8 @@ class ChainStats:
 
     acceptance_rate: float
     final_step_scale: float
-    log_density_trace: list[float] = field(default_factory=list)
-    trace_drift: float = 0.0
+    log_density_trace: list[float]
+    trace_drift: float
 
     def to_json(self) -> dict:
         trace = np.asarray(self.log_density_trace)
@@ -178,8 +178,6 @@ def mh_chains(
     heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
 
     x = np.array([init.points for init in inits], dtype=complex)
-    if any(len(np.unique(row)) != n for row in x):
-        raise ValueError("initial configuration has coincident points")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     scales = [params.step_scale] * len(seeds)
     beta = model.beta

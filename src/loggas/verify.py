@@ -10,11 +10,9 @@ independently, and records the maximum deviation:
   energy    discrete measure energy vs the energy of its push-forward
 
 Kernel pairs are drawn at modulus <= 5 and with chordal separation at
-least 1e-3: both kernels diverge at coincidence, the float error of
+least 1e-3: both kernels diverge at coincidence, and the float error of
 comparing independent evaluations scales like ulp/separation through
-the log term, and like V(x) * ulp/(1 - x3) through the sphere-side
-potential (the modulus of a projected point is carried by 1 - x3, so
-its relative precision degrades toward the pole).
+the log term and like |V(x)| * ulp through the sphere-side potential.
 """
 
 from __future__ import annotations

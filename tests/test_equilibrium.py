@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import fft, integrate, special
 
 from loggas import (
     ClosedFormLaw,
+    CoincidentPoints,
     Configuration,
     DiscreteMeasure,
     GasModel,
@@ -380,6 +381,10 @@ class TestGridKernel:
         )
         assert abs(rep.energy - summed) <= 1e-12
 
+    def test_fft_length_is_5_smooth_next_fast_len(self):
+        lengths = [equilibrium._fft_length(n) for n in range(1, 5001)]
+        assert lengths == [fft.next_fast_len(n, real=True) for n in range(1, 5001)]
+
     def test_plane_60_iterations(self):
         # the dense solver took 308 iterations on this grid
         grid = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60, tol=1e-4)
@@ -436,6 +441,11 @@ class TestFeketeDescent:
         a_star = a_grid[np.argmax(objective)]
         assert np.sort(out.points.real) == pytest.approx([-a_star, a_star], abs=1e-4)
         assert a_star == pytest.approx(1 / math.sqrt(3), abs=1e-4)
+
+    def test_coincident_start_rejected(self):
+        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 3)
+        with pytest.raises(CoincidentPoints, match="coincident"):
+            fekete_descent(model, Configuration(np.array([0.5, -1.0, 0.5], dtype=complex)))
 
     def test_log_density_non_decreasing(self):
         from loggas import log_density

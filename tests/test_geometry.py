@@ -15,6 +15,7 @@ from loggas import (
     chordal_distance,
     compactified_potential,
     empirical_measure,
+    measure_energy,
     project_array,
     pushforward,
     quadratic_potential,
@@ -144,6 +145,40 @@ class TestCompactifiedPotential:
         pot = compactified_potential(model)
         assert pot.on_sphere_array(project_array(1)) == pytest.approx(1.0 - math.log(2.0))
         assert pot.pole_value == math.inf
+
+    @pytest.mark.parametrize("modulus", [1e6, 1e8, 1e12])
+    def test_zero_near_the_pole(self, modulus):
+        # 1 - x3 comes from the sphere constraint, not from a rounded x3
+        cauchy = compactified_potential(GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1))
+        spherical = compactified_potential(
+            GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
+        )
+        assert abs(cauchy.on_sphere_array(project_array(-modulus))) <= 1e-12
+        assert abs(spherical.on_sphere_array(project_array(modulus * (0.6 + 0.8j)))) <= 1e-12
+
+    def test_pole_value_at_the_pole(self):
+        pole = np.array([0.0, 0.0, 1.0])
+        cauchy = compactified_potential(GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1))
+        quadratic = compactified_potential(
+            GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 1)
+        )
+        assert cauchy.on_sphere_array(pole) == 0.0
+        assert quadratic.on_sphere_array(pole) == math.inf
+        rows = np.array([[pole, project_array(1.0)], [project_array(-2.0), pole]])
+        values = quadratic.on_sphere_array(rows)
+        assert values.shape == (2, 2)
+        assert values[0, 0] == values[1, 1] == math.inf
+        assert values[0, 1] == pytest.approx(1.0 - math.log(2.0))
+
+    def test_pole_atom_energy_is_the_limit(self):
+        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
+        others = [project_array(0.5), project_array(-2.0)]
+        weights = np.array([0.2, 0.5, 0.3])
+        at_pole = DiscreteMeasure(np.array([[0.0, 0.0, 1.0], *others]), weights, side="sphere")
+        near_pole = DiscreteMeasure(np.array([project_array(1e8), *others]), weights, side="sphere")
+        assert measure_energy(at_pole, model) == pytest.approx(
+            measure_energy(near_pole, model), abs=1e-8
+        )
 
     def test_inadmissible_model_rejected(self):
         model = GasModel(Support.REAL_LINE, 2.5, cauchy_potential(), 1)

@@ -1,4 +1,4 @@
-"""Import boundaries: each command loads only the libraries it calls.
+"""Import boundaries: no command loads SciPy, and a run imports nothing.
 
 Every check runs in a fresh interpreter, so modules loaded by other tests
 do not count.
@@ -16,16 +16,6 @@ import pytest
 import loggas
 
 SRC = str(Path(loggas.__file__).resolve().parents[1])
-
-# Names the package exports from ``equilibrium`` without importing it.
-EQUILIBRIUM_EXPORTS = (
-    "GridMinimizeReport",
-    "GridSpec",
-    "closed_form_cell_masses",
-    "el_residual",
-    "fekete_descent",
-    "grid_minimize",
-)
 
 PRELUDE = """
 import json, sys
@@ -50,6 +40,7 @@ def run_fresh(code: str, *args: str):
 
 COMMAND_ARGS = {
     "sample": ["sample", "--config", "{dir}/sample.json", "--out", "{dir}/s"],
+    "equilibrium": ["equilibrium", "--config", "{dir}/equilibrium.json", "--out", "{dir}/e"],
     "verify": ["verify", "--seed", "1", "--out", "{dir}/v"],
     "analyze": ["analyze", "--config", "{dir}/analyze.json", "--out", "{dir}/a"],
 }
@@ -61,6 +52,11 @@ def test_command_loads_no_scipy(tmp_path, command):
         "model": {"support": "complex_plane", "beta": 2.0, "n": 4,
                   "potential": {"name": "spherical"}},
         "chain": {"sweeps": 20, "chains": 2},
+    }))
+    (tmp_path / "equilibrium.json").write_text(json.dumps({
+        "model": {"support": "complex_plane", "beta": 2.0, "n": 1,
+                  "potential": {"name": "spherical"}},
+        "grid": {"window": [[-4, 4], [-4, 4]], "resolution": 16},
     }))
     (tmp_path / "rows.csv").write_text("chain,sweep,particle,re,im\n0,0,0,0.5,0.0\n0,0,1,-1.5,0.0\n")
     (tmp_path / "analyze.json").write_text(json.dumps(
@@ -80,56 +76,10 @@ def test_command_loads_no_scipy(tmp_path, command):
 
         loggas.cli.run = run
         rc = loggas.cli.main(json.loads(sys.argv[1]))
-        print(json.dumps([rc, loaded("scipy", "loggas.equilibrium"), during_run]))
+        print(json.dumps([rc, loaded("scipy"), during_run]))
     """, json.dumps(argv))
     assert rc == 0
     assert modules == []
     # Start-up cost stays in start-up: the run itself imports nothing.
     assert during_run == []
 
-
-def test_equilibrium_loads_fft_while_parsing(tmp_path):
-    config = json.dumps({
-        "command": "equilibrium",
-        "model": {"support": "real_line", "beta": 2.0, "n": 1, "potential": {"name": "cauchy"}},
-        "grid": {"window": [-10, 10], "resolution": 32},
-        "out": str(tmp_path / "eq"),
-    })
-    parsed, rc, during_run = run_fresh("""
-        from loggas.cli import parse_config, run
-        config = parse_config(sys.argv[1])
-        parsed = loaded("scipy", "loggas.equilibrium")
-        before = set(sys.modules)
-        rc = run(config)
-        print(json.dumps([parsed, rc, sorted(set(sys.modules) - before)]))
-    """, config)
-    assert {"loggas.equilibrium", "scipy.fft"} <= set(parsed)
-    assert "scipy.integrate" not in parsed
-    assert rc == 0
-    assert during_run == []
-
-
-def test_lazy_exports_resolve():
-    before, resolved, same, listed = run_fresh("""
-        import loggas
-        before = loaded("scipy", "loggas.equilibrium")
-        names = json.loads(sys.argv[1])
-        resolved = [getattr(loggas, name).__name__ for name in names]
-        same = loggas.grid_minimize is loggas.equilibrium.grid_minimize
-        print(json.dumps([before, resolved, same, sorted(set(names) & set(dir(loggas)))]))
-    """, json.dumps(EQUILIBRIUM_EXPORTS))
-    assert before == []
-    assert resolved == list(EQUILIBRIUM_EXPORTS)
-    assert same
-    assert listed == sorted(EQUILIBRIUM_EXPORTS)
-
-
-def test_unknown_name_raises_attribute_error():
-    message = run_fresh("""
-        import loggas
-        try:
-            loggas.no_such_name
-        except AttributeError as e:
-            print(json.dumps(str(e)))
-    """)
-    assert "no_such_name" in message

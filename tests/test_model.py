@@ -6,6 +6,7 @@ import pytest
 
 from loggas import (
     Admissibility,
+    CoincidentPoints,
     Configuration,
     DiscreteMeasure,
     GasModel,
@@ -255,6 +256,8 @@ class TestConfiguration:
             validate_configuration(Configuration(np.array([0.0], dtype=complex)), m)
         with pytest.raises(ValueError):
             validate_configuration(Configuration(np.array([0.0, 1.0 + 1j], dtype=complex)), m)
+        with pytest.raises(CoincidentPoints):
+            validate_configuration(Configuration(np.array([1.0, 1.0], dtype=complex)), m)
 
     def test_points_read_only(self):
         config = Configuration(np.array([0.0, 1.0], dtype=complex))

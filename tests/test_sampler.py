@@ -267,6 +267,14 @@ class TestMhChains:
         with pytest.raises(ValueError):
             mh_chains(model, [], params, [])
 
+    def test_coincident_start_rejected(self):
+        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 3)
+        params = ChainParams(sweeps=10, burn_in=2)
+        coincident = Configuration(np.array([0.5, -1.0, 0.5], dtype=complex))
+        inits = [seeded_init(model, seed=0), coincident]
+        with pytest.raises(ValueError, match="coincident"):
+            mh_chains(model, inits, params, [0, 1])
+
     def test_coincident_proposal_is_minus_inf_in_its_row_only(self):
         x = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, 3.0]], dtype=complex)
         # row 0 moves particle 2 onto particle 0; row 1 moves it to 2
