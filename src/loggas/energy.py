@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import MismatchedSupports
-from .geometry import chordal_distance, compactified_potential, project_array
+from .geometry import _LARGE_MODULUS, chordal_distance, compactified_potential
 from .model import Configuration, DiscreteMeasure, GasModel, _atom_groups
 
 # Separations smaller than this are treated as coincident points.
@@ -143,24 +143,34 @@ def log_density_sphere(config: Configuration, model: GasModel) -> float:
         beta sum_{i<j} log|z_i - z_j| + (beta/2) sum_i log(1 - |z_i|^2)
             - n sum_i V_sphere(z_i),
 
-    which agrees with log_density exactly (floating point aside).  The
-    chords |z_i - z_j| come from the planar chord formula: differencing
-    the rounded 3-vectors would cost ulp/chord for near-coincident points.
+    which agrees with log_density exactly (floating point aside).  Every
+    term comes from the planar points: the chords |z_i - z_j| from the
+    planar chord formula, and log(1 - |z|^2) as -log(1 + |x|^2), since
+    1 - |T(x)|^2 = 1/(1 + |x|^2).  Rounded 3-vectors would cost ulp/chord
+    for near-coincident points and ulp/(1 - x3) near the pole.
     """
     pot = compactified_potential(model)
     pts = config.points
     n = len(pts)
-    zs = project_array(pts)
     iu, ju = _pair_indices(n)
     seps = chordal_distance(pts[iu], pts[ju])
     if np.any(seps < COINCIDENCE_TOL):
         return -math.inf
     inter = model.beta * math.fsum(np.log(seps).tolist())
-    # On the sphere the squared norm of a point equals its height, so
-    # 1 - |z|^2 = 1 - x3.
-    conformal = (model.beta / 2.0) * math.fsum(np.log1p(-zs[:, 2]).tolist())
+    conformal = -(model.beta / 2.0) * math.fsum(_log1p_modulus_squared(pts).tolist())
     vsum = math.fsum(pot.on_plane(pts).tolist())
     return inter + conformal - n * vsum
+
+
+def _log1p_modulus_squared(xs: np.ndarray) -> np.ndarray:
+    """log(1 + |x|^2), as 2 log|x| + log(1 + 1/|x|^2) above _LARGE_MODULUS
+    so that |x|^2 is never formed there."""
+    r = np.abs(xs)
+    big = r > _LARGE_MODULUS
+    out = np.log1p(np.square(np.where(big, 0.0, r)))
+    t = 1.0 / r[big]
+    out[big] = 2.0 * np.log(r[big]) + np.log1p(t * t)
+    return out
 
 
 def align_measures(

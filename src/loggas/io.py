@@ -7,6 +7,7 @@ with a newline, so identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +102,13 @@ def write_samples_csv(path, records) -> None:
     ``records`` yields (chain_index, sweep_index, points) triples.
     """
     lines = ["chain,sweep,particle,re,im"]
+    prefixes: list[str] = []  # ",k," for particle k, shared by every record
     for chain, sweep, points in records:
         pts = np.asarray(points, dtype=complex)
-        lines += [
-            f"{chain},{sweep},{k},{re!r},{im!r}"
-            for k, (re, im) in enumerate(zip(pts.real.tolist(), pts.imag.tolist()))
-        ]
+        if len(prefixes) < len(pts):
+            prefixes = [f",{k}," for k in range(len(pts))]
+        re, im = map(repr, pts.real.tolist()), map(repr, pts.imag.tolist())
+        lines += map("".join, zip(repeat(f"{chain},{sweep}"), prefixes, re, repeat(","), im))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,17 @@ class TestLogDensity:
         assert log_density_sphere(config3, model) == pytest.approx(
             log_density(config3, model), abs=1e-12
         )
+
+    @pytest.mark.parametrize("far", [1e6, 5e7, 1e9])
+    def test_sphere_matches_plane_far_from_origin(self, far):
+        # The conformal term comes from the planar points, so the point near
+        # the pole keeps its precision, and no |x|^2 is formed above 1e8.
+        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 3)
+        config = Configuration(np.array([0.3, -1.0, far], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sphere = log_density_sphere(config, model)
+        assert sphere == pytest.approx(log_density(config, model), rel=1e-12)
 
     def test_density_transport_random(self):
         rng = np.random.default_rng(6)

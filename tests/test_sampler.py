@@ -25,7 +25,7 @@ from loggas import (
     spherical_potential,
 )
 from loggas import sampler
-from loggas.sampler import TRACE_RECOMPUTE_EVERY, _log_separation_change, initial_configuration
+from loggas.sampler import TRACE_RECOMPUTE_EVERY, _BlockedMoves, initial_configuration
 
 CAUCHY2 = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
 
@@ -43,7 +43,10 @@ def per_move_chain(model, init, params, seed):
     """Reference for mh_chain: the same random draws, one proposal at a time.
 
     Each move is built from the current position and decided with the
-    scalar Support.contains and proposal_log_ratio.
+    scalar Support.contains and proposal_log_ratio.  Returns the recorded
+    samples and the running log-density at each, which starts at the exact
+    log_density and adds every accepted log ratio, with the exact value
+    taken again at every TRACE_RECOMPUTE_EVERY-th sample.
     """
     n = model.n
     is_complex = model.support in (Support.COMPLEX_PLANE, Support.UNIT_CIRCLE)
@@ -52,7 +55,8 @@ def per_move_chain(model, init, params, seed):
     rng = np.random.default_rng(seed)
     x = np.array(init.points, dtype=complex)
     scale = params.step_scale
-    samples = []
+    running = log_density(init, model)
+    samples, trace = [], []
     for sweep in range(params.sweeps):
         if is_complex:
             steps = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -75,12 +79,16 @@ def per_move_chain(model, init, params, seed):
             if delta >= 0.0 or u_accept[i] < math.exp(delta):
                 x[i] = x_new
                 accepted += 1
+                running += delta
         if sweep < params.burn_in:
             if params.adapt:
                 scale *= math.exp((sweep + 1.0) ** -0.6 * (accepted / n - 0.3))
         elif (sweep - params.burn_in) % params.thin == 0:
+            if len(samples) % TRACE_RECOMPUTE_EVERY == 0:
+                running = log_density(Configuration(x), model)
             samples.append(x.copy())
-    return samples
+            trace.append(running)
+    return samples, trace
 
 
 class TestChainParams:
@@ -186,11 +194,12 @@ class TestMhChain:
     def test_matches_per_move_reference(self, model):
         init = seeded_init(model, seed=11)
         params = ChainParams(sweeps=80, burn_in=30, thin=2)
-        samples, _ = mh_chain(model, init, params, seed=11)
-        reference = per_move_chain(model, init, params, seed=11)
+        samples, stats = mh_chain(model, init, params, seed=11)
+        reference, trace = per_move_chain(model, init, params, seed=11)
         assert len(samples) == len(reference)
         for got, want in zip(samples, reference):
             assert np.array_equal(got.points, want)
+        assert stats.log_density_trace == trace
 
 
 ALL_SUPPORTS = [
@@ -276,13 +285,69 @@ class TestMhChains:
             mh_chains(model, inits, params, [0, 1])
 
     def test_coincident_proposal_is_minus_inf_in_its_row_only(self):
-        x = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, 3.0]], dtype=complex)
-        # row 0 moves particle 2 onto particle 0; row 1 moves it to 2
-        ends = np.array([[0.0, 2.0], [3.0, 3.0]], dtype=complex).reshape(2, 2, 1)
-        with np.errstate(divide="ignore"):
-            seps = _log_separation_change(x, 2, ends)
-        assert seps[0] == -math.inf
-        assert seps[1] == pytest.approx(math.log(2.0) - math.log(3.0 * 2.0))
+        # One block holds all three moves.  Both chains move particle 0 from
+        # 0 to 5 (particle 1 stays put); then chain 0 proposes particle 2 onto
+        # particle 0's new position and chain 1 proposes it to 2.  With zero
+        # uniforms every finite log ratio is accepted.
+        x = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, 3.0]])
+        moves = _BlockedMoves(x)
+        assert moves.block == 3
+        proposals = np.array([[5.0, 9.0, 5.0], [5.0, 9.0, 2.0]])
+        valid = np.array([[True, False, True], [True, False, True]])
+        running = [0.0, 0.0]
+        accepted = moves.sweep(proposals, valid, np.zeros((2, 3)), np.zeros((2, 3)), 1.0, running)
+        assert accepted == [1, 2]
+        assert moves.state.tolist() == [[5.0, 1.0, 3.0], [5.0, 1.0, 2.0]]
+        assert running[0] == pytest.approx(math.log(8.0 / 3.0))
+        assert running[1] == pytest.approx(math.log(8.0 / 3.0) + math.log(3.0 / 4.0))
+
+
+# (n, moves per block): 13 particles in blocks of 1, 3 (four and a remainder
+# of 1) and 5 (two and a remainder of 3); 100 particles at the default
+# budget (81 + 19 for one chain, 27 * 3 + 19 for three); a single particle.
+BLOCK_CASES = [(13, 1), (13, 3), (13, 5), (100, None), (1, None)]
+
+
+class TestBlockedMoves:
+    @pytest.mark.parametrize("n, block", BLOCK_CASES)
+    @pytest.mark.parametrize("chains", [1, 3])
+    @pytest.mark.parametrize("model", ALL_SUPPORTS, ids=lambda m: m.support.value)
+    def test_matches_per_move_reference_across_blocks(self, model, chains, n, block, monkeypatch):
+        model = GasModel(model.support, model.beta, model.potential, n)
+        if block is not None:
+            monkeypatch.setattr(sampler, "BLOCK_ELEMENTS", 2 * chains * n * block)
+        inits = [seeded_init(model, seed=30 + j) for j in range(chains)]
+        seeds = [chain_seed(5, j) for j in range(chains)]
+        params = ChainParams(sweeps=12, burn_in=4, thin=2)
+        results = mh_chains(model, inits, params, seeds)
+        for init, seed, (samples, stats) in zip(inits, seeds, results):
+            reference, trace = per_move_chain(model, init, params, seed)
+            assert len(samples) == len(reference) == 4
+            for got, want in zip(samples, reference):
+                assert np.array_equal(got.points, want)
+            assert stats.log_density_trace == trace
+
+    def test_real_support_keeps_small_imaginary_parts(self):
+        # A real-axis start with imaginary parts inside the support's
+        # tolerance runs on the complex state, as move-by-move.
+        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 13)
+        init = Configuration(seeded_init(model, seed=2).points + 1e-13j)
+        params = ChainParams(sweeps=12, burn_in=4, thin=2)
+        samples, stats = mh_chain(model, init, params, seed=3)
+        reference, trace = per_move_chain(model, init, params, seed=3)
+        for got, want in zip(samples, reference):
+            assert np.array_equal(got.points, want)
+        assert samples[-1].points.imag.any()
+        assert stats.log_density_trace == trace
+
+    def test_block_length(self, monkeypatch):
+        # The largest b with 2 C b n within the budget, at least 1, at most n.
+        for shape, block in [((1, 256), 32), ((8, 64), 16), ((1, 100), 81), ((3, 100), 27),
+                             ((64, 256), 1), ((1, 4), 4), ((3, 1), 1)]:
+            assert _BlockedMoves(np.zeros(shape)).block == block
+        for block in (1, 3, 5):
+            monkeypatch.setattr(sampler, "BLOCK_ELEMENTS", 2 * 3 * 13 * block)
+            assert _BlockedMoves(np.zeros((3, 13))).block == block
 
 
 class TestChainSeed:
