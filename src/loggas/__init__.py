@@ -4,7 +4,8 @@ The package covers the desk-scale study of a gas of n particles on the
 line or the plane with pairwise logarithmic repulsion at inverse
 temperature beta and external potential V:
 
-* model        gas models, potentials, configurations, discrete measures
+* model        gas models, potentials, configurations, discrete measures,
+               and log(1+|x|^2) without overflow at any finite |x|
 * geometry     projection onto the Riemann sphere and its exact identities
 * energy       discrete energies, Gibbs log-densities
 * equilibrium  grid minimization, mode descent, optimality residuals
@@ -15,8 +16,8 @@ temperature beta and external potential V:
 * cli          reproducible runs: sample | equilibrium | verify | analyze
 
 Importing the package loads NumPy alone; the grid solver's FFT is
-NumPy's.  ``sample_spherical_ensemble`` loads ``scipy.linalg``, and
-``el_residual`` on a closed-form law ``scipy.integrate``, when called.
+NumPy's.  Only ``el_residual`` on a closed-form law loads SciPy
+(``scipy.integrate``), when called.
 """
 
 __version__ = "0.1.0"
@@ -36,7 +37,6 @@ from .analysis import (
 )
 from .energy import (
     DiagonalPolicy,
-    align_measures,
     log_density,
     log_density_sphere,
     measure_energy,

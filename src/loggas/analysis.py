@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import measure_energy
 from .errors import EmptySample, NoClosedForm, NoReference
-from .model import DiscreteMeasure, GasModel, Support
+from .model import DiscreteMeasure, GasModel, Support, modulus_forms
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,19 @@ class ClosedFormLaw:
         return masses
 
 
+def _inverse_power(x, k: int):
+    """1/(pi (1 + |x|^2)^k), k = 1 or 2, as t^2k/pi above the large-modulus
+    switch.  np.square, not **, which rounds apart on NumPy scalars."""
+    big, r2, t = modulus_forms(x)
+    num, den = np.where(big, t * t, 1.0), 1.0 + r2
+    return num / (np.pi * den) if k == 1 else np.square(num) / (np.pi * np.square(den))
+
+
 def cauchy_law() -> ClosedFormLaw:
     cdf = lambda x: 0.5 + np.arctan(x) / np.pi
     return ClosedFormLaw(
         name="cauchy",
-        density=lambda x: 1.0 / (np.pi * (1.0 + np.square(x))),
+        density=lambda x: _inverse_power(x, 1),
         cdf=cdf,
         variable="x",
         energy=math.log(2.0),
@@ -72,12 +80,18 @@ def _spherical_quadrant_mass(a, b):
     return (a / sa * np.arctan(b / sa) + b / sb * np.arctan(a / sb)) / (2.0 * np.pi)
 
 
+def _spherical_cdf(r):
+    """r^2/(1 + r^2), as 1/(1 + t^2) = 1 above the large-modulus switch."""
+    big, r2, _ = modulus_forms(r)
+    return np.where(big, 1.0, r2 / (1.0 + r2))[()]
+
+
 def spherical_law() -> ClosedFormLaw:
     """Area density 1/(pi (1+|z|^2)^2) on the plane; CDF is radial."""
     return ClosedFormLaw(
         name="spherical",
-        density=lambda z: 1.0 / (np.pi * np.square(1.0 + np.abs(z) ** 2)),
-        cdf=lambda r: np.square(r) / (1.0 + np.square(r)),
+        density=lambda z: _inverse_power(z, 2),
+        cdf=_spherical_cdf,
         variable="r",
         energy=0.5,
         corner=_spherical_quadrant_mass,

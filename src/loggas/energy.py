@@ -16,7 +16,8 @@ leading term of the cell-averaged log kernel.
 
 Pair sums run over each unordered pair once and accumulate with
 math.fsum, which is correctly rounded, so golden values reproduce
-exactly across runs.
+exactly across runs.  Both Gibbs log-densities are finite at every finite
+|x|: log(1 + |x|^2) comes from ``model.log1p_modulus_squared``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import math
 import numpy as np
 
 from .errors import MismatchedSupports
-from .geometry import _LARGE_MODULUS, chordal_distance, compactified_potential
-from .model import Configuration, DiscreteMeasure, GasModel, _atom_groups
+from .geometry import chordal_distance, compactified_potential
+from .model import Configuration, DiscreteMeasure, GasModel, log1p_modulus_squared
 
 # Separations smaller than this are treated as coincident points.
 COINCIDENCE_TOL = 1e-300
@@ -157,42 +158,9 @@ def log_density_sphere(config: Configuration, model: GasModel) -> float:
     if np.any(seps < COINCIDENCE_TOL):
         return -math.inf
     inter = model.beta * math.fsum(np.log(seps).tolist())
-    conformal = -(model.beta / 2.0) * math.fsum(_log1p_modulus_squared(pts).tolist())
+    conformal = -(model.beta / 2.0) * math.fsum(log1p_modulus_squared(pts).tolist())
     vsum = math.fsum(pot.on_plane(pts).tolist())
     return inter + conformal - n * vsum
-
-
-def _log1p_modulus_squared(xs: np.ndarray) -> np.ndarray:
-    """log(1 + |x|^2), as 2 log|x| + log(1 + 1/|x|^2) above _LARGE_MODULUS
-    so that |x|^2 is never formed there."""
-    r = np.abs(xs)
-    big = r > _LARGE_MODULUS
-    out = np.log1p(np.square(np.where(big, 0.0, r)))
-    t = 1.0 / r[big]
-    out[big] = 2.0 * np.log(r[big]) + np.log1p(t * t)
-    return out
-
-
-def align_measures(
-    mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """Re-express two measures on the union of their atom positions.
-
-    Missing atoms get weight zero, so the pair becomes a valid input for
-    signed_log_energy.
-    """
-    if mu.side != nu.side:
-        raise MismatchedSupports("measures live on different sides")
-    positions = np.concatenate([mu.positions, nu.positions])
-    first, groups = _atom_groups(positions)
-    size = len(first)
-    w_mu = np.bincount(groups[: len(mu)], weights=mu.weights, minlength=size)
-    w_nu = np.bincount(groups[len(mu) :], weights=nu.weights, minlength=size)
-    pos = positions[first]
-    return (
-        DiscreteMeasure(pos, w_mu, side=mu.side),
-        DiscreteMeasure(pos, w_nu, side=mu.side),
-    )
 
 
 def signed_log_energy(
@@ -210,7 +178,7 @@ def signed_log_energy(
     if mu.side != "sphere" or nu.side != "sphere":
         raise MismatchedSupports("signed_log_energy expects sphere-side measures")
     if not np.array_equal(mu.positions, nu.positions):
-        raise MismatchedSupports("atom position lists differ; use align_measures first")
+        raise MismatchedSupports("atom position lists differ")
     d = mu.weights - nu.weights
     value = _weighted_energy(d, mu.positions, 2.0, np.zeros(len(d)), policy, spacing)
     if value is None:

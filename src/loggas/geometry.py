@@ -16,6 +16,9 @@ and the induced chord length between projected points is
 which is bounded by the sphere diameter 1.  A useful consequence: the
 squared distance of T(x) from the origin equals its own height
 coordinate, so 1 - |T(x)|^2 = 1/(1 + |x|^2) exactly.
+
+Above ``model.LARGE_MODULUS`` neither the projection nor the sphere-side
+potential forms |x|^2; both use equivalent forms in 1/|x|.
 """
 
 from __future__ import annotations
@@ -25,11 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleNotInvertible
-from .model import DiscreteMeasure, GasModel
-
-# Above this modulus the direct projection formula would square |x| into
-# overflow territory; an equivalent form in t = 1/|x| is used instead.
-_LARGE_MODULUS = 1e8
+from .model import LARGE_MODULUS, DiscreteMeasure, GasModel, log1p_modulus_squared
 
 
 def project_array(xs) -> np.ndarray:
@@ -37,7 +36,7 @@ def project_array(xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=complex)
     out = np.empty(xs.shape + (3,), dtype=float)
     r = np.abs(xs)
-    big = r > _LARGE_MODULUS
+    big = r > LARGE_MODULUS
     small = ~big
     x = xs[small]
     r2 = x.real**2 + x.imag**2
@@ -109,7 +108,7 @@ class CompactifiedPotential:
         """Evaluate at T(x) directly from planar coordinates (exact form)."""
         xs = np.asarray(x, dtype=complex)
         v = self.model.potential_values(xs)
-        return v - (self.model.beta / 2.0) * np.log1p(np.abs(xs) ** 2)
+        return v - (self.model.beta / 2.0) * log1p_modulus_squared(xs)
 
     def on_sphere_array(self, zs: np.ndarray) -> np.ndarray:
         """Evaluate at sphere points given as rows (x1, x2, x3) of an array.

@@ -26,6 +26,31 @@ from .errors import CoincidentPoints, InadmissibleModel, MissingBetaPrime
 # imaginary part; this is the membership tolerance on the imaginary part.
 REAL_AXIS_TOL = 1e-12
 
+# Above this modulus |x|^2 is never formed (it overflows near 1.3e154): every
+# function of |x|^2 takes a form in t = 1/|x| there, where 1 + t^2 rounds to 1.
+LARGE_MODULUS = 1e8
+
+
+def modulus_forms(x):
+    """(big, r2, t): big marks |x| > LARGE_MODULUS, r2 is np.square(np.abs(x))
+    off big (0 on it) and t is 1/|x| on big (1 off it)."""
+    r = np.abs(x)
+    big = r > LARGE_MODULUS
+    return big, np.square(np.where(big, 0.0, r)), 1.0 / np.where(big, r, 1.0)
+
+
+def log1p_modulus_squared(x):
+    """log(1 + |x|^2) for real or complex x (arrays accepted), finite at every finite x.
+
+    Equal to np.log1p(np.square(np.abs(x))) wherever |x| <= LARGE_MODULUS;
+    above it 2 log|x|, since log1p(1/|x|^2) < 1e-16 is under half an ulp of that.
+    """
+    r = np.abs(x)
+    if r.max(initial=0.0) <= LARGE_MODULUS:  # nan fails this; the masked forms keep it
+        return np.log1p(np.square(r))
+    big, r2, _ = modulus_forms(r)
+    return np.where(big, 2.0 * np.log(np.where(big, r, 1.0)), np.log1p(r2))[()]
+
 
 class Support(enum.Enum):
     """The five supported particle domains (subsets of the complex plane)."""
@@ -100,25 +125,21 @@ class PotentialSpec:
 
     def evaluate(self, x):
         """V at x: floats on real-axis supports, complex numbers otherwise; arrays accepted."""
-        r2 = np.square(np.abs(x))
-        s = r2 if self.poly_var == "r2" else x
         if self.log_coeff == 0.0:
-            return _horner(self.poly, s)
-        log_term = self.log_coeff * np.log1p(r2)
-        if not self.poly:
-            return log_term
-        return _horner(self.poly, s) + log_term
+            return _horner(self.poly, x, self.poly_var)
+        log_term = self.log_coeff * log1p_modulus_squared(x)
+        return _horner(self.poly, x, self.poly_var) + log_term if self.poly else log_term
 
     def gradient(self, x):
         """dV/dx on real-axis supports; dV/dRe x + i dV/dIm x in the plane."""
-        r2 = np.square(np.abs(x))
         dcoeffs = tuple(k * c for k, c in enumerate(self.poly) if k)
+        out = _horner(dcoeffs, x, self.poly_var)
         if self.poly_var == "r2":
-            out = _horner(dcoeffs, r2) * 2.0 * x
-        else:
-            out = _horner(dcoeffs, x)
+            out = out * 2.0 * x
         if self.log_coeff != 0.0:
-            out = out + self.log_coeff * 2.0 * x / (1.0 + r2)
+            # 2x/(1 + |x|^2), as 2 (x t) t on big
+            big, r2, t = modulus_forms(x)
+            out = out + self.log_coeff * 2.0 * np.where(big, x * t * t, x) / (1.0 + r2)
         return out
 
     @property
@@ -158,14 +179,16 @@ def _poly_end_limit(coeffs: Sequence[float], sign: float) -> float:
     return math.inf if lead > 0 else -math.inf
 
 
-def _horner(coeffs: tuple[float, ...], s):
-    """sum_k coeffs[k] s^k (coeffs low to high; empty is 0), shaped like s.
+def _horner(coeffs: tuple[float, ...], x, var: str):
+    """sum_k coeffs[k] s^k (coeffs low to high; empty is 0), shaped like x,
+    with s = |x|^2 for ``var`` "r2" and s = x for "x".
 
     Horner's rule from the leading coefficient: no 0 * s term, so the value
-    at an infinite s is infinite, not nan.
+    at an infinite s is infinite, not nan.  A constant never forms |x|^2.
     """
     if len(coeffs) < 2:
-        return np.full(np.shape(s), coeffs[0] if coeffs else 0.0)
+        return np.full(np.shape(x), coeffs[0] if coeffs else 0.0)
+    s = np.square(np.abs(x)) if var == "r2" else x
     out = coeffs[-1] * s + coeffs[-2]
     for c in coeffs[-3::-1]:
         out = out * s + c

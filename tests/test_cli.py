@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -526,6 +528,20 @@ class TestMain:
         assert self._analyze(tmp_path, text, reference) == 2
         assert "samples.csv, line 3: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "o" / "fit.json").exists()
+
+    def test_huge_analyze_input_gives_a_finite_statistic(self, tmp_path):
+        # The spherical CDF holds at every finite modulus, so fit.json stays strict JSON.
+        text = "chain,sweep,particle,re,im\n0,0,0,1.5,0.0\n0,0,1,1e200,0.0\n0,0,2,0.5,0.0\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._analyze(tmp_path, text, "spherical") == 0
+
+        def reject(token):
+            raise ValueError(f"fit.json holds {token}")
+
+        fit = json.loads((tmp_path / "o" / "fit.json").read_text(), parse_constant=reject)
+        assert [r["reference"] for r in fit["reports"]] == ["spherical_radial", "spherical_angular"]
+        assert all(math.isfinite(r["statistic"]) for r in fit["reports"])
 
     def test_missing_config_file(self, capsys):
         assert main(["sample", "--config", "/nonexistent/x.json"]) == 2

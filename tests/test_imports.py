@@ -1,4 +1,4 @@
-"""Import boundaries: no command loads SciPy, and a run imports nothing.
+"""Import boundaries: no command or matrix-model sampler loads SciPy, and a run imports nothing.
 
 Every check runs in a fresh interpreter, so modules loaded by other tests
 do not count.
@@ -83,3 +83,13 @@ def test_command_loads_no_scipy(tmp_path, command):
     # Start-up cost stays in start-up: the run itself imports nothing.
     assert during_run == []
 
+
+
+def test_spherical_ensemble_loads_no_scipy():
+    points, modules = run_fresh("""
+        import loggas
+        points = loggas.sample_spherical_ensemble(8, seed=3).points
+        print(json.dumps([len(points), loaded("scipy")]))
+    """)
+    assert points == 8
+    assert modules == []

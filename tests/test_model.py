@@ -21,6 +21,7 @@ from loggas import (
     spherical_potential,
     validate_configuration,
 )
+from loggas.model import LARGE_MODULUS, log1p_modulus_squared
 
 
 def model(potential, beta=2.0, n=1, support=Support.REAL_LINE):
@@ -165,23 +166,6 @@ def loop_empirical(points):
     )
 
 
-def loop_align(mu, nu):
-    """Reference: both measures re-expressed on the union of their atoms."""
-    key = complex if mu.side == "plane" else tuple
-    index: dict = {}
-    positions = []
-    for m in (mu, nu):
-        for p in m.positions:
-            if key(p) not in index:
-                index[key(p)] = len(positions)
-                positions.append(p)
-    weights = np.zeros((2, len(positions)))
-    for w, m in zip(weights, (mu, nu)):
-        for p, wt in zip(m.positions, m.weights):
-            w[index[key(p)]] += wt
-    return np.array(positions), weights[0], weights[1]
-
-
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -232,20 +216,6 @@ class TestAtomGroupingMatchesLoop:
             ref_pos, ref_w = loop_empirical(pts)
             assert same_bits(mu.positions, ref_pos)
             assert same_bits(mu.weights, ref_w)
-
-    @pytest.mark.parametrize("side", ["plane", "sphere"])
-    def test_align_measures(self, side):
-        from loggas import align_measures
-
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            n, m = rng.integers(1, 30, 2)
-            mu = DiscreteMeasure(random_atoms(rng, n, side), random_weights(rng, n), side=side)
-            nu = DiscreteMeasure(random_atoms(rng, m, side), random_weights(rng, m), side=side)
-            a, b = align_measures(mu, nu)
-            ref_pos, ref_a, ref_b = loop_align(mu, nu)
-            assert same_bits(a.positions, ref_pos) and same_bits(b.positions, ref_pos)
-            assert same_bits(a.weights, ref_a) and same_bits(b.weights, ref_b)
 
 
 class TestConfiguration:
@@ -316,14 +286,40 @@ class TestPotentials:
         fd_im = (gas.potential_values(zs + 1j * h) - gas.potential_values(zs - 1j * h)) / (2 * h)
         np.testing.assert_allclose(gradient, fd_re + 1j * fd_im, rtol=1e-6)
 
-    @pytest.mark.parametrize("potential", [
-        cauchy_potential(), PotentialSpec("c", [], "r2", 1.0), quadratic_potential(),
-    ])
-    def test_infinite_at_huge_modulus(self, potential):
+    def test_quadratic_infinite_at_huge_modulus(self):
         # |x|^2 overflows to inf; V must follow it to +inf, not turn into nan
+        potential = quadratic_potential()
         with np.errstate(over="ignore"):
             assert potential.evaluate(1e200) == math.inf
             assert np.all(potential.evaluate(np.array([1e200, -1e200, np.inf])) == math.inf)
+
+    @pytest.mark.parametrize("potential", [cauchy_potential(), PotentialSpec("c", [], "r2", 1.0)])
+    def test_log_potential_finite_at_huge_modulus(self, potential):
+        # V = log(1 + |x|^2) = 2 log 1e200 there, with no |x|^2 formed; +inf only at +-inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert potential.evaluate(1e200) == pytest.approx(2.0 * math.log(1e200), rel=1e-15)
+            values = potential.evaluate(np.array([1e200, -1e200, 1e200j, np.inf, -np.inf]))
+        assert np.allclose(values[:3], 2.0 * math.log(1e200), rtol=1e-15, atol=0.0)
+        assert np.all(values[3:] == math.inf)
+
+    def test_gradient_finite_at_huge_modulus(self):
+        # 2x/(1 + |x|^2) = 2x/|x|^2 to double precision at |x| = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = cauchy_potential().gradient(np.array([1e200, -1e200, 1e200j]))
+        np.testing.assert_allclose(grad, [2e-200, -2e-200, 2e-200j], rtol=1e-15)
+
+    @pytest.mark.parametrize("x", [
+        0.0, 1e-300, 1.0, 1e8, np.nextafter(LARGE_MODULUS, 0.0), -3.5, 2 - 7j,
+    ])
+    def test_log1p_modulus_squared_below_the_switch(self, x):
+        # Bit for bit the direct form, so outputs below the switch do not move.
+        for arg in (x, np.array([x, 0.5])):
+            expected = np.log1p(np.square(np.abs(arg)))
+            assert same_bits(log1p_modulus_squared(arg), expected)
+        assert same_bits(log1p_modulus_squared(np.array([x, 1e200]))[:1],
+                         np.log1p(np.square(np.abs(np.array([x])))))
 
     def test_constant_potentials_keep_the_shape(self):
         xs = np.array([0.0, 1.0, 1e200])
