@@ -16,7 +16,6 @@ from loggas import (
     compactified_potential,
     log_density,
     log_density_sphere,
-    Configuration,
     project_array,
     quadratic_potential,
 )
@@ -64,8 +63,8 @@ print()
 print("=== density transport: Gibbs log-weights agree across the map ===")
 for n in (2, 8, 32):
     model_n = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), n)
-    config = Configuration(rng.standard_normal(n).astype(complex))
-    lhs = log_density(config, model_n)
-    rhs = log_density_sphere(config, model_n)
+    points = rng.standard_normal(n).astype(complex)
+    lhs = log_density(points, model_n)
+    rhs = log_density_sphere(points, model_n)
     print(f"  n={n:3d}: plane {lhs:+.12f}   sphere {rhs:+.12f}   "
           f"diff {abs(lhs - rhs):.2e}")

@@ -24,7 +24,6 @@ from loggas import (
     spherical_law,
     spherical_potential,
     quadratic_potential,
-    Configuration,
 )
 from loggas.io import write_measure_csv
 
@@ -67,12 +66,12 @@ print("  (constant U on the support is the optimality condition; "
 print()
 print("=== mode configurations by gradient ascent ===")
 quad = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 2)
-out = fekete_descent(quad, Configuration(np.array([-1.0, 1.0], dtype=complex)),
+out = fekete_descent(quad, np.array([-1.0, 1.0], dtype=complex),
                      max_iter=5000, grad_tol=1e-12)
-print(f"  quadratic pair from (-1, 1): {np.sort(out.points.real)}  "
+print(f"  quadratic pair from (-1, 1): {np.sort(out.real)}  "
       "(stationary at +-1/2)")
 cauchy2 = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
-out2 = fekete_descent(cauchy2, Configuration(np.array([-2.0, 2.0], dtype=complex)),
+out2 = fekete_descent(cauchy2, np.array([-2.0, 2.0], dtype=complex),
                       max_iter=5000, grad_tol=1e-10)
-print(f"  cauchy pair from (-2, 2):    {np.sort(out2.points.real)}  "
+print(f"  cauchy pair from (-2, 2):    {np.sort(out2.real)}  "
       f"(stationary at +-1/sqrt(3) = +-{1/math.sqrt(3):.6f})")

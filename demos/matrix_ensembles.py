@@ -24,7 +24,7 @@ from loggas import (
 
 print("=== one-particle sanity check ===")
 draws = np.concatenate(
-    [sample_cauchy_ensemble(1, seed=s).points.real for s in range(5000)]
+    [sample_cauchy_ensemble(1, seed=s).real for s in range(5000)]
 )
 fit = ks_distance(draws, cauchy_law().cdf)
 print(f"  n=1 eigenphase through tan(theta/2), 5000 draws: "
@@ -34,7 +34,7 @@ print()
 print("=== pooled spectra, n = 64 ===")
 t0 = time.perf_counter()
 pool = np.concatenate(
-    [sample_cauchy_ensemble(64, seed=s).points.real for s in range(200)]
+    [sample_cauchy_ensemble(64, seed=s).real for s in range(200)]
 )
 dt = time.perf_counter() - t0
 fit = ks_distance(pool, cauchy_law().cdf)
@@ -45,7 +45,7 @@ print()
 print("=== generalized-eigenvalue gas on the plane, n = 64 ===")
 t0 = time.perf_counter()
 pool_c = np.concatenate(
-    [sample_spherical_ensemble(64, seed=s).points for s in range(100)]
+    [sample_spherical_ensemble(64, seed=s) for s in range(100)]
 )
 dt = time.perf_counter() - t0
 radial = radial_cdf_distance(pool_c, spherical_law().cdf)

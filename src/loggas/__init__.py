@@ -4,8 +4,8 @@ The package covers the desk-scale study of a gas of n particles on the
 line or the plane with pairwise logarithmic repulsion at inverse
 temperature beta and external potential V:
 
-* model        gas models, potentials, configurations, discrete measures,
-               and log(1+|x|^2) without overflow at any finite |x|
+* model        gas models, potentials, checks of n-point arrays, discrete
+               measures, and log(1+|x|^2) without overflow at any finite |x|
 * geometry     projection onto the Riemann sphere and its exact identities
 * energy       discrete energies, Gibbs log-densities
 * equilibrium  grid minimization, mode descent, optimality residuals
@@ -74,7 +74,6 @@ from .geometry import (
 )
 from .model import (
     Admissibility,
-    Configuration,
     DiscreteMeasure,
     GasModel,
     PotentialSpec,

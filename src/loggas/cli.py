@@ -257,14 +257,9 @@ def _run_sample(config: RunConfig, out_dir: Path) -> int:
         for j in chains
     ]
     seeds = [chain_seed(config.seed, j) for j in chains]
-    results = mh_chains(config.model, inits, config.chain, seeds)
-    records = [
-        (j, config.chain.burn_in + k * config.chain.thin, cfg.points)
-        for j, (samples, _) in enumerate(results)
-        for k, cfg in enumerate(samples)
-    ]
-    write_samples_csv(out_dir / "samples.csv", records)
-    write_json(out_dir / "stats.json", {"chains": [stats.to_json() for _, stats in results]})
+    samples, stats = mh_chains(config.model, inits, config.chain, seeds)
+    write_samples_csv(out_dir / "samples.csv", samples, config.chain.recorded_sweeps)
+    write_json(out_dir / "stats.json", {"chains": [s.to_json() for s in stats]})
     return 0
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import MismatchedSupports
 from .geometry import chordal_distance, compactified_potential
-from .model import Configuration, DiscreteMeasure, GasModel, log1p_modulus_squared
+from .model import DiscreteMeasure, GasModel, log1p_modulus_squared
 
 # Separations smaller than this are treated as coincident points.
 COINCIDENCE_TOL = 1e-300
@@ -124,9 +124,9 @@ def measure_energy(
     return math.inf if value is None else value
 
 
-def log_density(config: Configuration, model: GasModel) -> float:
-    """Unnormalized Gibbs log-weight beta*sum_{i<j} log|dx| - n*sum V."""
-    pts = config.points
+def log_density(points, model: GasModel) -> float:
+    """Unnormalized Gibbs log-weight beta*sum_{i<j} log|dx| - n*sum V of n points."""
+    pts = np.asarray(points, dtype=complex)
     n = len(pts)
     _, _, seps = _pair_distances(pts)
     if np.any(seps < COINCIDENCE_TOL):
@@ -136,7 +136,7 @@ def log_density(config: Configuration, model: GasModel) -> float:
     return inter - n * math.fsum(v.tolist())
 
 
-def log_density_sphere(config: Configuration, model: GasModel) -> float:
+def log_density_sphere(points, model: GasModel) -> float:
     """The same log-weight evaluated through the sphere-side change of variables.
 
     With z_i = T(x_i):
@@ -151,7 +151,7 @@ def log_density_sphere(config: Configuration, model: GasModel) -> float:
     for near-coincident points and ulp/(1 - x3) near the pole.
     """
     pot = compactified_potential(model)
-    pts = config.points
+    pts = np.asarray(points, dtype=complex)
     n = len(pts)
     iu, ju = _pair_indices(n)
     seps = chordal_distance(pts[iu], pts[ju])

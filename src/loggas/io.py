@@ -96,19 +96,19 @@ def read_measure_csv(path) -> DiscreteMeasure:
     return DiscreteMeasure(coords[0] + 1j * coords[1], weights, side="plane")
 
 
-def write_samples_csv(path, records) -> None:
+def write_samples_csv(path, samples, sweeps) -> None:
     """Samples as chain,sweep,particle,re,im rows.
 
-    ``records`` yields (chain_index, sweep_index, points) triples.
+    ``samples`` is a (C, K, n) array: sample k of chain c is the n points
+    ``samples[c, k]``, recorded at sweep ``sweeps[k]``.  Rows are formatted
+    one recorded sample at a time, so no chain-wide list of floats is held.
     """
+    prefixes = [f",{i}," for i in range(samples.shape[2])]  # shared by every sample
     lines = ["chain,sweep,particle,re,im"]
-    prefixes: list[str] = []  # ",k," for particle k, shared by every record
-    for chain, sweep, points in records:
-        pts = np.asarray(points, dtype=complex)
-        if len(prefixes) < len(pts):
-            prefixes = [f",{k}," for k in range(len(pts))]
-        re, im = map(repr, pts.real.tolist()), map(repr, pts.imag.tolist())
-        lines += map("".join, zip(repeat(f"{chain},{sweep}"), prefixes, re, repeat(","), im))
+    for chain, recorded in enumerate(samples):
+        for sweep, pts in zip(sweeps, recorded):
+            re, im = map(repr, pts.real.tolist()), map(repr, pts.imag.tolist())
+            lines += map("".join, zip(repeat(f"{chain},{sweep}"), prefixes, re, repeat(","), im))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -267,30 +267,16 @@ class GasModel:
         return np.asarray(self.potential.gradient(arg), dtype=complex)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """An ordered tuple of particle positions (complex values)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=complex)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def validate_configuration(config: Configuration, model: GasModel) -> None:
-    """Raise ValueError unless config has n distinct points, all in the support."""
-    if len(config) != model.n:
-        raise ValueError(f"configuration has {len(config)} points, model expects {model.n}")
-    ok = model.support.contains_array(config.points)
+def validate_configuration(points, model: GasModel) -> None:
+    """Raise ValueError unless ``points`` is an (n,) array of distinct points
+    in the support."""
+    pts = np.asarray(points, dtype=complex)
+    if pts.shape != (model.n,):
+        raise ValueError(f"configuration has shape {pts.shape}, model expects ({model.n},)")
+    ok = model.support.contains_array(pts)
     if not np.all(ok):
-        bad = config.points[~ok][0]
-        raise ValueError(f"point {bad} is not in support {model.support.value}")
-    if len(np.unique(config.points)) != len(config):
+        raise ValueError(f"point {pts[~ok][0]} is not in support {model.support.value}")
+    if len(np.unique(pts)) != model.n:
         raise CoincidentPoints("configuration has coincident points")
 
 
@@ -353,14 +339,14 @@ def _atom_groups(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
-def empirical_measure(config: Configuration) -> DiscreteMeasure:
+def empirical_measure(points) -> DiscreteMeasure:
     """Mass k/n at each distinct particle position, k its multiplicity.
 
     Each weight is the correctly rounded quotient k/n.
     """
-    first, groups = _atom_groups(config.points)
-    counts = np.bincount(groups)
-    return DiscreteMeasure(config.points[first], counts / len(config), side="plane")
+    pts = np.asarray(points, dtype=complex)
+    first, groups = _atom_groups(pts)
+    return DiscreteMeasure(pts[first], np.bincount(groups) / len(pts), side="plane")
 
 
 class Admissibility(enum.Enum):

@@ -42,14 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import log_density
-from .model import (
-    Admissibility,
-    Configuration,
-    GasModel,
-    Support,
-    admissibility_check,
-    validate_configuration,
-)
+from .model import Admissibility, GasModel, Support, admissibility_check, validate_configuration
 
 TARGET_ACCEPTANCE = 0.3
 HEAVY_TAIL_FRACTION = 0.1
@@ -82,6 +75,11 @@ class ChainParams:
             raise ValueError("chain.step_scale: must be positive")
         if self.thin < 1:
             raise ValueError("chain.thin: must be an integer >= 1")
+
+    @property
+    def recorded_sweeps(self) -> range:
+        """The sweeps whose end states are recorded, in order."""
+        return range(self.burn_in, self.sweeps, self.thin)
 
 
 @dataclass
@@ -260,17 +258,20 @@ def _sweep_randoms(
 
 
 def mh_chains(
-    model: GasModel, inits: Sequence[Configuration], params: ChainParams, seeds: Sequence[int]
-) -> list[tuple[list[Configuration], ChainStats]]:
-    """Run C single-particle Metropolis chains together; one result per chain.
+    model: GasModel, inits, params: ChainParams, seeds: Sequence[int]
+) -> tuple[np.ndarray, list[ChainStats]]:
+    """Run C single-particle Metropolis chains together; returns (samples, stats).
 
-    Chain j starts at ``inits[j]`` and draws from ``seeds[j]``; all follow
-    the schedule ``params``.  Their state is one (C, n) array and each
-    block of moves is one set of array calls across all rows, but each
-    chain draws from its own Generator in a fixed order and adapts its own
-    scale, so chain j's samples and stats do not depend on C.
+    Chain j starts at ``inits[j]`` (a (C, n) array, or C arrays of n points)
+    and draws from ``seeds[j]``; all follow the schedule ``params``.
+    ``samples[j, k]``, of a (C, K, n) complex array, is chain j's state after
+    sweep ``params.recorded_sweeps[k]``, and ``stats[j]`` its ChainStats.
+    The state is one (C, n) array and each block of moves is one set of
+    array calls across all rows, but each chain draws from its own
+    Generator in a fixed order and adapts its own scale, so chain j's
+    samples and stats do not depend on C.
     """
-    if not inits or len(inits) != len(seeds):
+    if len(inits) == 0 or len(inits) != len(seeds):
         raise ValueError("need one seed per initial configuration, at least one")
     model.require_weak_growth()
     for init in inits:
@@ -281,7 +282,7 @@ def mh_chains(
     rotate = support is Support.UNIT_CIRCLE
     heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
 
-    x = np.array([init.points for init in inits], dtype=complex)
+    x = np.array(inits, dtype=complex)
     if not is_complex and not x.imag.view(np.int64).any():
         # Every imaginary part is +0.0, as initial_configuration draws them,
         # so the real parts carry the state: |d| of a float is hypot(d, 0).
@@ -294,7 +295,8 @@ def mh_chains(
 
     steps = np.empty(x.shape, dtype=x.dtype)
     u_accept = np.empty(x.shape)
-    samples: list[list[Configuration]] = [[] for _ in chains]
+    recorded = params.recorded_sweeps
+    samples = np.empty((len(seeds), len(recorded), n), dtype=complex)
     traces: list[list[float]] = [[] for _ in chains]
     running = [log_density(init, model) for init in inits]
     drifts = [0.0 for _ in chains]
@@ -330,48 +332,46 @@ def mh_chains(
                     for scale, acc in zip(scales, acc_sweep)
                 ]
         else:
-            for c in chains:
-                accepted_recorded[c] += acc_sweep[c]
-            if (sweep - params.burn_in) % params.thin == 0:
+            accepted_recorded = [a + b for a, b in zip(accepted_recorded, acc_sweep)]
+            if sweep in recorded:
+                k = recorded.index(sweep)
+                samples[:, k] = x
                 for c in chains:
-                    config = Configuration(x[c])
-                    if len(samples[c]) % TRACE_RECOMPUTE_EVERY == 0:
-                        exact = log_density(config, model)
+                    if k % TRACE_RECOMPUTE_EVERY == 0:
+                        exact = log_density(samples[c, k], model)
                         gap = abs(running[c] - exact) / (abs(exact) or 1.0)
                         drifts[c] = max(drifts[c], gap)
                         running[c] = exact
-                    samples[c].append(config)
                     traces[c].append(running[c])
 
     proposed_recorded = n * (params.sweeps - params.burn_in)
-    return [
-        (
-            samples[c],
-            ChainStats(accepted_recorded[c] / proposed_recorded, scales[c], traces[c], drifts[c]),
-        )
+    return samples, [
+        ChainStats(accepted_recorded[c] / proposed_recorded, scales[c], traces[c], drifts[c])
         for c in chains
     ]
 
 
 def mh_chain(
-    model: GasModel, init: Configuration, params: ChainParams, seed: int = 0
-) -> tuple[list[Configuration], ChainStats]:
-    """Run one single-particle Metropolis chain; returns thinned samples."""
-    return mh_chains(model, [init], params, [seed])[0]
+    model: GasModel, init, params: ChainParams, seed: int = 0
+) -> tuple[np.ndarray, ChainStats]:
+    """Run one single-particle Metropolis chain from the n points ``init``;
+    returns its (K, n) recorded samples and its stats."""
+    samples, stats = mh_chains(model, [init], params, [seed])
+    return samples[0], stats[0]
 
 
-def initial_configuration(model: GasModel, rng: np.random.Generator) -> Configuration:
-    """A chain's starting state: n points drawn on the support from ``rng``."""
+def initial_configuration(model: GasModel, rng: np.random.Generator) -> np.ndarray:
+    """A chain's starting state: n complex points drawn on the support from ``rng``."""
     n, support = model.n, model.support
     if support is Support.COMPLEX_PLANE:
-        return Configuration(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
     if support is Support.UNIT_CIRCLE:
-        return Configuration(np.exp(2j * np.pi * rng.random(n)))
+        return np.exp(2j * np.pi * rng.random(n))
     if support is Support.UNIT_SEGMENT:
-        return Configuration(rng.random(n))
+        return rng.random(n).astype(complex)
     if support is Support.HALF_LINE:
-        return Configuration(np.abs(rng.standard_normal(n)))
-    return Configuration(rng.standard_normal(n))
+        return np.abs(rng.standard_normal(n)).astype(complex)
+    return rng.standard_normal(n).astype(complex)
 
 
 def chain_seed(base_seed: int, chain_index: int) -> int:
@@ -387,7 +387,7 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))[None, :]
 
 
-def sample_cauchy_ensemble(n: int, seed: int = 0) -> Configuration:
+def sample_cauchy_ensemble(n: int, seed: int = 0) -> np.ndarray:
     """One exact draw of the beta = 2 line gas with V = log(1 + x^2).
 
     Samples Haar-unitary eigenphases and maps them through tan(theta/2).
@@ -397,10 +397,10 @@ def sample_cauchy_ensemble(n: int, seed: int = 0) -> Configuration:
     rng = np.random.default_rng(seed)
     lam = np.linalg.eigvals(_haar_unitary(n, rng))
     theta = np.angle(lam)
-    return Configuration(np.tan(theta / 2.0).astype(complex))
+    return np.tan(theta / 2.0).astype(complex)
 
 
-def sample_spherical_ensemble(n: int, seed: int = 0) -> Configuration:
+def sample_spherical_ensemble(n: int, seed: int = 0) -> np.ndarray:
     """One draw of the beta = 2 planar gas with V = log(1 + |x|^2).
 
     Eigenvalues of B^{-1} A, the generalized eigenvalues of a pair (A, B) of
@@ -412,4 +412,4 @@ def sample_spherical_ensemble(n: int, seed: int = 0) -> Configuration:
     rng = np.random.default_rng(seed)
     a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
     b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    return Configuration(np.linalg.eigvals(np.linalg.solve(b, a)))
+    return np.linalg.eigvals(np.linalg.solve(b, a))

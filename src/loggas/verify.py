@@ -28,7 +28,6 @@ from .energy import (
 )
 from .geometry import chordal_distance, compactified_potential, project_array, pushforward
 from .model import (
-    Configuration,
     DiscreteMeasure,
     GasModel,
     Support,
@@ -132,7 +131,7 @@ def density_transport_deviation(rng, configs) -> float:
         model = make(CONFIG_SIZE)
         real = model.support is Support.REAL_LINE
         for _ in range(configs):
-            config = Configuration(_random_configuration(rng, CONFIG_SIZE, real))
+            config = _random_configuration(rng, CONFIG_SIZE, real)
             lhs = log_density(config, model)
             rhs = log_density_sphere(config, model)
             worst = max(worst, abs(lhs - rhs))

@@ -15,7 +15,6 @@ import pytest
 from loggas import (
     Admissibility,
     ChainParams,
-    Configuration,
     DiagonalPolicy,
     DiscreteMeasure,
     GasModel,
@@ -61,11 +60,11 @@ def cauchy_chain_pool():
     model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 128)
     params = ChainParams(sweeps=3000, burn_in=1000)
     rng = np.random.default_rng(77)
-    init = Configuration(rng.standard_normal(128).astype(complex))
+    init = rng.standard_normal(128).astype(complex)
     t0 = time.perf_counter()
     samples, _ = mh_chain(model, init, params, seed=2024)
     elapsed = time.perf_counter() - t0
-    pool = np.concatenate([s.points.real for s in samples])
+    pool = samples.real.ravel()
     return pool, elapsed
 
 
@@ -100,11 +99,11 @@ def test_criterion_03_spherical_limit_law():
     model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 128)
     params = ChainParams(sweeps=3000, burn_in=1000)
     rng = np.random.default_rng(99)
-    init = Configuration(rng.standard_normal(128) + 1j * rng.standard_normal(128))
+    init = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     t0 = time.perf_counter()
     samples, _ = mh_chain(model, init, params, seed=512)
     elapsed = time.perf_counter() - t0
-    pool = np.concatenate([s.points for s in samples])
+    pool = samples.ravel()
     radial = radial_cdf_distance(pool, spherical_law().cdf).statistic
     angular = angular_ks_distance(pool).statistic
     ok = radial <= 0.05 and angular <= 0.05 and elapsed < 90.0
@@ -164,10 +163,10 @@ def test_criterion_06_euler_lagrange_residuals():
 def test_criterion_07_mode_descent():
     model = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 2)
     out = fekete_descent(
-        model, Configuration(np.array([-1.0, 1.0], dtype=complex)),
+        model, np.array([-1.0, 1.0], dtype=complex),
         max_iter=5000, grad_tol=1e-12,
     )
-    err = float(np.max(np.abs(np.sort(out.points.real) - np.array([-0.5, 0.5]))))
+    err = float(np.max(np.abs(np.sort(out.real) - np.array([-0.5, 0.5]))))
     ok = err <= 1e-6
     _report(7, "mode descent reaches {-1/2, 1/2} within 1e-6", ok, f"err={err:.2e}")
 
@@ -218,16 +217,11 @@ def test_criterion_09_convergence_trend():
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), n)
         seeds = range(5)
         inits = [
-            Configuration(
-                np.random.default_rng(chain_seed(seed, n + 1)).standard_normal(n).astype(complex)
-            )
+            np.random.default_rng(chain_seed(seed, n + 1)).standard_normal(n).astype(complex)
             for seed in seeds
         ]
-        stats = []
-        chain_seeds = [chain_seed(seed, n) for seed in seeds]
-        for samples, _ in mh_chains(model, inits, params, chain_seeds):
-            pool = np.concatenate([s.points.real for s in samples])
-            stats.append(ks_distance(pool, law.cdf).statistic)
+        samples, _ = mh_chains(model, inits, params, [chain_seed(seed, n) for seed in seeds])
+        stats = [ks_distance(chain.real.ravel(), law.cdf).statistic for chain in samples]
         medians.append(float(np.median(stats)))
     ok = medians[1] <= medians[0] and medians[2] <= medians[1]
     _report(9, "median KS non-increasing across N in {16, 64, 256} (5 seeds)",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from loggas import (
-    Configuration,
     DiscreteMeasure,
     EmptySample,
     GasModel,
@@ -91,7 +90,7 @@ class TestAngularKs:
 
 class TestRateGap:
     def test_delta_pair(self):
-        mu = empirical_measure(Configuration(np.array([-1.0, 1.0], dtype=complex)))
+        mu = empirical_measure(np.array([-1.0, 1.0], dtype=complex))
         assert rate_gap(mu, CAUCHY) == pytest.approx(-math.log(2))
 
     def test_law_grid_small_gap(self):
@@ -114,7 +113,7 @@ class TestRateGap:
         from loggas import measure_energy
 
         quad = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 2)
-        mu = empirical_measure(Configuration(np.array([-1.0, 1.0], dtype=complex)))
+        mu = empirical_measure(np.array([-1.0, 1.0], dtype=complex))
         with pytest.raises(NoReference):
             rate_gap(mu, quad)
         expected = measure_energy(mu, quad) - 1.0

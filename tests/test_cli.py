@@ -33,6 +33,9 @@ MINIMAL_SAMPLE = {
 # V = (1/2) log(1+x^2): V - (beta'/2) log(1+x^2) tends to -inf at beta' = 2
 HALF_LOG = {"name": "half_log", "params": {"log_coeff": 0.5}, "beta_prime": 2.0}
 
+# V = 1e306 |x|^2 overflows to inf for |x| > 1.34
+STEEP = {"name": "steep", "params": {"poly": [0.0, 1e306], "poly_var": "r2"}, "beta_prime": 2.0}
+
 
 REPLAY_CASES = {
     "custom_sample": {
@@ -342,6 +345,22 @@ class TestRun:
         order = np.lexsort((data["sweep"], data["chain"]))
         assert np.array_equal(order, np.arange(len(order)))
 
+    def test_rows_follow_the_recording_schedule(self, tmp_path):
+        # thin 3 does not divide sweeps - burn_in = 18: sweeps 5, 8, ..., 20
+        n = 4
+        raw = json.loads(json.dumps(MINIMAL_SAMPLE))
+        raw["model"]["n"] = n
+        raw["chain"] = {"sweeps": 23, "burn_in": 5, "thin": 3, "chains": 2}
+        raw["out"] = str(tmp_path)
+        assert run(parse_config(json.dumps(raw))) == 0
+        data = read_samples_csv(tmp_path / "samples.csv")
+        sweeps = [5, 8, 11, 14, 17, 20]
+        for chain in (0, 1):
+            rows = data["chain"] == chain
+            assert data["sweep"][rows].tolist() == [s for s in sweeps for _ in range(n)]
+            assert data["particle"][rows].tolist() == list(range(n)) * len(sweeps)
+        assert len(data["chain"]) == 2 * len(sweeps) * n
+
     def test_chain_rows_do_not_depend_on_chain_count(self, tmp_path):
         raw = json.loads(json.dumps(MINIMAL_SAMPLE))
         raw["model"]["n"] = 5
@@ -473,6 +492,22 @@ class TestMain:
         out = tmp_path / "o"
         assert main([raw["command"], "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_potential_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "steep.json"
+        cfg.write_text(json.dumps({
+            "command": "equilibrium",
+            "model": {"support": "real_line", "beta": 1.0, "n": 1, "potential": STEEP},
+            "grid": {"window": [-20, 20], "resolution": 32},
+        }))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loggas: error: grid.window: V is not finite")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("support", ["complex_plane", "unit_circle"])

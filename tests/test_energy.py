@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from loggas import (
-    Configuration,
     DiagonalPolicy,
     DiscreteMeasure,
     GasModel,
@@ -131,7 +130,7 @@ class TestKernelSphere:
 
 class TestMeasureEnergy:
     def test_pair_example(self):
-        mu = empirical_measure(Configuration(np.array([-1.0, 1.0], dtype=complex)))
+        mu = empirical_measure(np.array([-1.0, 1.0], dtype=complex))
         assert measure_energy(mu, CAUCHY) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_atom(self):
@@ -236,23 +235,19 @@ class TestIdentitySuiteSeeds:
 
 class TestLogDensity:
     def test_examples(self):
-        ld = log_density(Configuration(np.array([0.0, 1.0], dtype=complex)), CAUCHY)
+        ld = log_density(np.array([0.0, 1.0], dtype=complex), CAUCHY)
         assert ld == pytest.approx(-2 * math.log(2))
         quad = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 2)
-        ld2 = log_density(Configuration(np.array([-0.5, 0.5], dtype=complex)), quad)
+        ld2 = log_density(np.array([-0.5, 0.5], dtype=complex), quad)
         assert ld2 == pytest.approx(-1.0)
-        assert log_density(
-            Configuration(np.array([0.3, 0.3], dtype=complex)), CAUCHY
-        ) == -math.inf
-        assert log_density_sphere(
-            Configuration(np.array([0.3, 0.3], dtype=complex)), CAUCHY
-        ) == -math.inf
+        assert log_density(np.array([0.3, 0.3], dtype=complex), CAUCHY) == -math.inf
+        assert log_density_sphere(np.array([0.3, 0.3], dtype=complex), CAUCHY) == -math.inf
 
     def test_sphere_single_particle(self):
         # one particle: the sphere-side expression collapses to -V(x)
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
         for x in (0.0, 0.7, -4.0):
-            config = Configuration(np.array([x], dtype=complex))
+            config = np.array([x], dtype=complex)
             assert log_density_sphere(config, model) == pytest.approx(
                 -float(model.potential_values([x])[0]), abs=1e-12
             )
@@ -261,12 +256,12 @@ class TestLogDensity:
             )
 
     def test_sphere_matches_plane_examples(self):
-        config = Configuration(np.array([0.0, 1.0], dtype=complex))
+        config = np.array([0.0, 1.0], dtype=complex)
         assert log_density_sphere(config, CAUCHY) == pytest.approx(
             -2 * math.log(2), abs=1e-12
         )
         model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 3)
-        config3 = Configuration(np.array([1.0, 1j, -1.0], dtype=complex))
+        config3 = np.array([1.0, 1j, -1.0], dtype=complex)
         assert log_density_sphere(config3, model) == pytest.approx(
             log_density(config3, model), abs=1e-12
         )
@@ -277,7 +272,7 @@ class TestLogDensity:
         # the pole keeps its precision, and no |x|^2 is formed above 1e8 on
         # either path.
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 3)
-        config = Configuration(np.array([0.3, -1.0, far], dtype=complex))
+        config = np.array([0.3, -1.0, far], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sphere = log_density_sphere(config, model)
@@ -297,7 +292,7 @@ class TestLogDensity:
                 pts = rng.standard_normal(20)
                 if not real:
                     pts = pts + 1j * rng.standard_normal(20)
-                config = Configuration(pts.astype(complex))
+                config = pts.astype(complex)
                 assert log_density_sphere(config, model) == pytest.approx(
                     log_density(config, model), abs=1e-10
                 )

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy import fft, integrate, special
 from loggas import (
     ClosedFormLaw,
     CoincidentPoints,
-    Configuration,
     DiscreteMeasure,
     GasModel,
     GridSpec,
@@ -34,7 +34,7 @@ from loggas import (
 from loggas import equilibrium
 from loggas.cli import parse_config, run
 from loggas.energy import DiagonalPolicy, _pair_kernel
-from loggas.equilibrium import GridKernel, project_to_simplex
+from loggas.equilibrium import GridKernel, check_solvable, project_to_simplex
 
 CAUCHY = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
 SPHERICAL = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
@@ -171,6 +171,19 @@ class TestGridSpec:
         grid = GridSpec((-1.0, 3.0), 32, max_iter=10)
         with pytest.raises(ValueError):
             grid_minimize(CAUCHY, grid)
+
+    @pytest.mark.parametrize("support, wide, narrow", [
+        (Support.REAL_LINE, (-20.0, 20.0), (-1.0, 1.0)),
+        (Support.COMPLEX_PLANE, ((-20.0, 20.0),) * 2, ((-0.9, 0.9),) * 2),
+    ], ids=["line", "plane"])
+    def test_potential_must_be_finite_on_the_grid(self, support, wide, narrow):
+        # V = 1e306 |x|^2 is inf for |x| > 1.34; the check itself warns of nothing
+        model = GasModel(support, 1.0, PotentialSpec("steep", (0.0, 1e306), beta_prime=2.0), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^grid.window: V is not finite"):
+                grid_minimize(model, GridSpec(wide, 32))
+            check_solvable(model, GridSpec(narrow, 16))
 
 
 class TestProjectToSimplex:
@@ -413,10 +426,10 @@ class TestFeketeDescent:
     def test_quadratic_pair(self):
         model = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 2)
         out = fekete_descent(
-            model, Configuration(np.array([-1.0, 1.0], dtype=complex)),
+            model, np.array([-1.0, 1.0], dtype=complex),
             max_iter=5000, grad_tol=1e-12,
         )
-        assert np.sort(out.points.real) == pytest.approx([-0.5, 0.5], abs=1e-6)
+        assert np.sort(out.real) == pytest.approx([-0.5, 0.5], abs=1e-6)
 
     def test_quadratic_pair_oracle(self):
         # grid search over symmetric pairs {-a, a} maximizing the log weight
@@ -430,29 +443,29 @@ class TestFeketeDescent:
 
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
         out = fekete_descent(
-            model, Configuration(np.array([-2.0, 2.0], dtype=complex)),
+            model, np.array([-2.0, 2.0], dtype=complex),
             max_iter=5000, grad_tol=1e-10,
         )
-        g = _pairwise_gradient(out.points, model)
+        g = _pairwise_gradient(out, model)
         assert np.max(np.abs(g)) <= 1e-8
         # oracle: 1-d grid search over symmetric pairs
         a_grid = np.linspace(0.05, 2.0, 40000)
         objective = 2 * np.log(2 * a_grid) - 4 * np.log1p(a_grid**2)
         a_star = a_grid[np.argmax(objective)]
-        assert np.sort(out.points.real) == pytest.approx([-a_star, a_star], abs=1e-4)
+        assert np.sort(out.real) == pytest.approx([-a_star, a_star], abs=1e-4)
         assert a_star == pytest.approx(1 / math.sqrt(3), abs=1e-4)
 
     def test_coincident_start_rejected(self):
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 3)
         with pytest.raises(CoincidentPoints, match="coincident"):
-            fekete_descent(model, Configuration(np.array([0.5, -1.0, 0.5], dtype=complex)))
+            fekete_descent(model, np.array([0.5, -1.0, 0.5], dtype=complex))
 
     def test_log_density_non_decreasing(self):
         from loggas import log_density
 
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 5)
         rng = np.random.default_rng(3)
-        config = Configuration(rng.standard_normal(5).astype(complex))
+        config = rng.standard_normal(5).astype(complex)
         ld0 = log_density(config, model)
         out = fekete_descent(model, config, max_iter=50)
         assert log_density(out, model) >= ld0
@@ -462,9 +475,8 @@ class TestFeketeDescent:
 
         model = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 8)
         rng = np.random.default_rng(4)
-        config = Configuration((2 * rng.random(8) - 1).astype(complex))
-        out = fekete_descent(model, config, max_iter=20000, grad_tol=1e-9)
-        pts = out.points
+        config = (2 * rng.random(8) - 1).astype(complex)
+        pts = fekete_descent(model, config, max_iter=20000, grad_tol=1e-9)
         # beta * sum_j (x_i - x_j)/|x_i - x_j|^2 == n * V'(x_i) at the optimum
         diff = pts[:, None] - pts[None, :]
         d2 = np.abs(diff) ** 2

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from loggas import (
-    Configuration,
     DiscreteMeasure,
     GasModel,
     InadmissibleModel,
@@ -204,7 +203,7 @@ class TestPushforward:
         assert nu.positions[0] == pytest.approx([0, 0, 0])
 
     def test_empirical_three_points(self):
-        mu = empirical_measure(Configuration(np.array([0, 1, 1j], dtype=complex)))
+        mu = empirical_measure(np.array([0, 1, 1j], dtype=complex))
         nu = pushforward(mu)
         rows = {tuple(np.round(p, 12)) for p in nu.positions}
         assert (0.0, 0.0, 0.0) in rows

@@ -88,7 +88,7 @@ def test_command_loads_no_scipy(tmp_path, command):
 def test_spherical_ensemble_loads_no_scipy():
     points, modules = run_fresh("""
         import loggas
-        points = loggas.sample_spherical_ensemble(8, seed=3).points
+        points = loggas.sample_spherical_ensemble(8, seed=3)
         print(json.dumps([len(points), loaded("scipy")]))
     """)
     assert points == 8

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loggas import Configuration, DiscreteMeasure, empirical_measure, pushforward
+from loggas import DiscreteMeasure, empirical_measure, pushforward
 from loggas.io import (
     _BLOCK_ROWS,
     read_json,
@@ -34,7 +34,7 @@ class TestMeasureCsv:
 
     def test_sphere_measure_round_trip(self, tmp_path):
         mu = pushforward(
-            empirical_measure(Configuration(np.array([0, 1, 1j], dtype=complex)))
+            empirical_measure(np.array([0, 1, 1j], dtype=complex))
         )
         path = tmp_path / "s.csv"
         write_measure_csv(path, mu)
@@ -74,17 +74,15 @@ def test_empty_file_names_the_file(tmp_path, reader, text):
 class TestSamplesCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = [
-            (0, 10, rng.standard_normal(3) + 1j * rng.standard_normal(3)),
-            (0, 11, rng.standard_normal(3) + 1j * rng.standard_normal(3)),
-            (1, 10, rng.standard_normal(3) + 1j * rng.standard_normal(3)),
-        ]
+        samples = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, records)
+        write_samples_csv(path, samples, [10, 11])
         data = read_samples_csv(path)
-        assert len(data["values"]) == 9
-        assert data["chain"].tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 1]
-        assert data["values"][0] == records[0][2][0]
+        assert len(data["values"]) == 12
+        assert data["chain"].tolist() == [0] * 6 + [1] * 6
+        assert data["sweep"].tolist() == [10, 10, 10, 11, 11, 11] * 2
+        assert data["particle"].tolist() == [0, 1, 2] * 4
+        assert data["values"].tobytes() == samples.tobytes()
 
     def test_rows_past_the_first_block(self, tmp_path):
         # the reader converts rows in blocks; a bad row in a later block is
@@ -93,7 +91,7 @@ class TestSamplesCsv:
         rng = np.random.default_rng(2)
         points = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, [(0, 3, points)])
+        write_samples_csv(path, points.reshape(1, 1, n), range(3, 4))
         data = read_samples_csv(path)
         assert data["particle"].tolist() == list(range(n))
         assert data["values"].tobytes() == points.tobytes()
@@ -105,29 +103,28 @@ class TestSamplesCsv:
 
     def test_byte_identical_rewrite(self, tmp_path):
         rng = np.random.default_rng(1)
-        records = [(0, 5, rng.standard_normal(4).astype(complex))]
+        samples = rng.standard_normal((1, 1, 4)).astype(complex)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_samples_csv(p1, records)
-        write_samples_csv(p2, records)
+        write_samples_csv(p1, samples, [5])
+        write_samples_csv(p2, samples, [5])
         assert p1.read_bytes() == p2.read_bytes()
-
 
     def test_bytes_match_per_element_repr(self, tmp_path):
         specials = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-309, 1e300,
                              -1e300, 1.0 / 3.0, -2.0 / 3.0])
-        points = np.empty((2, len(specials)), dtype=complex)
-        points.real = specials, -specials
-        points.imag = specials[::-1], specials
-        records = [(0, 7, points[0]), (3, 12, points[1])]
+        samples = np.empty((2, 2, len(specials)), dtype=complex)
+        samples.real = specials, -specials
+        samples.imag = specials[::-1], specials
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, records)
+        write_samples_csv(path, samples, [7, 12])
         want = ["chain,sweep,particle,re,im"]
-        for chain, sweep, pts in records:
-            for k, p in enumerate(pts):
-                want.append(f"{chain},{sweep},{k},{repr(float(p.real))},{repr(float(p.imag))}")
+        for chain in range(2):
+            for sweep, pts in zip([7, 12], samples[chain]):
+                for k, p in enumerate(pts):
+                    want.append(f"{chain},{sweep},{k},{repr(float(p.real))},{repr(float(p.imag))}")
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
         assert "0,7,1,-0.0,0.3333333333333333" in path.read_text()
-        assert read_samples_csv(path)["values"].tobytes() == points.tobytes()
+        assert read_samples_csv(path)["values"].tobytes() == samples.tobytes()
 
 
 class TestJson:

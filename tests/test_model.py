@@ -7,7 +7,6 @@ import pytest
 from loggas import (
     Admissibility,
     CoincidentPoints,
-    Configuration,
     DiscreteMeasure,
     GasModel,
     InadmissibleModel,
@@ -68,17 +67,17 @@ class TestSupports:
 
 class TestEmpiricalMeasure:
     def test_three_distinct_points(self):
-        mu = empirical_measure(Configuration(np.array([0, 1, 1j], dtype=complex)))
+        mu = empirical_measure(np.array([0, 1, 1j], dtype=complex))
         assert len(mu) == 3
         assert np.allclose(mu.weights, 1 / 3)
 
     def test_duplicates_merge(self):
-        mu = empirical_measure(Configuration(np.array([1.0, 1.0], dtype=complex)))
+        mu = empirical_measure(np.array([1.0, 1.0], dtype=complex))
         assert len(mu) == 1
         assert mu.weights[0] == 1.0
 
     def test_multiplicity(self):
-        mu = empirical_measure(Configuration(np.array([-1, 0, 1, 0], dtype=complex)))
+        mu = empirical_measure(np.array([-1, 0, 1, 0], dtype=complex))
         by_pos = dict(zip(mu.positions.tolist(), mu.weights.tolist()))
         assert by_pos[-1 + 0j] == 0.25
         assert by_pos[0j] == 0.5
@@ -89,7 +88,7 @@ class TestEmpiricalMeasure:
         rng = np.random.default_rng(0)
         for n in (1, 2, 3, 7, 11, 100, 128):
             pts = rng.integers(0, max(2, n // 2), n).astype(complex)
-            mu = empirical_measure(Configuration(pts))
+            mu = empirical_measure(pts)
             assert math.fsum(mu.weights.tolist()) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -212,27 +211,29 @@ class TestAtomGroupingMatchesLoop:
         rng = np.random.default_rng(12)
         for _ in range(100):
             pts = random_atoms(rng, int(rng.integers(1, 40)), "plane")
-            mu = empirical_measure(Configuration(pts))
+            mu = empirical_measure(pts)
             ref_pos, ref_w = loop_empirical(pts)
             assert same_bits(mu.positions, ref_pos)
             assert same_bits(mu.weights, ref_w)
 
 
-class TestConfiguration:
+class TestValidateConfiguration:
     def test_validation(self):
         m = model(cauchy_potential(), n=2)
-        validate_configuration(Configuration(np.array([0.0, 1.0], dtype=complex)), m)
+        validate_configuration(np.array([0.0, 1.0], dtype=complex), m)
+        validate_configuration([0.0, 1.0], m)
         with pytest.raises(ValueError):
-            validate_configuration(Configuration(np.array([0.0], dtype=complex)), m)
+            validate_configuration(np.array([0.0], dtype=complex), m)
         with pytest.raises(ValueError):
-            validate_configuration(Configuration(np.array([0.0, 1.0 + 1j], dtype=complex)), m)
+            validate_configuration(np.array([0.0, 1.0 + 1j], dtype=complex), m)
         with pytest.raises(CoincidentPoints):
-            validate_configuration(Configuration(np.array([1.0, 1.0], dtype=complex)), m)
+            validate_configuration(np.array([1.0, 1.0], dtype=complex), m)
 
-    def test_points_read_only(self):
-        config = Configuration(np.array([0.0, 1.0], dtype=complex))
-        with pytest.raises(ValueError):
-            config.points[0] = 5.0
+    @pytest.mark.parametrize("points", [[[0.0, 1.0]], [[0.0], [1.0]], 0.0, [[0.0, 1.0]] * 2],
+                             ids=["row", "column", "scalar", "two-rows"])
+    def test_shape_other_than_n_rejected(self, points):
+        with pytest.raises(ValueError, match=r"shape .* expects \(2,\)"):
+            validate_configuration(points, model(cauchy_potential(), n=2))
 
 
 class TestPotentials:

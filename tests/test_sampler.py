@@ -6,7 +6,6 @@ import pytest
 from loggas import (
     Admissibility,
     ChainParams,
-    Configuration,
     GasModel,
     InadmissibleModel,
     Support,
@@ -53,7 +52,7 @@ def per_move_chain(model, init, params, seed):
     rotate = model.support is Support.UNIT_CIRCLE
     heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
     rng = np.random.default_rng(seed)
-    x = np.array(init.points, dtype=complex)
+    x = np.array(init, dtype=complex)
     scale = params.step_scale
     running = log_density(init, model)
     samples, trace = [], []
@@ -85,7 +84,7 @@ def per_move_chain(model, init, params, seed):
                 scale *= math.exp((sweep + 1.0) ** -0.6 * (accepted / n - 0.3))
         elif (sweep - params.burn_in) % params.thin == 0:
             if len(samples) % TRACE_RECOMPUTE_EVERY == 0:
-                running = log_density(Configuration(x), model)
+                running = log_density(x, model)
             samples.append(x.copy())
             trace.append(running)
     return samples, trace
@@ -99,6 +98,12 @@ class TestChainParams:
             ChainParams(sweeps=10, burn_in=2, thin=0)
         with pytest.raises(ValueError):
             ChainParams(sweeps=10, burn_in=2, step_scale=0.0)
+
+    def test_recorded_sweeps(self):
+        assert list(ChainParams(sweeps=23, burn_in=5, thin=3).recorded_sweeps) == [
+            5, 8, 11, 14, 17, 20
+        ]
+        assert list(ChainParams(sweeps=4, burn_in=0).recorded_sweeps) == [0, 1, 2, 3]
 
 
 class TestProposalLogRatio:
@@ -122,9 +127,7 @@ class TestProposalLogRatio:
             incremental = proposal_log_ratio(model, pts, i, x_new)
             moved = pts.copy()
             moved[i] = x_new
-            full = log_density(Configuration(moved), model) - log_density(
-                Configuration(pts), model
-            )
+            full = log_density(moved, model) - log_density(pts, model)
             assert incremental == pytest.approx(full, abs=1e-10)
 
 
@@ -139,27 +142,28 @@ class TestMhChain:
         s1, st1 = small_chain(model, seed=5)
         s2, st2 = small_chain(model, seed=5)
         for a, b in zip(s1, s2):
-            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a, b)
         assert st1.final_step_scale == st2.final_step_scale
         assert st1.acceptance_rate == st2.acceptance_rate
 
     def test_sample_count_and_thinning(self):
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 4)
         samples, _ = small_chain(model, sweeps=50, burn_in=10, thin=4)
-        assert len(samples) == 10  # ceil(40 / 4)
+        assert samples.shape == (10, 4)  # ceil(40 / 4) samples of 4 points
+        assert samples.dtype == complex
 
     def test_stays_on_support_and_distinct(self):
         model = GasModel(Support.HALF_LINE, 2.0, quadratic_potential(), 6)
         samples, _ = small_chain(model, sweeps=40, burn_in=5)
         for s in samples:
-            assert np.all(model.support.contains_array(s.points))
-            assert len(np.unique(s.points)) == len(s.points)
+            assert np.all(model.support.contains_array(s))
+            assert len(np.unique(s)) == len(s)
 
     def test_unit_circle_rotation_proposals(self):
         model = GasModel(Support.UNIT_CIRCLE, 2.0, spherical_potential(), 6)
         samples, stats = small_chain(model, sweeps=40, burn_in=5)
         for s in samples:
-            assert np.max(np.abs(np.abs(s.points) - 1.0)) <= 1e-12
+            assert np.max(np.abs(np.abs(s) - 1.0)) <= 1e-12
         assert stats.acceptance_rate > 0.0
 
     def test_adaptation_freezes_after_burn_in(self):
@@ -198,7 +202,7 @@ class TestMhChain:
         reference, trace = per_move_chain(model, init, params, seed=11)
         assert len(samples) == len(reference)
         for got, want in zip(samples, reference):
-            assert np.array_equal(got.points, want)
+            assert np.array_equal(got, want)
         assert stats.log_density_trace == trace
 
 
@@ -212,10 +216,10 @@ ALL_SUPPORTS = [
 
 
 def assert_same_chain(got, want):
+    """``got`` and ``want`` are (samples, stats) of one chain each."""
     (got_samples, got_stats), (want_samples, want_stats) = got, want
-    assert len(got_samples) == len(want_samples)
-    for a, b in zip(got_samples, want_samples):
-        assert np.array_equal(a.points, b.points)
+    assert got_samples.shape == want_samples.shape
+    assert np.array_equal(got_samples, want_samples)
     assert got_stats.log_density_trace == want_stats.log_density_trace
     assert got_stats.trace_drift == want_stats.trace_drift
     assert got_stats.acceptance_rate == want_stats.acceptance_rate
@@ -230,10 +234,11 @@ class TestMhChains:
         inits = [seeded_init(model, seed=20 + j) for j in range(8)]
         params = ChainParams(sweeps=60, burn_in=20)
         seeds = [chain_seed(9, j) for j in range(8)]
-        batch = mh_chains(model, inits, params, seeds)
-        assert len(batch) == 8
+        samples, stats = mh_chains(model, inits, params, seeds)
+        assert samples.shape == (8, 40, model.n) and len(stats) == 8
         for j in range(8):
-            assert_same_chain(batch[j], mh_chains(model, [inits[j]], params, [seeds[j]])[0])
+            alone, alone_stats = mh_chains(model, [inits[j]], params, [seeds[j]])
+            assert_same_chain((samples[j], stats[j]), (alone[0], alone_stats[0]))
 
     @pytest.mark.parametrize("model", ALL_SUPPORTS, ids=lambda m: m.support.value)
     def test_log_density_trace(self, model, monkeypatch):
@@ -250,8 +255,8 @@ class TestMhChains:
         assert len(samples) == len(stats.log_density_trace) == 115
         resets = range(0, len(samples), TRACE_RECOMPUTE_EVERY)
         assert len(calls) == 1 + len(resets)
-        for k, (config, value) in enumerate(zip(samples, stats.log_density_trace)):
-            exact = log_density(config, model)
+        for k, (points, value) in enumerate(zip(samples, stats.log_density_trace)):
+            exact = log_density(points, model)
             assert abs(value - exact) <= 1e-9 * abs(exact)
             if k in resets:
                 assert value == exact
@@ -262,8 +267,8 @@ class TestMhChains:
         inits = [seeded_init(model, seed=j) for j in range(5)]
         params = ChainParams(sweeps=50, burn_in=10, step_scale=0.7, adapt=False, thin=3)
         seeds = [100 + j for j in range(5)]
-        batch = mh_chains(model, inits, params, seeds)
-        for init, seed, got in zip(inits, seeds, batch):
+        samples, stats = mh_chains(model, inits, params, seeds)
+        for init, seed, got in zip(inits, seeds, zip(samples, stats)):
             assert_same_chain(got, mh_chain(model, init, params, seed=seed))
 
     def test_one_params_per_init(self):
@@ -275,11 +280,35 @@ class TestMhChains:
             mh_chains(model, [init, init], params, [0])
         with pytest.raises(ValueError):
             mh_chains(model, [], params, [])
+        with pytest.raises(ValueError):
+            mh_chains(model, np.empty((0, 4), dtype=complex), params, [])
+
+    def test_inits_as_one_array(self):
+        # A (C, n) array of starts runs as the list of its rows does, and the
+        # samples are (C, K, n) with K = len(recorded_sweeps), also when thin
+        # does not divide sweeps - burn_in.
+        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 5)
+        params = ChainParams(sweeps=30, burn_in=7, thin=4)
+        inits = np.array([seeded_init(model, seed=j) for j in range(3)])
+        samples, stats = mh_chains(model, inits, params, [1, 2, 3])
+        assert samples.shape == (3, len(params.recorded_sweeps), 5) == (3, 6, 5)
+        assert samples.dtype == complex
+        listed, listed_stats = mh_chains(model, list(inits), params, [1, 2, 3])
+        for j in range(3):
+            assert_same_chain((samples[j], stats[j]), (listed[j], listed_stats[j]))
+
+    def test_init_of_wrong_shape_rejected(self):
+        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 4)
+        params = ChainParams(sweeps=10, burn_in=2)
+        with pytest.raises(ValueError, match="shape"):
+            mh_chains(model, [np.arange(8.0).reshape(2, 4)], params, [0])
+        with pytest.raises(ValueError, match="shape"):
+            mh_chain(model, np.arange(5.0), params)
 
     def test_coincident_start_rejected(self):
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 3)
         params = ChainParams(sweeps=10, burn_in=2)
-        coincident = Configuration(np.array([0.5, -1.0, 0.5], dtype=complex))
+        coincident = np.array([0.5, -1.0, 0.5], dtype=complex)
         inits = [seeded_init(model, seed=0), coincident]
         with pytest.raises(ValueError, match="coincident"):
             mh_chains(model, inits, params, [0, 1])
@@ -320,24 +349,24 @@ class TestBlockedMoves:
         seeds = [chain_seed(5, j) for j in range(chains)]
         params = ChainParams(sweeps=12, burn_in=4, thin=2)
         results = mh_chains(model, inits, params, seeds)
-        for init, seed, (samples, stats) in zip(inits, seeds, results):
+        for init, seed, samples, stats in zip(inits, seeds, *results):
             reference, trace = per_move_chain(model, init, params, seed)
             assert len(samples) == len(reference) == 4
             for got, want in zip(samples, reference):
-                assert np.array_equal(got.points, want)
+                assert np.array_equal(got, want)
             assert stats.log_density_trace == trace
 
     def test_real_support_keeps_small_imaginary_parts(self):
         # A real-axis start with imaginary parts inside the support's
         # tolerance runs on the complex state, as move-by-move.
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 13)
-        init = Configuration(seeded_init(model, seed=2).points + 1e-13j)
+        init = seeded_init(model, seed=2) + 1e-13j
         params = ChainParams(sweeps=12, burn_in=4, thin=2)
         samples, stats = mh_chain(model, init, params, seed=3)
         reference, trace = per_move_chain(model, init, params, seed=3)
         for got, want in zip(samples, reference):
-            assert np.array_equal(got.points, want)
-        assert samples[-1].points.imag.any()
+            assert np.array_equal(got, want)
+        assert samples[-1].imag.any()
         assert stats.log_density_trace == trace
 
     def test_block_length(self, monkeypatch):
@@ -360,20 +389,20 @@ class TestChainSeed:
 class TestCauchyEnsemble:
     def test_single_particle_is_cauchy(self):
         draws = np.concatenate(
-            [sample_cauchy_ensemble(1, seed=s).points.real for s in range(2000)]
+            [sample_cauchy_ensemble(1, seed=s).real for s in range(2000)]
         )
         fit = ks_distance(draws, cauchy_law().cdf)
         assert fit.statistic <= 0.05
 
     def test_pooled_spectra(self):
         pool = np.concatenate(
-            [sample_cauchy_ensemble(32, seed=s).points.real for s in range(60)]
+            [sample_cauchy_ensemble(32, seed=s).real for s in range(60)]
         )
         assert ks_distance(pool, cauchy_law().cdf).statistic <= 0.03
 
     def test_deterministic(self):
-        a = sample_cauchy_ensemble(16, seed=9).points
-        b = sample_cauchy_ensemble(16, seed=9).points
+        a = sample_cauchy_ensemble(16, seed=9)
+        b = sample_cauchy_ensemble(16, seed=9)
         assert np.array_equal(a, b)
 
     def test_size_limit(self):
@@ -386,12 +415,12 @@ class TestSphericalEnsemble:
         from loggas import angular_ks_distance, radial_cdf_distance, spherical_law
 
         pool = np.concatenate(
-            [sample_spherical_ensemble(32, seed=s).points for s in range(60)]
+            [sample_spherical_ensemble(32, seed=s) for s in range(60)]
         )
         assert radial_cdf_distance(pool, spherical_law().cdf).statistic <= 0.05
         assert angular_ks_distance(pool).statistic <= 0.05
 
     def test_deterministic(self):
-        a = sample_spherical_ensemble(12, seed=4).points
-        b = sample_spherical_ensemble(12, seed=4).points
+        a = sample_spherical_ensemble(12, seed=4)
+        b = sample_spherical_ensemble(12, seed=4)
         assert np.array_equal(a, b)
