@@ -1,74 +1,58 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from loggas import DiscreteMeasure, empirical_measure, pushforward
-from loggas.io import (
-    _BLOCK_ROWS,
-    read_json,
-    read_measure_csv,
-    read_samples_csv,
-    write_json,
-    write_measure_csv,
-    write_samples_csv,
-)
+from loggas.io import read_json, read_samples_csv, write_json, write_measure_csv, write_samples_csv
+
+
+def _fields(path):
+    """The header and the rows of a CSV file, each row as a list of floats."""
+    header, *rows = path.read_text().splitlines()
+    return header, [[float(v) for v in row.split(",")] for row in rows]
 
 
 class TestMeasureCsv:
-    def test_real_measure_round_trip(self, tmp_path):
+    # float() of each written field gives back the exact bits
+    def test_real_measure_text(self, tmp_path):
         mu = DiscreteMeasure(np.array([-1.5, 0.25, 3.0], dtype=complex),
                              np.array([0.2, 0.3, 0.5]))
         path = tmp_path / "m.csv"
         write_measure_csv(path, mu)
-        assert path.read_text().splitlines()[0] == "x,weight"
-        back = read_measure_csv(path)
-        assert np.array_equal(back.positions, mu.positions)
-        assert np.array_equal(back.weights, mu.weights)
+        header, rows = _fields(path)
+        assert header == "x,weight"
+        assert np.array(rows).tobytes() == np.column_stack([mu.positions.real, mu.weights]).tobytes()
 
-    def test_complex_measure_round_trip(self, tmp_path):
+    def test_complex_measure_text(self, tmp_path):
         mu = DiscreteMeasure(np.array([1 + 2j, -0.5j]), np.array([0.4, 0.6]))
         path = tmp_path / "m.csv"
         write_measure_csv(path, mu)
-        assert path.read_text().splitlines()[0] == "re,im,weight"
-        back = read_measure_csv(path)
-        assert np.array_equal(back.positions, mu.positions)
+        header, rows = _fields(path)
+        assert header == "re,im,weight"
+        want = np.column_stack([mu.positions.real, mu.positions.imag, mu.weights])
+        assert np.array(rows).tobytes() == want.tobytes()
 
-    def test_sphere_measure_round_trip(self, tmp_path):
+    def test_sphere_measure_text(self, tmp_path):
         mu = pushforward(
             empirical_measure(np.array([0, 1, 1j], dtype=complex))
         )
         path = tmp_path / "s.csv"
         write_measure_csv(path, mu)
-        assert path.read_text().splitlines()[0] == "x1,x2,x3,weight"
-        back = read_measure_csv(path)
-        assert back.side == "sphere"
-        assert np.array_equal(back.positions, mu.positions)
-
-    def test_unknown_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            read_measure_csv(path)
-
-    @pytest.mark.parametrize("row, reason", [
-        ("1.0,abc", "could not convert string to float: 'abc'"),
-        ("1.0", "expected 2 fields, got 1"),
-        ("1.0,nan", "non-finite value"),
-    ], ids=["non-numeric", "short-row", "nan-weight"])
-    def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
-        path = tmp_path / "m.csv"
-        path.write_text(f"\nx,weight\n0.5,0.5\n{row}\n")
-        with pytest.raises(ValueError) as error:
-            read_measure_csv(path)
-        assert str(error.value).startswith(f"{path}, line 4: {reason}")
+        header, rows = _fields(path)
+        assert header == "x1,x2,x3,weight"
+        assert np.array(rows).tobytes() == np.column_stack([mu.positions, mu.weights]).tobytes()
 
 
-@pytest.mark.parametrize("reader", [read_measure_csv, read_samples_csv])
 @pytest.mark.parametrize("text", ["", "\n \n"])
-def test_empty_file_names_the_file(tmp_path, reader, text):
+def test_empty_file_names_the_file(tmp_path, text):
     path = tmp_path / "empty.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match="empty.csv"):
-        reader(path)
+    with pytest.raises(ValueError, match="empty.csv: empty file"):
+        read_samples_csv(path)
+
+
+HEADER = "chain,sweep,particle,re,im"
 
 
 class TestSamplesCsv:
@@ -82,12 +66,63 @@ class TestSamplesCsv:
         assert data["chain"].tolist() == [0] * 6 + [1] * 6
         assert data["sweep"].tolist() == [10, 10, 10, 11, 11, 11] * 2
         assert data["particle"].tolist() == [0, 1, 2] * 4
+        assert all(data[k].dtype == np.int64 for k in ("chain", "sweep", "particle"))
         assert data["values"].tobytes() == samples.tobytes()
 
-    def test_rows_past_the_first_block(self, tmp_path):
-        # the reader converts rows in blocks; a bad row in a later block is
-        # still named by its line in the file
-        n = _BLOCK_ROWS + 10
+    def test_unknown_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="bad.csv: unrecognized CSV header: a,b"):
+            read_samples_csv(path)
+
+    @pytest.mark.parametrize("row, reason", [
+        ("0,0,1,1.0,abc", ""),
+        ("0,0,1,1.0", ""),
+        ("0,0,1,1.0,0.5,2.0", ""),
+        ("0,0,1.5,1.0,0.5", ""),
+        ("0,0,1,1.0,nan", "non-finite value"),
+        ("0,0,1,1.0,#0.5", ""),
+        ("#0,0,1,1.0,0.5", ""),
+        ("", "blank line"),
+        (" ", "blank line"),
+    ], ids=["non-numeric", "short-row", "long-row", "float-particle", "nan", "hash",
+            "hash-first", "empty-line", "space-line"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
+        # numbered as in the file, leading blank lines counted; the reason
+        # may be NumPy's own wording, which varies by version
+        path = tmp_path / "s.csv"
+        path.write_text(f"\n{HEADER}\n0,0,0,0.5,0.5\n{row}\n0,0,2,0.5,0.5\n")
+        with pytest.raises(ValueError) as error:
+            read_samples_csv(path)
+        assert str(error.value).startswith(f"{path}, line 4: {reason}")
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\n \n\n"], ids=["none", "empty", "mixed"])
+    def test_trailing_blank_lines_are_skipped(self, tmp_path, tail):
+        path = tmp_path / "s.csv"
+        path.write_text(f"\n\n{HEADER}\n0,0,0,0.5,-0.5\n0,0,1,1.5,2.5\n{tail}")
+        assert read_samples_csv(path)["values"].tolist() == [0.5 - 0.5j, 1.5 + 2.5j]
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{HEADER}\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="s.csv: no data rows"):
+                read_samples_csv(path)
+
+    def test_crlf_file_parses_to_the_same_values(self, tmp_path):
+        rng = np.random.default_rng(3)
+        samples = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        path, crlf = tmp_path / "samples.csv", tmp_path / "crlf.csv"
+        write_samples_csv(path, samples, [1, 2, 3])
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        want, got = read_samples_csv(path), read_samples_csv(crlf)
+        assert all(np.array_equal(want[k], got[k]) for k in ("chain", "sweep", "particle"))
+        assert got["values"].tobytes() == samples.tobytes()
+
+    def test_bad_row_far_into_the_file(self, tmp_path):
+        # the error path rescans the file; the line it names is the file's
+        n = 4100
         rng = np.random.default_rng(2)
         points = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         path = tmp_path / "samples.csv"
@@ -98,7 +133,7 @@ class TestSamplesCsv:
         lines = path.read_text().splitlines()
         lines[n - 2] = "0,3,x,0.5,0.5"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"samples.csv, line {n - 1}: invalid literal"):
+        with pytest.raises(ValueError, match=f"samples.csv, line {n - 1}: "):
             read_samples_csv(path)
 
     def test_byte_identical_rewrite(self, tmp_path):
