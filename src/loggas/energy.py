@@ -58,6 +58,15 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of ``values``, or their IEEE sum where fsum's partials overflow."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.sum(values))
+
+
 def _pair_distances(positions: np.ndarray):
     """Each unordered pair of atoms once: i < j in np.triu_indices order.
 
@@ -133,7 +142,7 @@ def log_density(points, model: GasModel) -> float:
         return -math.inf
     v = model.potential_values(pts)
     inter = model.beta * math.fsum(np.log(seps).tolist())
-    return inter - n * math.fsum(v.tolist())
+    return inter - n * _fsum(v)
 
 
 def log_density_sphere(points, model: GasModel) -> float:
@@ -159,7 +168,7 @@ def log_density_sphere(points, model: GasModel) -> float:
         return -math.inf
     inter = model.beta * math.fsum(np.log(seps).tolist())
     conformal = -(model.beta / 2.0) * math.fsum(log1p_modulus_squared(pts).tolist())
-    vsum = math.fsum(pot.on_plane(pts).tolist())
+    vsum = _fsum(pot.on_plane(pts))
     return inter + conformal - n * vsum
 
 

@@ -64,6 +64,21 @@ def _rows(f):
         raise ValueError("blank line")
 
 
+def _row_error(line: str) -> str:
+    """Why np.loadtxt rejects the row ``line``: the field count, or else the
+    first field that fails in a row whose other fields are 0."""
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) != len(_ROW.names):
+        return f"expected {len(_ROW.names)} fields ({_HEADER}), found {len(fields)}"
+    for j, (name, field) in enumerate(zip(_ROW.names, fields)):
+        try:
+            _load_rows([",".join(["0"] * j + [field] + ["0"] * (len(fields) - j - 1))])
+        except ValueError:
+            kind = "an integer" if _ROW[name].kind == "i" else "a float"
+            return f"{name}: cannot read {field!r} as {kind}"
+    return f"cannot read the row as {_HEADER}"
+
+
 def read_samples_csv(path) -> dict:
     """Returns arrays: chain, sweep, particle (ints) and values (complex); bad
     input raises ValueError naming the file, and the line for a bad row."""
@@ -85,8 +100,8 @@ def read_samples_csv(path) -> dict:
                     raise ValueError(f"{path}, line {number}: blank line") from None
                 try:
                     _load_rows([line])
-                except ValueError as e:
-                    raise ValueError(f"{path}, line {number}: {e}") from None
+                except ValueError:
+                    raise ValueError(f"{path}, line {number}: {_row_error(line)}") from None
             raise
     if table is None:
         raise ValueError(f"{path}: no data rows")

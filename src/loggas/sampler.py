@@ -14,10 +14,10 @@ log-distances of all its moves across all chains; each move then sums
 one row of that table and each chain's acceptance is decided by the
 scalar Metropolis test.  The rows hold the floats a move-by-move pass
 would, summed in the same order, so no output depends on the block
-length.  On real-axis supports the state is carried as floats.  Each
-chain draws from its own seeded Generator in a fixed order and adapts
-its own step scale, so chain j's samples do not depend on C;
-``mh_chain`` is the C = 1 case.
+length.  On real-axis supports the state is the real parts of the
+starts, carried as floats.  Each chain draws from its own seeded
+Generator in a fixed order and adapts its own step scale, so chain j's
+samples do not depend on C; ``mh_chain`` is the C = 1 case.
 
 Each chain's log-density trace is a running sum: it starts at the exact
 ``log_density`` of the initial configuration and adds the log ratio of
@@ -99,20 +99,17 @@ class ChainStats:
     trace_drift: float
 
     def to_json(self) -> dict:
-        trace = np.asarray(self.log_density_trace)
-        summary = {}
-        if len(trace):
-            summary = {
+        trace = np.asarray(self.log_density_trace)  # a chain records at least one sweep
+        return {
+            "acceptance_rate": self.acceptance_rate,
+            "final_step_scale": self.final_step_scale,
+            "log_density_trace_summary": {
                 "first": float(trace[0]),
                 "last": float(trace[-1]),
                 "min": float(trace.min()),
                 "max": float(trace.max()),
                 "mean": float(trace.mean()),
-            }
-        return {
-            "acceptance_rate": self.acceptance_rate,
-            "final_step_scale": self.final_step_scale,
-            "log_density_trace_summary": summary,
+            },
             "trace_drift": self.trace_drift,
         }
 
@@ -138,13 +135,13 @@ class _BlockedMoves:
     """One run's Metropolis moves, taken b at a time on a (C, n) state.
 
     Every proposal of a sweep is known when the sweep starts, so one
-    subtract, abs and log pass per block of b moves fills a (b, 2, C, n + b)
-    table against the state at block start.  Row [k, r, c] holds
+    subtract, abs and log pass per block of b moves fills a (2b, C, n + b)
+    table against the state at block start.  Row [2k + r, c] holds
     log|q_j - e| for the block's k-th move in chain c: e is its proposal
     (r = 0) or its particle's current position (r = 1), and q is the n
     particles followed by the block's b proposals.  Move k sums the first n
-    columns of rows [k, :, :], with its own particle's column zeroed; one
-    call sums the rows of the next few moves, and they are summed again
+    columns of rows 2k and 2k + 1, with its own particle's column zeroed;
+    one call sums the rows of the next few moves, and they are summed again
     after an accept.  When chain c accepts move k, its particle's column in
     the chain's later rows is copied from column n + k, which holds the
     distances to the new position.  So every row holds the floats a
@@ -155,26 +152,17 @@ class _BlockedMoves:
         chains, n = x.shape
         self.n = n
         self.block = b = max(1, min(n, BLOCK_ELEMENTS // (2 * chains * n)))
-        width = n + b
         # Row sums are taken for this many moves at once.  They hold until a
         # chain accepts, which at the target acceptance happens once every
         # 1 / (1 - (1 - TARGET_ACCEPTANCE)^C) moves: 3 for one chain, 1 from 4.
         self.ahead = round(1.0 / (1.0 - (1.0 - TARGET_ACCEPTANCE) ** chains))
-        self.points = np.empty((chains, width), dtype=x.dtype)
+        self.points = np.empty((chains, n + b), dtype=x.dtype)
         self.points[:, :n] = x
-        self.diff = np.empty((b, 2, chains, width), dtype=x.dtype)
+        self.diff = np.empty((2 * b, chains, n + b), dtype=x.dtype)
         # |d| of a float difference is taken in place.
         self.logs = self.diff if x.dtype == float else np.empty(self.diff.shape)
-        self.flat = self.logs.reshape(-1)
-        # diagonal[m, k, r, c] is logs[k, r, c, m b + k]: the column of move
-        # k's own particle in block m.
-        steps = (b, 2 * chains * width + 1, chains * width, width)
-        self.diagonal = np.lib.stride_tricks.as_strided(
-            self.flat,
-            shape=(-(-n // b), b, 2, chains),
-            strides=[step * self.logs.itemsize for step in steps],
-            writeable=True,
-        )
+        self.row_numbers = np.arange(2 * b)
+        self.particle = np.arange(2 * n) // 2  # moved by row 2i + r of a sweep
 
     @property
     def state(self) -> np.ndarray:
@@ -190,50 +178,42 @@ class _BlockedMoves:
         ``u_accept[c, i]``.  Each accepted log ratio is added to
         ``running[c]`` in move order.
         """
-        n, b = self.n, self.block
-        points, flat = self.points.reshape(-1), self.flat
-        chains = range(len(self.points))
-        width = self.points.shape[1]
-        row = len(self.points) * width  # flat distance from row [k, r] to [k, r + 1]
-        # ends[i] is (2, C, 1): the proposed, then the current, position of
-        # particle i in each chain.
-        ends = np.stack((proposals, self.state)).transpose(2, 0, 1)[..., None]
+        n, b, points, logs = self.n, self.block, self.points, self.logs
+        chains = range(len(points))
+        # ends[2i + r] is (C, 1): the proposed (r = 0), then the current
+        # (r = 1), position of particle i in each chain.
+        ends = np.stack((proposals.T, self.state.T), axis=1).reshape(2 * n, len(points), 1)
         columns = list(zip(valid.T.tolist(), dv.T.tolist(), u_accept.T.tolist()))
         accepted = [0 for _ in chains]
-        for m, i0 in enumerate(range(0, n, b)):
+        for i0 in range(0, n, b):
             moves = columns[i0 : i0 + b]
             size = len(moves)
             if not any(any(valid_i) for valid_i, _, _ in moves):
                 continue
-            self.points[:, n : n + size] = proposals[:, i0 : i0 + size]
-            diff = self.diff[:size, :, :, : n + size]
-            logs = self.logs[:size, :, :, : n + size]
-            np.subtract(self.points[:, : n + size], ends[i0 : i0 + size], out=diff)
-            np.abs(diff, out=logs)
+            points[:, n : n + size] = proposals[:, i0 : i0 + size]
+            diff = self.diff[: 2 * size, :, : n + size]
+            table = logs[: 2 * size, :, : n + size]
+            np.subtract(points[:, : n + size], ends[2 * i0 : 2 * (i0 + size)], out=diff)
+            np.abs(diff, out=table)
             with np.errstate(divide="ignore"):  # a proposal on a particle gives -inf
-                np.log(logs, out=logs)
-            self.diagonal[m, :size] = 0.0
-            stop = 2 * size * row
-            shift = n - i0  # from particle i0 + k's column to column n + k
-            rows = logs[:, :, :, :n]
-            summed = 0  # rows below this one have their sums in `sums`
+                np.log(table, out=table)
+            table[self.row_numbers[: 2 * size], :, self.particle[2 * i0 : 2 * (i0 + size)]] = 0.0
+            rows = table[:, :, :n]
+            summed = 0  # rows of moves below this one have their sums in `sums`
             for k, (valid_i, dv_i, u_i) in enumerate(moves):
                 if not any(valid_i):
                     continue
                 if k >= summed:
                     first, summed = k, k + self.ahead
-                    sums = np.add.reduce(rows[first:summed], axis=-1).tolist()
-                proposed, current = sums[k - first]
+                    sums = np.add.reduce(rows[2 * first : 2 * summed], axis=-1).tolist()
+                proposed, current = sums[2 * (k - first) : 2 * (k - first) + 2]
                 for c in chains:
                     if valid_i[c]:
                         delta = beta * (proposed[c] - current[c]) - dv_i[c]
                         if delta >= 0.0 or u_i[c] < math.exp(delta):
                             summed = k + 1  # later rows change below
-                            i = c * width + i0 + k
-                            points[i] = points[i + shift]
-                            # Rows [l, r, c] for l > k, column i0 + k.
-                            start = (2 * k + 2) * row + i
-                            flat[start:stop:row] = flat[start + shift : stop + shift : row]
+                            points[c, i0 + k] = points[c, n + k]
+                            table[2 * k + 2 :, c, i0 + k] = table[2 * k + 2 :, c, n + k]
                             accepted[c] += 1
                             running[c] += delta
         return accepted
@@ -283,11 +263,8 @@ def mh_chains(
     heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
 
     x = np.array(inits, dtype=complex)
-    if not is_complex and not x.imag.view(np.int64).any():
-        # Every imaginary part is +0.0, as initial_configuration draws them,
-        # so the real parts carry the state: |d| of a float is hypot(d, 0).
-        x = x.real.copy()
-    moves = _BlockedMoves(x)
+    # On a real support the chain runs on the real parts of its starts.
+    moves = _BlockedMoves(x if is_complex else x.real)
     x = moves.state
     rngs = [np.random.default_rng(seed) for seed in seeds]
     scales = [params.step_scale] * len(seeds)
@@ -298,7 +275,7 @@ def mh_chains(
     recorded = params.recorded_sweeps
     samples = np.empty((len(seeds), len(recorded), n), dtype=complex)
     traces: list[list[float]] = [[] for _ in chains]
-    running = [log_density(init, model) for init in inits]
+    running = [log_density(start, model) for start in x]
     drifts = [0.0 for _ in chains]
     accepted_recorded = [0 for _ in chains]
 

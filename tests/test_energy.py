@@ -9,6 +9,7 @@ from loggas import (
     DiscreteMeasure,
     GasModel,
     MismatchedSupports,
+    PotentialSpec,
     Support,
     cauchy_potential,
     compactified_potential,
@@ -279,6 +280,18 @@ class TestLogDensity:
             plane = log_density(config, model)
         assert math.isfinite(plane)
         assert sphere == pytest.approx(plane, rel=1e-12)
+
+    @pytest.mark.parametrize("density", [log_density, log_density_sphere])
+    def test_overflowing_potential_sum_is_minus_inf(self, density):
+        # Each V is finite near 1.4e306; their sum is not, and fsum's
+        # partials overflow.
+        potential = PotentialSpec("steep", (0.0, 1e306), beta_prime=2.0)
+        model = GasModel(Support.REAL_LINE, 1.0, potential, 200)
+        config = np.linspace(1.2, 1.3, 200).astype(complex)
+        assert np.isfinite(model.potential_values(config)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert density(config, model) == -math.inf
 
     def test_density_transport_random(self):
         rng = np.random.default_rng(6)

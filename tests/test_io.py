@@ -96,6 +96,20 @@ class TestSamplesCsv:
             read_samples_csv(path)
         assert str(error.value).startswith(f"{path}, line 4: {reason}")
 
+    @pytest.mark.parametrize("row, reason", [
+        ("0,0,1,1.0,x", "im: cannot read 'x' as a float"),
+        ("0,0,1.5,1.0,0.5", "particle: cannot read '1.5' as an integer"),
+        ("0,0,1,1.0", "expected 5 fields (chain,sweep,particle,re,im), found 4"),
+        ("0,0,1,1.0,0.5,2.0", "expected 5 fields (chain,sweep,particle,re,im), found 6"),
+    ], ids=["bad-float", "bad-int", "four-fields", "six-fields"])
+    def test_bad_row_reason_names_the_field(self, tmp_path, row, reason):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{HEADER}\n0,0,0,0.5,0.5\n{row}\n")
+        with pytest.raises(ValueError) as error:
+            read_samples_csv(path)
+        assert str(error.value) == f"{path}, line 3: {reason}"
+        assert "row " not in reason and "usecols" not in reason
+
     @pytest.mark.parametrize("tail", ["", "\n", "\n \n\n"], ids=["none", "empty", "mixed"])
     def test_trailing_blank_lines_are_skipped(self, tmp_path, tail):
         path = tmp_path / "s.csv"

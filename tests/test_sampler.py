@@ -356,18 +356,20 @@ class TestBlockedMoves:
                 assert np.array_equal(got, want)
             assert stats.log_density_trace == trace
 
-    def test_real_support_keeps_small_imaginary_parts(self):
-        # A real-axis start with imaginary parts inside the support's
-        # tolerance runs on the complex state, as move-by-move.
+    @pytest.mark.parametrize("imag", [1e-13, -0.0], ids=["small", "negative-zero"])
+    def test_real_support_runs_on_the_real_parts(self, imag):
+        # Imaginary parts inside the support's tolerance, or -0.0, are
+        # dropped: the chain is the one started at the real parts.  Sample 0
+        # is taken after the first sweep, so it holds particles that have
+        # not moved yet.
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 13)
-        init = seeded_init(model, seed=2) + 1e-13j
-        params = ChainParams(sweeps=12, burn_in=4, thin=2)
-        samples, stats = mh_chain(model, init, params, seed=3)
-        reference, trace = per_move_chain(model, init, params, seed=3)
-        for got, want in zip(samples, reference):
-            assert np.array_equal(got, want)
-        assert samples[-1].imag.any()
-        assert stats.log_density_trace == trace
+        real = seeded_init(model, seed=2).real
+        init = real.astype(complex)
+        init.imag = imag
+        params = ChainParams(sweeps=12, burn_in=0, thin=2)
+        got = mh_chain(model, init, params, seed=3)
+        assert_same_chain(got, mh_chain(model, real, params, seed=3))
+        assert not np.signbit(got[0].imag).any() and not got[0].imag.any()
 
     def test_block_length(self, monkeypatch):
         # The largest b with 2 C b n within the budget, at least 1, at most n.
