@@ -16,7 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import signal
 import sys
+import tempfile
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -45,7 +49,7 @@ from .model import (
     PotentialSpec,
     Support,
 )
-from .sampler import ChainParams, chain_seed, initial_configuration, mh_chains
+from .sampler import ChainParams, chain_seed, initial_configuration, mh_chains, start_log_densities
 from .verify import run_identity_suites
 
 COMMANDS = ("sample", "equilibrium", "verify", "analyze")
@@ -250,16 +254,134 @@ def _write_manifest(config: RunConfig, out_dir: Path) -> None:
     })
 
 
+class _Worker:
+    """A forked process that runs chains lo..hi-1 of a ``sample`` run.
+
+    It writes their rows to ``part``, an unnamed file in the output
+    directory, sends their stats as JSON through a pipe, or its error's
+    message as a JSON string, and leaves with ``os._exit``.
+    """
+
+    def __init__(self, config: RunConfig, out_dir: Path, lo: int, hi: int, inits, seeds):
+        self.chains = f"{lo}..{hi - 1}"
+        self.pid = None
+        self.part = tempfile.TemporaryFile(dir=out_dir)
+        read_end, write_end = os.pipe()
+        self.pipe = open(read_end, "rb")
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that forking a process with threads may
+                # deadlock the child.  The threads are OpenBLAS's pool, which
+                # OpenBLAS shuts down at fork (pthread_atfork), and a worker
+                # only runs NumPy and writes files.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+            if self.pid == 0:
+                self._work(config, lo, hi, inits, seeds, write_end)
+        except BaseException:
+            self.stop()
+            raise
+        finally:
+            os.close(write_end)
+
+    def _work(self, config: RunConfig, lo: int, hi: int, inits, seeds, write_end: int) -> None:
+        """The worker's body, in the child.  It never returns, so nothing
+        reaches the frames the child shares with its parent; Ctrl-C is left
+        to the parent, which kills its workers when it stops."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        status = 1
+        try:
+            with open(write_end, "w", closefd=False) as pipe:
+                try:
+                    samples, stats = mh_chains(config.model, inits[lo:hi], config.chain,
+                                               seeds[lo:hi])
+                    write_samples_csv(self.part.fileno(), samples,
+                                      config.chain.recorded_sweeps, lo)
+                    reply = [s.to_json() for s in stats]
+                except (LogGasError, OSError, ValueError) as e:
+                    reply = str(e)
+                json.dump(reply, pipe)
+            status = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())  # a bug's traceback, as a serial run prints it
+        finally:
+            sys.stderr.flush()
+            os._exit(status)
+
+    def result(self) -> list[dict]:
+        """Wait for the worker; returns its chains' stats as JSON, or raises
+        its error."""
+        reply = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(
+                f"the worker for chains {self.chains} failed (exit code {code})"
+            )
+        reply = json.loads(reply)
+        if isinstance(reply, str):
+            raise ValueError(reply)
+        return reply
+
+    def stop(self) -> None:
+        """Kill and reap the worker unless it has been reaped; close its files."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.pipe.close()
+        self.part.close()
+
+
+def _append(out_fd: int, part_fd: int) -> None:
+    """Copy the whole file ``part_fd`` to ``out_fd`` where it stands."""
+    offset, size = 0, os.fstat(part_fd).st_size
+    while offset < size:
+        offset += os.sendfile(out_fd, part_fd, offset, size - offset)
+
+
 def _run_sample(config: RunConfig, out_dir: Path) -> int:
-    chains = range(config.settings["chain"]["chains"])
+    """Chains 0..C-1 in W = min(C, CPUs) contiguous groups: this process runs
+    the first and forks a ``_Worker`` for each other.  Chain j's samples and
+    stats do not depend on the chains beside it, so every W gives the same
+    bytes; W = 1 forks nothing."""
+    chains = config.settings["chain"]["chains"]
     inits = [
         initial_configuration(config.model, np.random.default_rng([config.seed, j, 0xA11CE]))
-        for j in chains
+        for j in range(chains)
     ]
-    seeds = [chain_seed(config.seed, j) for j in chains]
-    samples, stats = mh_chains(config.model, inits, config.chain, seeds)
-    write_samples_csv(out_dir / "samples.csv", samples, config.chain.recorded_sweeps)
-    write_json(out_dir / "stats.json", {"chains": [s.to_json() for s in stats]})
+    seeds = [chain_seed(config.seed, j) for j in range(chains)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    groups = min(chains, cpus)
+    bounds = [chains * g // groups for g in range(groups + 1)]
+    if groups > 1:
+        # A start no chain can follow fails before any fork, named as a serial
+        # run names it (a worker's mh_chains numbers its chains from 0).
+        start_log_densities(config.model, inits)
+    workers = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            workers.append(_Worker(config, out_dir, lo, hi, inits, seeds))
+        first = bounds[1]
+        samples, stats = mh_chains(config.model, inits[:first], config.chain, seeds[:first])
+        chain_stats = [s.to_json() for s in stats]
+        path = out_dir / "samples.csv"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            write_samples_csv(fd, samples, config.chain.recorded_sweeps)
+            for worker in workers:
+                chain_stats += worker.result()
+                _append(fd, worker.part.fileno())
+        except BaseException:
+            path.unlink()
+            raise
+        finally:
+            os.close(fd)
+    finally:
+        for worker in workers:
+            worker.stop()
+    write_json(out_dir / "stats.json", {"chains": chain_stats})
     return 0
 
 

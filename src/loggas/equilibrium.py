@@ -35,6 +35,12 @@ from .energy import _pair_kernel, log_density
 from .errors import InadmissibleModel, NoClosedForm, QuadratureFailure
 from .model import DiscreteMeasure, GasModel, Support, validate_configuration
 
+# The largest max|V| times atom count N a grid may have.  The potential part
+# of Q w is at most max|V| |w|_1 <= max|V| sqrt(N) per entry for a unit w (the
+# power iteration's), so |Q w|^2 stays below (N max|V|)^2 plus the small
+# kernel part: far below the float maximum, 1.8e308.
+MAX_POTENTIAL_SCALE = 1e150
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -106,8 +112,14 @@ def check_solvable(model: GasModel, grid: GridSpec) -> None:
     # Row by row: whole-grid temporaries here raised a 60 x 60 solve's peak RSS 0.3 MB.
     rows = grid.atoms()[0].reshape(-1, grid.resolution)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not all(np.isfinite(model.potential_values(row)).all() for row in rows):
-            raise ValueError("grid.window: V is not finite at every atom; narrow the window")
+        v_max = np.max([np.abs(model.potential_values(row)).max() for row in rows])
+    if not np.isfinite(v_max):
+        raise ValueError("grid.window: V is not finite at every atom; narrow the window")
+    if v_max > MAX_POTENTIAL_SCALE / rows.size:
+        raise ValueError(
+            f"grid.window: max |V| is {v_max:.3g} on {rows.size} atoms, whose product must be "
+            f"at most {MAX_POTENTIAL_SCALE:g} or the solver's Q w overflows; narrow the window"
+        )
 
 
 def _fft_length(n: int) -> int:

@@ -35,17 +35,22 @@ def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
-def write_samples_csv(path, samples, sweeps) -> None:
+def write_samples_csv(file, samples, sweeps, first_chain: int = 0) -> None:
     """Samples as chain,sweep,particle,re,im rows.
 
-    ``samples`` is a (C, K, n) array: sample k of chain c is the n points
-    ``samples[c, k]``, recorded at sweep ``sweeps[k]``.  Rows are written
-    one recorded sample at a time, so no chain-wide list of rows is held.
+    ``samples`` is a (C, K, n) array: sample k of chain ``first_chain + c``
+    is the n points ``samples[c, k]``, recorded at sweep ``sweeps[k]``.
+    ``file`` is a path, which is created or truncated, or the descriptor of
+    an open file, whose rows are appended where it stands.  Rows from chain
+    0 start with the header; rows from a later chain continue a file.  Rows
+    are written one recorded sample at a time, so no chain-wide list of
+    rows is held.
     """
     prefixes = [f",{i}," for i in range(samples.shape[2])]  # shared by every sample
-    with open(path, "w") as f:
-        f.write(_HEADER + "\n")
-        for c, recorded in enumerate(samples):
+    with open(file, "w", closefd=not isinstance(file, int)) as f:
+        if first_chain == 0:
+            f.write(_HEADER + "\n")
+        for c, recorded in enumerate(samples, first_chain):
             for sweep, pts in zip(sweeps, recorded):
                 re, im = map(repr, pts.real.tolist()), map(repr, pts.imag.tolist())
                 rows = zip(repeat(f"{c},{sweep}"), prefixes, re, repeat(","), im, repeat("\n"))
@@ -79,6 +84,30 @@ def _row_error(line: str) -> str:
     return f"cannot read the row as {_HEADER}"
 
 
+def _first_bad_line(lines: list[str]) -> tuple[int, str] | None:
+    """The index in ``lines`` of the first row that np.loadtxt rejects alone,
+    or else of the first blank line, with the reason; None if neither exists.
+
+    The rows before the first blank line are bisected: a range holds a bad
+    row when it fails to load, so about log2(rows) calls find the first.
+    """
+    end = next((i for i, line in enumerate(lines) if line.isspace()), len(lines))
+    lo, hi = 0, end  # any bad row before lines[lo] has been ruled out
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _load_rows(lines[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    if lo < end:
+        try:
+            _load_rows(lines[lo : lo + 1])
+        except ValueError:
+            return lo, _row_error(lines[lo])
+    return (end, "blank line") if end < len(lines) else None
+
+
 def read_samples_csv(path) -> dict:
     """Returns arrays: chain, sweep, particle (ints) and values (complex); bad
     input raises ValueError naming the file, and the line for a bad row."""
@@ -94,15 +123,11 @@ def read_samples_csv(path) -> dict:
             first = next(rows, None)
             table = None if first is None else _load_rows(chain([first], rows))
         except ValueError:
-            f.seek(0)  # rescan for the first row that fails alone, or else a blank line
-            for number, line in enumerate(f.readlines()[start - 1 :], start):
-                if line.isspace():
-                    raise ValueError(f"{path}, line {number}: blank line") from None
-                try:
-                    _load_rows([line])
-                except ValueError:
-                    raise ValueError(f"{path}, line {number}: {_row_error(line)}") from None
-            raise
+            f.seek(0)
+            found = _first_bad_line(f.readlines()[start - 1 :])
+            if found is None:
+                raise
+            raise ValueError(f"{path}, line {start + found[0]}: {found[1]}") from None
     if table is None:
         raise ValueError(f"{path}: no data rows")
     values = np.empty(len(table), dtype=complex)

@@ -237,6 +237,18 @@ def _sweep_randoms(
     return steps, rng.random(n)
 
 
+def start_log_densities(model: GasModel, starts) -> list[float]:
+    """Each start's ``log_density``; ValueError naming the first chain whose
+    start has a non-finite one, which no Metropolis ratio can follow."""
+    densities = [log_density(start, model) for start in starts]
+    for j, density in enumerate(densities):
+        if not math.isfinite(density):
+            raise ValueError(
+                f"chain {j}: the log-density of the start is {density}, not finite"
+            )
+    return densities
+
+
 def mh_chains(
     model: GasModel, inits, params: ChainParams, seeds: Sequence[int]
 ) -> tuple[np.ndarray, list[ChainStats]]:
@@ -249,7 +261,8 @@ def mh_chains(
     The state is one (C, n) array and each block of moves is one set of
     array calls across all rows, but each chain draws from its own
     Generator in a fixed order and adapts its own scale, so chain j's
-    samples and stats do not depend on C.
+    samples and stats do not depend on C.  A start whose ``log_density`` is
+    not finite raises ValueError naming its chain, before any sweep.
     """
     if len(inits) == 0 or len(inits) != len(seeds):
         raise ValueError("need one seed per initial configuration, at least one")
@@ -275,7 +288,7 @@ def mh_chains(
     recorded = params.recorded_sweeps
     samples = np.empty((len(seeds), len(recorded), n), dtype=complex)
     traces: list[list[float]] = [[] for _ in chains]
-    running = [log_density(start, model) for start in x]
+    running = start_log_densities(model, x)
     drifts = [0.0 for _ in chains]
     accepted_recorded = [0 for _ in chains]
 
@@ -298,7 +311,8 @@ def mh_chains(
         valid = support.contains_array(proposals)
         dv = np.zeros(x.shape)
         v_new, v_old = model.potential_values(proposals[valid]), model.potential_values(x[valid])
-        dv[valid] = n * (v_new - v_old)
+        with np.errstate(over="ignore"):  # a dv that overflows to +inf is a rejected move
+            dv[valid] = n * (v_new - v_old)
         acc_sweep = moves.sweep(proposals, valid, dv, u_accept, model.beta, running)
 
         if sweep < params.burn_in:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -15,6 +18,7 @@ from loggas import (
     ValidationError,
     cauchy_potential,
 )
+import loggas.cli
 from loggas.cli import main, parse_config, run
 from loggas.io import read_json, read_samples_csv
 
@@ -394,6 +398,129 @@ class TestRun:
         assert names == sorted(p.name for p in out.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (out / name).read_bytes(), name
+
+
+FIVE_CHAINS = {
+    "command": "sample",
+    "model": {"support": "real_line", "beta": 2.0, "n": 6, "potential": {"name": "cauchy"}},
+    "chain": {"sweeps": 40, "burn_in": 10, "chains": 5},
+    "seed": 7,
+}
+
+
+class TestWorkers:
+    """A sample run's chains split into min(chains, CPUs) groups, one process each."""
+
+    @staticmethod
+    def run_on(tmp_path, monkeypatch, cpus, raw, name):
+        """``loggas sample`` on the config ``raw``, in this process, with ``cpus``
+        CPUs in the affinity mask; returns the exit code and the output directory."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / name
+        return main(["sample", "--config", str(cfg), "--out", str(out)]), out
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        outputs = {}
+        for cpus in (1, 2, 3, 8):
+            forks.clear()
+            rc, out = self.run_on(tmp_path, monkeypatch, cpus, FIVE_CHAINS, f"cpus{cpus}")
+            assert rc == 0
+            assert len(forks) == min(cpus, 5) - 1
+            assert sorted(os.listdir(out)) == ["manifest.json", "samples.csv", "stats.json"]
+            outputs[cpus] = [(out / name).read_bytes() for name in ("samples.csv", "stats.json")]
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1] and outputs[8] == outputs[1]
+        chains = read_samples_csv(tmp_path / "cpus8" / "samples.csv")["chain"]
+        assert np.array_equal(np.unique(chains), np.arange(5))
+        self.assert_no_child_left()
+
+    def test_fork_warning_of_threads_is_not_an_error(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns, from os.fork in the parent, that the process has
+        # threads (OpenBLAS's); the warning names loggas.cli as its source.
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_on(tmp_path, monkeypatch, 2, FIVE_CHAINS, "warned")[0] == 0
+        self.assert_no_child_left()
+
+    def test_one_chain_never_forks(self, tmp_path, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        raw = json.loads(json.dumps(FIVE_CHAINS))
+        raw["chain"]["chains"] = 1
+        assert self.run_on(tmp_path, monkeypatch, 8, raw, "one")[0] == 0
+
+    def test_failing_start_fails_alike_at_one_and_three_workers(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # n Σ V overflows at chain 4's start alone, which a third worker would run
+        raw = {
+            "command": "sample",
+            "model": {"support": "real_line", "beta": 1.0, "n": 12, "potential": STEEP},
+            "chain": {"sweeps": 20, "chains": 5},
+            "seed": 21,
+        }
+        results = []
+        for cpus in (1, 3):
+            rc, out = self.run_on(tmp_path, monkeypatch, cpus, raw, f"cpus{cpus}")
+            results.append((rc, capsys.readouterr().err))
+            assert os.listdir(out) == ["manifest.json"]
+        assert results[0] == results[1]
+        assert results[0] == (
+            2, "loggas: error: chain 4: the log-density of the start is -inf, not finite\n"
+        )
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("failing, message", [
+        ("parent", "group 0 failed"),
+        ("worker", "group 2 failed"),
+        ("killed worker", "the worker for chains 1..2 failed (exit code -9)"),
+    ])
+    def test_failed_group_leaves_no_process_and_no_file(self, tmp_path, monkeypatch, capsys,
+                                                        failing, message):
+        # 3 CPUs, 5 chains: this process runs chain 0, workers chains 1..2 and 3..4
+        parent, real_mh_chains = os.getpid(), loggas.cli.mh_chains
+        group = {loggas.cli.chain_seed(7, lo): g for g, lo in enumerate((0, 1, 3))}
+
+        def mh_chains(model, inits, params, seeds):
+            g = group[seeds[0]]
+            if failing == "parent" and g == 0:
+                raise ValueError("group 0 failed")
+            if os.getpid() != parent:
+                if failing == "parent":
+                    time.sleep(30)  # still running when the parent fails
+                elif failing == "worker" and g == 2:
+                    raise ValueError("group 2 failed")
+                elif failing == "killed worker" and g == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real_mh_chains(model, inits, params, seeds)
+
+        monkeypatch.setattr(loggas.cli, "mh_chains", mh_chains)
+        start = time.monotonic()
+        rc, out = self.run_on(tmp_path, monkeypatch, 3, FIVE_CHAINS, "failed")
+        assert time.monotonic() - start < 20  # the sleeping workers were killed
+        assert (rc, capsys.readouterr().err) == (2, f"loggas: error: {message}\n")
+        assert os.listdir(out) == ["manifest.json"]
+        self.assert_no_child_left()
 
 
 class TestMain:

@@ -177,13 +177,30 @@ class TestGridSpec:
         (Support.COMPLEX_PLANE, ((-20.0, 20.0),) * 2, ((-0.9, 0.9),) * 2),
     ], ids=["line", "plane"])
     def test_potential_must_be_finite_on_the_grid(self, support, wide, narrow):
-        # V = 1e306 |x|^2 is inf for |x| > 1.34; the check itself warns of nothing
+        # V = 1e306 |x|^2 is inf for |x| > 13.4; the check itself warns of nothing
         model = GasModel(support, 1.0, PotentialSpec("steep", (0.0, 1e306), beta_prime=2.0), 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^grid.window: V is not finite"):
                 grid_minimize(model, GridSpec(wide, 32))
-            check_solvable(model, GridSpec(narrow, 16))
+            # finite, but the solver's Q w would overflow
+            with pytest.raises(ValueError, match=r"^grid.window: max \|V\| is \S+e\+30[56] on"):
+                check_solvable(model, GridSpec(narrow, 16))
+
+    @pytest.mark.parametrize("support, window, coefficient", [
+        (Support.REAL_LINE, (-1.0, 1.0), 1e148),
+        (Support.COMPLEX_PLANE, ((-0.9, 0.9),) * 2, 1e147),
+    ], ids=["line", "plane"])
+    def test_potential_just_inside_the_scale_bound_solves(self, support, window, coefficient):
+        # max |V| times the atom count is 1.4e149 on the line, 3.7e149 on the plane
+        model = GasModel(support, 1.0, PotentialSpec("steep", (0.0, coefficient),
+                                                     beta_prime=2.0), 1)
+        grid = GridSpec(window, 16, max_iter=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            measure, report = grid_minimize(model, grid)
+        assert np.isfinite(report.energy) and report.converged
+        assert measure.weights.sum() == pytest.approx(1.0)
 
 
 class TestProjectToSimplex:

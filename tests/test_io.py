@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import loggas.io
 from loggas import DiscreteMeasure, empirical_measure, pushforward
 from loggas.io import read_json, read_samples_csv, write_json, write_measure_csv, write_samples_csv
 
@@ -149,6 +150,22 @@ class TestSamplesCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"samples.csv, line {n - 1}: "):
             read_samples_csv(path)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2047, 4098, 4099])
+    def test_bad_row_found_by_bisection(self, tmp_path, monkeypatch, bad):
+        # 1 load of all 4,100 rows, 13 of halving ranges, 1 of the row found
+        # and at most 5 for the reason: not one load per row
+        rows = [f"0,0,{i},0.5,0.5" for i in range(4100)]
+        rows[bad] = f"0,0,{bad},0.5,x"
+        path = tmp_path / "samples.csv"
+        path.write_text("\n".join([HEADER, *rows]) + "\n")
+        loads, real_load = [], loggas.io._load_rows
+        monkeypatch.setattr(loggas.io, "_load_rows",
+                            lambda lines: loads.append(1) or real_load(lines))
+        with pytest.raises(ValueError) as error:
+            read_samples_csv(path)
+        assert str(error.value) == f"{path}, line {bad + 2}: im: cannot read 'x' as a float"
+        assert len(loads) <= 20
 
     def test_byte_identical_rewrite(self, tmp_path):
         rng = np.random.default_rng(1)

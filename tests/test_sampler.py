@@ -8,6 +8,7 @@ from loggas import (
     ChainParams,
     GasModel,
     InadmissibleModel,
+    PotentialSpec,
     Support,
     admissibility_check,
     cauchy_law,
@@ -27,6 +28,8 @@ from loggas import sampler
 from loggas.sampler import TRACE_RECOMPUTE_EVERY, _BlockedMoves, initial_configuration
 
 CAUCHY2 = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
+# V = 1e306 x^2: finite for |x| < 13.4, while n V overflows far inside that
+STEEP = PotentialSpec("steep", (0.0, 1e306), beta_prime=2.0)
 
 
 def seeded_init(model, seed):
@@ -312,6 +315,24 @@ class TestMhChains:
         inits = [seeded_init(model, seed=0), coincident]
         with pytest.raises(ValueError, match="coincident"):
             mh_chains(model, inits, params, [0, 1])
+
+    def test_start_with_non_finite_log_density_rejected(self, monkeypatch):
+        # n Σ V overflows at the second start, though each V is finite; no sweep runs
+        model = GasModel(Support.REAL_LINE, 1.0, STEEP, 20)
+        params = ChainParams(sweeps=4, burn_in=0)
+        monkeypatch.setattr(_BlockedMoves, "sweep", None)
+        inits = [np.linspace(-0.1, 0.1, 20), np.linspace(1.2, 1.3, 20)]
+        with pytest.raises(ValueError, match="^chain 1: the log-density of the start is -inf"):
+            mh_chains(model, inits, params, [0, 1])
+
+    def test_overflowing_potential_difference_is_a_rejected_move(self):
+        # Proposals past |x| = 0.95 have finite V but n (v_new - v_old) > 1.8e308
+        model = GasModel(Support.REAL_LINE, 1.0, STEEP, 200)
+        params = ChainParams(sweeps=4, burn_in=2)
+        samples, stats = mh_chain(model, np.linspace(-0.1, 0.1, 200), params, seed=0)
+        assert 0.0 < stats.acceptance_rate < 1.0
+        assert np.isfinite(stats.log_density_trace).all()
+        assert all(math.isfinite(log_density(sample, model)) for sample in samples)
 
     def test_coincident_proposal_is_minus_inf_in_its_row_only(self):
         # One block holds all three moves.  Both chains move particle 0 from
