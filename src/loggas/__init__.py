@@ -50,20 +50,6 @@ from .equilibrium import (
     fekete_descent,
     grid_minimize,
 )
-from .errors import (
-    CoincidentPoints,
-    EmptySample,
-    InadmissibleModel,
-    LogGasError,
-    MismatchedSupports,
-    MissingBetaPrime,
-    NoClosedForm,
-    NoReference,
-    ParseError,
-    PoleNotInvertible,
-    QuadratureFailure,
-    ValidationError,
-)
 from .geometry import (
     CompactifiedPotential,
     chordal_distance,

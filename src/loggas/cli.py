@@ -20,6 +20,7 @@ import os
 import signal
 import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -41,7 +42,6 @@ from .analysis import (
     spherical_law,
 )
 from .equilibrium import GridSpec, check_solvable, grid_minimize
-from .errors import InadmissibleModel, LogGasError, ParseError, ValidationError
 from .io import read_samples_csv, write_json, write_measure_csv, write_samples_csv
 from .model import (
     BUILTIN_POTENTIALS,
@@ -84,16 +84,16 @@ class RunConfig:
 def _section(section, path: str, keys: set[str]) -> dict:
     """``section`` checked to be a JSON object with no key outside ``keys``."""
     if not isinstance(section, dict):
-        raise ValidationError(f"{path}: expected an object")
+        raise ValueError(f"{path}: expected an object")
     for key in section:
         if key not in keys:
-            raise ParseError(f"unknown key {key!r} in {path}")
+            raise ValueError(f"unknown key {key!r} in {path}")
     return section
 
 
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
-        raise ValidationError(f"{path}: {message}")
+        raise ValueError(f"{path}: {message}")
 
 
 def _number(value, path: str, integer: bool = False):
@@ -109,7 +109,7 @@ def _number(value, path: str, integer: bool = False):
         or not isinstance(value, allowed)
         or (isinstance(value, float) and not math.isfinite(value))
     ):
-        raise ValidationError(f"{path}: expected a finite {kind}, got {value!r}")
+        raise ValueError(f"{path}: expected a finite {kind}, got {value!r}")
     return value if integer else float(value)
 
 
@@ -119,7 +119,7 @@ def _parse_potential(section, path="model.potential") -> tuple[PotentialSpec, di
     _require(isinstance(name, str), f"{path}.name", "required string")
     if name in BUILTIN_POTENTIALS:
         if "params" in section:
-            raise ValidationError(f"{path}.params: not accepted for built-in {name!r}")
+            raise ValueError(f"{path}.params: not accepted for built-in {name!r}")
         pot = BUILTIN_POTENTIALS[name]()
         extra = {}
     else:
@@ -214,7 +214,7 @@ def parse_config(
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+        raise ValueError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     keys = {"command", "model", "chain", "grid", "analyze", "seed", "out"}
     raw = {**_section(raw, "config", keys), **(flags or {})}
     command = command_override or raw.get("command")
@@ -227,22 +227,19 @@ def parse_config(
 
     built = {}
     parsers = {"model": _parse_model, "chain": _parse_chain, "grid": _parse_grid}
-    try:
-        for key, parse in parsers.items():
-            if key in raw:
-                built[key], settings[key] = parse(raw[key])
-        if "analyze" in raw:
-            settings["analyze"] = _parse_analyze(raw["analyze"])
-        needs = {"sample": ("model", "chain"), "equilibrium": ("model", "grid"),
-                 "analyze": ("analyze",)}
-        for key in needs.get(command, ()):
-            _require(key in settings, key, f"required for the {command} command")
-        if command == "equilibrium":
-            check_solvable(built["model"], built["grid"])
-        elif command == "sample":
-            built["model"].require_weak_growth()
-    except (InadmissibleModel, ValueError) as e:
-        raise ValidationError(str(e)) from e
+    for key, parse in parsers.items():
+        if key in raw:
+            built[key], settings[key] = parse(raw[key])
+    if "analyze" in raw:
+        settings["analyze"] = _parse_analyze(raw["analyze"])
+    needs = {"sample": ("model", "chain"), "equilibrium": ("model", "grid"),
+             "analyze": ("analyze",)}
+    for key in needs.get(command, ()):
+        _require(key in settings, key, f"required for the {command} command")
+    if command == "equilibrium":
+        check_solvable(built["model"], built["grid"])
+    elif command == "sample":
+        built["model"].require_weak_growth()
     return RunConfig(settings, **built)
 
 
@@ -254,15 +251,33 @@ def _write_manifest(config: RunConfig, out_dir: Path) -> None:
     })
 
 
+def _run_group(config: RunConfig, inits, seeds, lo: int, hi: int, fd: int) -> list[dict]:
+    """Run chains lo..hi-1 of a ``sample`` run, append their rows to the open
+    file ``fd`` and return their stats as JSON."""
+    samples, stats = mh_chains(config.model, inits[lo:hi], config.chain, seeds[lo:hi])
+    write_samples_csv(fd, samples, config.chain.recorded_sweeps, lo)
+    return [s.to_json() for s in stats]
+
+
+def _exit_at_eof(fd: int) -> None:
+    """Block until end of file on ``fd``, which nothing writes to, then end
+    the process."""
+    os.read(fd, 1)
+    os._exit(1)
+
+
 class _Worker:
     """A forked process that runs chains lo..hi-1 of a ``sample`` run.
 
     It writes their rows to ``part``, an unnamed file in the output
     directory, sends their stats as JSON through a pipe, or its error's
-    message as a JSON string, and leaves with ``os._exit``.
+    message as a JSON string, and leaves with ``os._exit``.  ``lifeline``
+    is a pipe whose write end only the parent keeps: the worker exits as
+    soon as that end closes, so it dies with its parent, SIGKILL included.
     """
 
-    def __init__(self, config: RunConfig, out_dir: Path, lo: int, hi: int, inits, seeds):
+    def __init__(self, config: RunConfig, out_dir: Path, lo: int, hi: int, inits, seeds,
+                 lifeline: tuple[int, int]):
         self.chains = f"{lo}..{hi - 1}"
         self.pid = None
         self.part = tempfile.TemporaryFile(dir=out_dir)
@@ -277,28 +292,27 @@ class _Worker:
                 warnings.simplefilter("ignore", DeprecationWarning)
                 self.pid = os.fork()
             if self.pid == 0:
-                self._work(config, lo, hi, inits, seeds, write_end)
+                self._work(config, lo, hi, inits, seeds, write_end, lifeline)
         except BaseException:
             self.stop()
             raise
         finally:
             os.close(write_end)
 
-    def _work(self, config: RunConfig, lo: int, hi: int, inits, seeds, write_end: int) -> None:
+    def _work(self, config: RunConfig, lo: int, hi: int, inits, seeds, write_end: int,
+              lifeline: tuple[int, int]) -> None:
         """The worker's body, in the child.  It never returns, so nothing
         reaches the frames the child shares with its parent; Ctrl-C is left
         to the parent, which kills its workers when it stops."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         status = 1
         try:
+            os.close(lifeline[1])
+            threading.Thread(target=_exit_at_eof, args=(lifeline[0],), daemon=True).start()
             with open(write_end, "w", closefd=False) as pipe:
                 try:
-                    samples, stats = mh_chains(config.model, inits[lo:hi], config.chain,
-                                               seeds[lo:hi])
-                    write_samples_csv(self.part.fileno(), samples,
-                                      config.chain.recorded_sweeps, lo)
-                    reply = [s.to_json() for s in stats]
-                except (LogGasError, OSError, ValueError) as e:
+                    reply = _run_group(config, inits, seeds, lo, hi, self.part.fileno())
+                except (OSError, ValueError) as e:
                     reply = str(e)
                 json.dump(reply, pipe)
             status = 0
@@ -355,21 +369,20 @@ def _run_sample(config: RunConfig, out_dir: Path) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     groups = min(chains, cpus)
     bounds = [chains * g // groups for g in range(groups + 1)]
+    lifeline = ()
     if groups > 1:
         # A start no chain can follow fails before any fork, named as a serial
         # run names it (a worker's mh_chains numbers its chains from 0).
         start_log_densities(config.model, inits)
+        lifeline = os.pipe()
     workers = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            workers.append(_Worker(config, out_dir, lo, hi, inits, seeds))
-        first = bounds[1]
-        samples, stats = mh_chains(config.model, inits[:first], config.chain, seeds[:first])
-        chain_stats = [s.to_json() for s in stats]
+            workers.append(_Worker(config, out_dir, lo, hi, inits, seeds, lifeline))
         path = out_dir / "samples.csv"
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            write_samples_csv(fd, samples, config.chain.recorded_sweeps)
+            chain_stats = _run_group(config, inits, seeds, 0, bounds[1], fd)
             for worker in workers:
                 chain_stats += worker.result()
                 _append(fd, worker.part.fileno())
@@ -381,6 +394,8 @@ def _run_sample(config: RunConfig, out_dir: Path) -> int:
     finally:
         for worker in workers:
             worker.stop()
+        for end in lifeline:
+            os.close(end)
     write_json(out_dir / "stats.json", {"chains": chain_stats})
     return 0
 
@@ -434,7 +449,7 @@ def run(config: RunConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(config, out_dir)
         return _DISPATCH[config.command](config, out_dir)
-    except (LogGasError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"loggas: error: {e}", file=sys.stderr)
         return 2
 
@@ -462,11 +477,11 @@ def main(argv=None) -> int:
         else:
             text = "{}"
         config = parse_config(text, command_override=args.command, flags=flags)
-    except (ParseError, ValidationError, OSError) as e:
-        print(f"loggas: error: {e}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as e:
+    except UnicodeDecodeError as e:  # a ValueError, so it comes first
         print(f"loggas: error: {args.config}: not UTF-8 text ({e.reason})", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as e:
+        print(f"loggas: error: {e}", file=sys.stderr)
         return 2
     return run(config)
 

@@ -28,7 +28,6 @@ import math
 
 import numpy as np
 
-from .errors import MismatchedSupports
 from .geometry import chordal_distance, compactified_potential
 from .model import DiscreteMeasure, GasModel, log1p_modulus_squared
 
@@ -185,11 +184,11 @@ def signed_log_energy(
     regularized policy.
     """
     if mu.side != "sphere" or nu.side != "sphere":
-        raise MismatchedSupports("signed_log_energy expects sphere-side measures")
+        raise ValueError("signed_log_energy expects sphere-side measures")
     if not np.array_equal(mu.positions, nu.positions):
-        raise MismatchedSupports("atom position lists differ")
+        raise ValueError("atom position lists differ")
     d = mu.weights - nu.weights
     value = _weighted_energy(d, mu.positions, 2.0, np.zeros(len(d)), policy, spacing)
     if value is None:
-        raise MismatchedSupports("duplicate atom positions in support")
+        raise ValueError("duplicate atom positions in support")
     return value

@@ -32,7 +32,6 @@ from numpy import fft
 
 from .analysis import ClosedFormLaw, closed_form
 from .energy import _pair_kernel, log_density
-from .errors import InadmissibleModel, NoClosedForm, QuadratureFailure
 from .model import DiscreteMeasure, GasModel, Support, validate_configuration
 
 # The largest max|V| times atom count N a grid may have.  The potential part
@@ -92,16 +91,14 @@ class GridSpec:
 
 
 def check_solvable(model: GasModel, grid: GridSpec) -> None:
-    """Raise unless grid_minimize accepts ``model`` on ``grid``.
+    """Raise ValueError unless grid_minimize accepts ``model`` on ``grid``.
 
     Each message starts with the field at fault, named as in a run
     config: model.support, model.beta, model.potential.beta_prime or
     grid.window.
     """
     if not model.support.solver_allowed:
-        raise InadmissibleModel(
-            "model.support: the solver accepts only the real line and the plane"
-        )
+        raise ValueError("model.support: the solver accepts only the real line and the plane")
     model.require_weak_growth()
     if grid.is_planar != (model.support is Support.COMPLEX_PLANE):
         raise ValueError("grid.window: grid dimensionality does not match the support")
@@ -215,9 +212,8 @@ def captured_mass(model: GasModel, window: tuple) -> float | None:
     ``window`` is (lo, hi) on the line or ((xlo, xhi), (ylo, yhi)) on the
     plane: the one box whose mass ``ClosedFormLaw.box_masses`` gives.
     """
-    try:
-        law = closed_form(model)
-    except NoClosedForm:
+    law = closed_form(model)
+    if law is None:
         return None
     return law.box_masses(np.reshape(window, (-1, 2))).item()
 
@@ -303,8 +299,11 @@ def closed_form_cell_masses(model: GasModel, grid: GridSpec) -> np.ndarray:
     V = log(1+|x|^2) at beta = 2 on the line or the plane: the cells are
     the boxes of ``ClosedFormLaw.box_masses``, so each mass is exact.
     """
+    law = closed_form(model)
+    if law is None:
+        raise ValueError(f"no closed-form limit on {model.support.value} at beta={model.beta}")
     edges = [np.linspace(lo, hi, grid.resolution + 1) for lo, hi in grid.axes]
-    masses = closed_form(model).box_masses(edges).ravel()
+    masses = law.box_masses(edges).ravel()
     return masses / math.fsum(masses.tolist())
 
 
@@ -369,7 +368,7 @@ def _quad(f, a, b, fail_tol: float, **kw):
     res = integrate.quad(f, a, b, full_output=1, **kw)
     val, abserr = res[0], res[1]
     if abserr > fail_tol:
-        raise QuadratureFailure(
+        raise RuntimeError(
             f"integral on [{a}, {b}] reported error {abserr:.2e} > {fail_tol:.2e}"
         )
     return val

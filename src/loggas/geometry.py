@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleNotInvertible
 from .model import LARGE_MODULUS, DiscreteMeasure, GasModel, log1p_modulus_squared
 
 
@@ -76,7 +75,7 @@ def unproject_array(zs: np.ndarray) -> np.ndarray:
     """
     xs, high, s = _unproject(np.asarray(zs, dtype=float))
     if np.any(high & (s == 0.0)):
-        raise PoleNotInvertible("a point coincides with the north pole")
+        raise ValueError("a point coincides with the north pole")
     return xs
 
 

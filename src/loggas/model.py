@@ -20,8 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CoincidentPoints, InadmissibleModel, MissingBetaPrime
-
 # Points of real supports are carried as complex values with (near-)zero
 # imaginary part; this is the membership tolerance on the imaginary part.
 REAL_AXIS_TOL = 1e-12
@@ -104,9 +102,10 @@ class PotentialSpec:
     structure.
 
     ``beta_prime`` is the user-declared growth witness, above 1 when
-    given: the gas is weak-growth admissible at inverse temperature beta
-    iff beta_prime exists, beta_prime >= beta and the structure bears it
-    out (``pole_value(beta_prime, support) > -inf``).
+    given: on an unbounded support the gas is weak-growth admissible at
+    inverse temperature beta iff beta_prime exists, beta_prime >= beta and
+    the structure bears it out (``pole_value(beta_prime, support) > -inf``).
+    Bounded supports never read it.
     """
 
     name: str
@@ -236,24 +235,25 @@ class GasModel:
                              f"not {self.support.value}; use 'r2'")
 
     def require_weak_growth(self) -> None:
-        """Raise InadmissibleModel unless V bears out a declared beta_prime >= beta.
+        """Raise ValueError unless V bears out a declared beta_prime >= beta.
 
-        The message starts with the field at fault, named as in a run
-        config: model.beta when it exceeds beta_prime, otherwise
-        model.potential.beta_prime.
+        A bounded support passes at once: every gas on it is Strong and
+        normalizable, whatever beta_prime is.  Otherwise the message starts
+        with the field at fault, named as in a run config: model.beta when
+        it exceeds beta_prime, otherwise model.potential.beta_prime.
         """
+        if self.support.is_bounded:
+            return
+        growth = admissibility_check(self)
         bp = self.potential.beta_prime
-        if bp is None:
-            raise InadmissibleModel("model.potential.beta_prime: weak-growth admissibility "
-                                    "needs a declared value")
         if bp < self.beta:
-            raise InadmissibleModel(
+            raise ValueError(
                 f"model.beta: {self.beta:g} exceeds beta_prime {bp:g}; "
                 "the model fails weak-growth admissibility"
             )
-        if admissibility_check(self) is Admissibility.INADMISSIBLE:
-            raise InadmissibleModel(f"model.potential.beta_prime: V contradicts {bp:g}, since "
-                                    f"V(x) - ({bp:g}/2) log(1+|x|^2) tends to -inf")
+        if growth is Admissibility.INADMISSIBLE:
+            raise ValueError(f"model.potential.beta_prime: V contradicts {bp:g}, since "
+                             f"V(x) - ({bp:g}/2) log(1+|x|^2) tends to -inf")
 
     def potential_values(self, points) -> np.ndarray:
         """Evaluate V at points of the support (arrays accepted)."""
@@ -277,7 +277,7 @@ def validate_configuration(points, model: GasModel) -> None:
     if not np.all(ok):
         raise ValueError(f"point {pts[~ok][0]} is not in support {model.support.value}")
     if len(np.unique(pts)) != model.n:
-        raise CoincidentPoints("configuration has coincident points")
+        raise ValueError("configuration has coincident points")
 
 
 @dataclass(frozen=True)
@@ -360,16 +360,18 @@ def admissibility_check(model: GasModel) -> Admissibility:
 
     The class is read off the pole value at beta_prime, the liminf of
     V(x) - (beta'/2) log(1+|x|^2) at infinity: +inf is Strong, a finite
-    value WeakOnly and -inf Inadmissible.  Bounded supports are vacuously
-    Strong.  Weak-growth admissibility rejects Inadmissible models, and
+    value WeakOnly and -inf Inadmissible.  Bounded supports are Strong
+    whatever beta_prime is; elsewhere a missing beta_prime raises
+    ValueError.  Weak-growth admissibility rejects Inadmissible models, and
     the sampler draws heavy-tailed proposals for targets that are not
     Strong.
     """
-    bp = model.potential.beta_prime
-    if bp is None:
-        raise MissingBetaPrime(f"potential {model.potential.name!r} declares no beta_prime")
     if model.support.is_bounded:
         return Admissibility.STRONG
+    bp = model.potential.beta_prime
+    if bp is None:
+        raise ValueError("model.potential.beta_prime: weak-growth admissibility "
+                         "needs a declared value")
     pole = model.potential.pole_value(bp, model.support)
     if pole == math.inf:
         return Admissibility.STRONG

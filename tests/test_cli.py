@@ -2,8 +2,11 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +15,8 @@ from loggas import (
     ChainParams,
     GasModel,
     GridSpec,
-    ParseError,
     PotentialSpec,
     Support,
-    ValidationError,
     cauchy_potential,
 )
 import loggas.cli
@@ -87,23 +88,23 @@ class TestParseConfig:
     def test_unknown_key_named(self):
         bad = dict(MINIMAL_SAMPLE)
         bad["gamma"] = 1.0
-        with pytest.raises(ParseError, match="gamma"):
+        with pytest.raises(ValueError, match="gamma"):
             parse_config(json.dumps(bad))
 
     def test_unknown_nested_key_named(self):
         bad = json.loads(json.dumps(MINIMAL_SAMPLE))
         bad["chain"]["gamma"] = 1.0
-        with pytest.raises(ParseError, match="gamma"):
+        with pytest.raises(ValueError, match="gamma"):
             parse_config(json.dumps(bad))
 
     def test_negative_beta_rejected(self):
         bad = json.loads(json.dumps(MINIMAL_SAMPLE))
         bad["model"]["beta"] = -1.0
-        with pytest.raises(ValidationError, match="beta"):
+        with pytest.raises(ValueError, match="beta"):
             parse_config(json.dumps(bad))
 
     def test_malformed_json_has_location(self):
-        with pytest.raises(ParseError, match="line"):
+        with pytest.raises(ValueError, match="line"):
             parse_config("{\n  \"command\": sample\n}")
 
     def test_command_override_wins(self):
@@ -124,7 +125,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("value", [True, "7", -1, 2**64])
     def test_seed_must_be_unsigned_integer(self, value):
         raw = dict(MINIMAL_SAMPLE, seed=value)
-        with pytest.raises(ValidationError, match="seed"):
+        with pytest.raises(ValueError, match="seed"):
             parse_config(json.dumps(raw))
 
     @pytest.mark.parametrize("key, value", [
@@ -133,7 +134,7 @@ class TestParseConfig:
     def test_model_numbers_strict(self, key, value):
         raw = json.loads(json.dumps(MINIMAL_SAMPLE))
         raw["model"][key] = value
-        with pytest.raises(ValidationError, match=f"model.{key}"):
+        with pytest.raises(ValueError, match=f"model.{key}"):
             parse_config(json.dumps(raw))
 
     @pytest.mark.parametrize("key, value", [
@@ -142,7 +143,7 @@ class TestParseConfig:
     def test_chain_numbers_strict(self, key, value):
         raw = json.loads(json.dumps(MINIMAL_SAMPLE))
         raw["chain"][key] = value
-        with pytest.raises(ValidationError, match=f"chain.{key}"):
+        with pytest.raises(ValueError, match=f"chain.{key}"):
             parse_config(json.dumps(raw))
 
     @pytest.mark.parametrize("key, value", [
@@ -156,13 +157,13 @@ class TestParseConfig:
             "model": MINIMAL_SAMPLE["model"],
             "grid": {"window": [-10, 10], "resolution": 64, key: value},
         }
-        with pytest.raises(ValidationError, match=f"grid.{key}"):
+        with pytest.raises(ValueError, match=f"grid.{key}"):
             parse_config(json.dumps(raw))
 
     def test_missing_sections_for_command(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError, match="^model: required for the sample command$"):
             parse_config(json.dumps({"command": "sample"}))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError, match="^analyze: required for the analyze command$"):
             parse_config(json.dumps({"command": "analyze"}))
 
     @pytest.mark.parametrize("edits, build, field", [
@@ -203,7 +204,7 @@ class TestParseConfig:
             for key in parents:
                 node = node[key]
             node[last] = value
-        with pytest.raises(ValidationError) as config_error:
+        with pytest.raises(ValueError) as config_error:
             parse_config(json.dumps(raw))
         with pytest.raises(ValueError) as library_error:
             build()
@@ -522,6 +523,60 @@ class TestWorkers:
         assert os.listdir(out) == ["manifest.json"]
         self.assert_no_child_left()
 
+    @staticmethod
+    def running(pid: int) -> bool:
+        """Whether process ``pid`` exists and is not a zombie."""
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+    @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                        reason="needs /proc/<pid>/task/<tid>/children")
+    def test_worker_dies_with_its_killed_parent(self, tmp_path):
+        # two chains of some 200 s each, one in the parent and one in its worker
+        raw = {
+            "command": "sample",
+            "model": {"support": "real_line", "beta": 2.0, "n": 32,
+                      "potential": {"name": "cauchy"}},
+            "chain": {"sweeps": 1_000_000, "thin": 10_000, "chains": 2},
+        }
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps(raw))
+        code = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from loggas.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(loggas.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", code, "sample", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        worker = None
+        try:
+            children = Path(f"/proc/{parent.pid}/task/{parent.pid}/children")
+            deadline = time.monotonic() + 60
+            while not children.read_text().split():
+                assert parent.poll() is None, "the run ended before it forked"
+                assert time.monotonic() < deadline, "no worker was forked within 60 s"
+                time.sleep(0.01)
+            worker = int(children.read_text().split()[0])
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 5
+            while self.running(worker):
+                assert time.monotonic() < deadline, "the worker outlived its parent by 5 s"
+                time.sleep(0.01)
+        finally:
+            parent.kill()
+            parent.wait()
+            if worker is not None and self.running(worker):
+                os.kill(worker, signal.SIGKILL)
+
 
 class TestMain:
     def test_cli_verify(self, tmp_path, capsys):
@@ -649,6 +704,47 @@ class TestMain:
         cfg.write_text(json.dumps(raw))
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "model.potential.params.poly_var" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("support", ["unit_circle", "unit_segment"])
+    def test_bounded_support_needs_no_beta_prime(self, tmp_path, support):
+        # every gas on a bounded support is normalizable, so beta' is never read
+        raw = {
+            "command": "sample",
+            "model": {"support": support, "beta": 3.0, "n": 6,
+                      "potential": {"name": "bowl", "params": {"poly": [0.0, 1.0]}}},
+            "chain": {"sweeps": 20, "chains": 2},
+        }
+        cfg = tmp_path / "bounded.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["config"]["model"]["potential"]["beta_prime"] is None
+        assert len(read_json(out / "stats.json")["chains"]) == 2
+
+    @pytest.mark.parametrize("support", ["real_line", "half_line", "complex_plane"])
+    @pytest.mark.parametrize("beta, potential, message", [
+        (3.0, {"name": "cauchy"},
+         "model.beta: 3 exceeds beta_prime 2; the model fails weak-growth admissibility"),
+        (2.0, {"name": "bowl", "params": {"poly": [0.0, 1.0]}},
+         "model.potential.beta_prime: weak-growth admissibility needs a declared value"),
+        (2.0, HALF_LOG,
+         "model.potential.beta_prime: V contradicts 2, since V(x) - (2/2) log(1+|x|^2) "
+         "tends to -inf"),
+    ], ids=["beta-above-beta-prime", "no-beta-prime", "contradicted-beta-prime"])
+    def test_unbounded_support_keeps_the_weak_growth_gate(self, tmp_path, capsys, support,
+                                                          beta, potential, message):
+        raw = {
+            "command": "sample",
+            "model": {"support": support, "beta": beta, "n": 6, "potential": potential},
+            "chain": {"sweeps": 20},
+        }
+        cfg = tmp_path / "unbounded.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"loggas: error: {message}\n"
+        assert not out.exists()
 
     def test_config_not_utf8_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.json"

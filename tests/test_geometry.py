@@ -7,8 +7,6 @@ import pytest
 from loggas import (
     DiscreteMeasure,
     GasModel,
-    InadmissibleModel,
-    PoleNotInvertible,
     Support,
     cauchy_potential,
     chordal_distance,
@@ -85,9 +83,9 @@ class TestUnproject:
             assert unproject_array(row) == x
 
     def test_exact_pole_coordinates_rejected(self):
-        with pytest.raises(PoleNotInvertible):
+        with pytest.raises(ValueError, match="^a point coincides with the north pole$"):
             unproject_array(np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(PoleNotInvertible):
+        with pytest.raises(ValueError, match="^a point coincides with the north pole$"):
             unproject_array(np.array([[0.0, 0.0, 1.0]]))
 
 
@@ -181,9 +179,9 @@ class TestCompactifiedPotential:
 
     def test_inadmissible_model_rejected(self):
         model = GasModel(Support.REAL_LINE, 2.5, cauchy_potential(), 1)
-        with pytest.raises(InadmissibleModel, match="model.beta"):
+        with pytest.raises(ValueError, match="model.beta"):
             model.require_weak_growth()
-        with pytest.raises(InadmissibleModel):
+        with pytest.raises(ValueError, match="^model.beta: 2.5 exceeds beta_prime 2;"):
             compactified_potential(model)
 
     def test_plane_form_matches_sphere_form(self):

@@ -6,11 +6,8 @@ import pytest
 
 from loggas import (
     Admissibility,
-    CoincidentPoints,
     DiscreteMeasure,
     GasModel,
-    InadmissibleModel,
-    MissingBetaPrime,
     PotentialSpec,
     Support,
     admissibility_check,
@@ -226,7 +223,7 @@ class TestValidateConfiguration:
             validate_configuration(np.array([0.0], dtype=complex), m)
         with pytest.raises(ValueError):
             validate_configuration(np.array([0.0, 1.0 + 1j], dtype=complex), m)
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(ValueError, match="^configuration has coincident points$"):
             validate_configuration(np.array([1.0, 1.0], dtype=complex), m)
 
     @pytest.mark.parametrize("points", [[[0.0, 1.0]], [[0.0], [1.0]], 0.0, [[0.0, 1.0]] * 2],
@@ -351,11 +348,17 @@ class TestGasModel:
 
     def test_weak_growth_flag(self):
         model(cauchy_potential(), beta=2.0).require_weak_growth()
-        with pytest.raises(InadmissibleModel, match="model.beta"):  # beta' < beta
+        with pytest.raises(ValueError, match="model.beta"):  # beta' < beta
             model(cauchy_potential(), beta=2.5).require_weak_growth()
         nameless = PotentialSpec("bare", poly=[0.0, 1.0])
-        with pytest.raises(InadmissibleModel, match="model.potential.beta_prime"):  # no beta'
+        with pytest.raises(ValueError, match="model.potential.beta_prime"):  # no beta'
             model(nameless, beta=2.0).require_weak_growth()
+
+    @pytest.mark.parametrize("support", [Support.UNIT_CIRCLE, Support.UNIT_SEGMENT])
+    def test_bounded_support_needs_no_beta_prime(self, support):
+        # a gas on a bounded support is normalizable at every beta
+        for pot in (PotentialSpec("bare", poly=[0.0, 1.0]), cauchy_potential()):
+            model(pot, beta=3.0, support=support).require_weak_growth()
 
 
 class TestAdmissibility:
@@ -414,9 +417,13 @@ class TestAdmissibility:
 
     def test_missing_beta_prime(self):
         pot = PotentialSpec("bare", poly=[0.0, 1.0])
-        with pytest.raises(MissingBetaPrime):
+        with pytest.raises(ValueError, match="^model.potential.beta_prime: weak-growth "
+                                             "admissibility needs a declared value$"):
             admissibility_check(model(pot))
 
     def test_bounded_support_vacuous(self):
         gas = model(cauchy_potential(), support=Support.UNIT_CIRCLE)
         assert admissibility_check(gas) is Admissibility.STRONG
+        bare = PotentialSpec("bare", poly=[0.0, 1.0])
+        for support in (Support.UNIT_CIRCLE, Support.UNIT_SEGMENT):
+            assert admissibility_check(model(bare, support=support)) is Admissibility.STRONG

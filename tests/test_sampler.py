@@ -7,7 +7,6 @@ from loggas import (
     Admissibility,
     ChainParams,
     GasModel,
-    InadmissibleModel,
     PotentialSpec,
     Support,
     admissibility_check,
@@ -137,7 +136,7 @@ class TestProposalLogRatio:
 class TestMhChain:
     def test_inadmissible_rejected(self):
         model = GasModel(Support.REAL_LINE, 3.0, cauchy_potential(), 4)
-        with pytest.raises(InadmissibleModel):
+        with pytest.raises(ValueError, match="^model.beta: 3 exceeds beta_prime 2;"):
             small_chain(model)
 
     def test_deterministic(self):
