@@ -14,13 +14,13 @@ converge, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
 import signal
 import sys
 import tempfile
-import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -96,11 +96,13 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ValueError(f"{path}: {message}")
 
 
-def _number(value, path: str, integer: bool = False):
-    """A finite JSON number as a float, or as an int when ``integer``.
+def _number(value, path: str, integer: bool = False, bound: int | None = 2**63):
+    """A finite JSON number as a float, or as an int below ``bound`` when
+    ``integer``.
 
     JSON true and false arrive as bool, a subclass of int, so they are
-    rejected explicitly.
+    rejected explicitly.  A count must fit NumPy's signed 64-bit sizes, and
+    an integer in a number key must fit a float.
     """
     kind = "integer" if integer else "number"
     allowed = int if integer else (int, float)
@@ -110,7 +112,24 @@ def _number(value, path: str, integer: bool = False):
         or (isinstance(value, float) and not math.isfinite(value))
     ):
         raise ValueError(f"{path}: expected a finite {kind}, got {value!r}")
-    return value if integer else float(value)
+    if not integer:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{path}: expected a finite number, got an integer past "
+                             "the float range") from None
+    if bound is not None:
+        _require(value < bound, path, f"must be below 2**{bound.bit_length() - 1}")
+    return value
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        _require(key not in obj, repr(key), "given twice in one object")
+        obj[key] = value
+    return obj
 
 
 def _parse_potential(section, path="model.potential") -> tuple[PotentialSpec, dict]:
@@ -212,14 +231,14 @@ def parse_config(
     them, whose errors name the field.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise ValueError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     keys = {"command", "model", "chain", "grid", "analyze", "seed", "out"}
     raw = {**_section(raw, "config", keys), **(flags or {})}
     command = command_override or raw.get("command")
     _require(command in COMMANDS, "command", f"must be one of {COMMANDS}")
-    seed = _number(raw.get("seed", 0), "seed", integer=True)
+    seed = _number(raw.get("seed", 0), "seed", integer=True, bound=None)
     _require(0 <= seed < 2**64, "seed", "must be an unsigned 64-bit integer")
     out = raw.get("out", ".")
     _require(isinstance(out, str), "out", "must be a path string")
@@ -243,14 +262,6 @@ def parse_config(
     return RunConfig(settings, **built)
 
 
-def _write_manifest(config: RunConfig, out_dir: Path) -> None:
-    write_json(out_dir / "manifest.json", {
-        "config": config.settings,
-        "seed": config.seed,
-        "version": __version__,
-    })
-
-
 def _run_group(config: RunConfig, inits, seeds, lo: int, hi: int, fd: int) -> list[dict]:
     """Run chains lo..hi-1 of a ``sample`` run, append their rows to the open
     file ``fd`` and return their stats as JSON."""
@@ -259,30 +270,25 @@ def _run_group(config: RunConfig, inits, seeds, lo: int, hi: int, fd: int) -> li
     return [s.to_json() for s in stats]
 
 
-def _exit_at_eof(fd: int) -> None:
-    """Block until end of file on ``fd``, which nothing writes to, then end
-    the process."""
-    os.read(fd, 1)
-    os._exit(1)
+PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
 
 
 class _Worker:
     """A forked process that runs chains lo..hi-1 of a ``sample`` run.
 
-    It writes their rows to ``part``, an unnamed file in the output
-    directory, sends their stats as JSON through a pipe, or its error's
-    message as a JSON string, and leaves with ``os._exit``.  ``lifeline``
-    is a pipe whose write end only the parent keeps: the worker exits as
-    soon as that end closes, so it dies with its parent, SIGKILL included.
+    It writes their rows to ``part`` and its reply to ``reply``, two
+    unnamed files in the output directory, and leaves with ``os._exit``.
+    The reply is their stats as JSON, or its error's message as a JSON
+    string.  The kernel SIGKILLs the worker when its parent dies
+    (``PR_SET_PDEATHSIG``), so it never outlives the run.
     """
 
-    def __init__(self, config: RunConfig, out_dir: Path, lo: int, hi: int, inits, seeds,
-                 lifeline: tuple[int, int]):
+    def __init__(self, config: RunConfig, out_dir: Path, lo: int, hi: int, inits, seeds):
         self.chains = f"{lo}..{hi - 1}"
         self.pid = None
         self.part = tempfile.TemporaryFile(dir=out_dir)
-        read_end, write_end = os.pipe()
-        self.pipe = open(read_end, "rb")
+        self.reply = tempfile.TemporaryFile("w+", dir=out_dir)
+        prctl, parent = ctypes.CDLL(None).prctl, os.getpid()  # no dlopen in the child
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns that forking a process with threads may
@@ -292,29 +298,30 @@ class _Worker:
                 warnings.simplefilter("ignore", DeprecationWarning)
                 self.pid = os.fork()
             if self.pid == 0:
-                self._work(config, lo, hi, inits, seeds, write_end, lifeline)
+                self._work(config, lo, hi, inits, seeds, prctl, parent)
         except BaseException:
             self.stop()
             raise
-        finally:
-            os.close(write_end)
 
-    def _work(self, config: RunConfig, lo: int, hi: int, inits, seeds, write_end: int,
-              lifeline: tuple[int, int]) -> None:
+    def _work(self, config: RunConfig, lo: int, hi: int, inits, seeds, prctl,
+              parent: int) -> None:
         """The worker's body, in the child.  It never returns, so nothing
         reaches the frames the child shares with its parent; Ctrl-C is left
         to the parent, which kills its workers when it stops."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
         status = 1
         try:
-            os.close(lifeline[1])
-            threading.Thread(target=_exit_at_eof, args=(lifeline[0],), daemon=True).start()
-            with open(write_end, "w", closefd=False) as pipe:
-                try:
-                    reply = _run_group(config, inits, seeds, lo, hi, self.part.fileno())
-                except (OSError, ValueError) as e:
-                    reply = str(e)
-                json.dump(reply, pipe)
+            # A parent that died before this call would send no signal, so
+            # the worker also checks that it is still its parent's child.
+            if (prctl(PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGKILL)) != 0
+                    or os.getppid() != parent):
+                return  # exit code 1, from the finally clause
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            try:
+                reply = _run_group(config, inits, seeds, lo, hi, self.part.fileno())
+            except (OSError, ValueError) as e:
+                reply = str(e)
+            json.dump(reply, self.reply)
+            self.reply.flush()
             status = 0
         except BaseException:
             sys.excepthook(*sys.exc_info())  # a bug's traceback, as a serial run prints it
@@ -325,7 +332,6 @@ class _Worker:
     def result(self) -> list[dict]:
         """Wait for the worker; returns its chains' stats as JSON, or raises
         its error."""
-        reply = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         if status != 0:
@@ -333,7 +339,8 @@ class _Worker:
             raise ChildProcessError(
                 f"the worker for chains {self.chains} failed (exit code {code})"
             )
-        reply = json.loads(reply)
+        self.reply.seek(0)
+        reply = json.load(self.reply)
         if isinstance(reply, str):
             raise ValueError(reply)
         return reply
@@ -344,7 +351,7 @@ class _Worker:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        self.pipe.close()
+        self.reply.close()
         self.part.close()
 
 
@@ -369,16 +376,14 @@ def _run_sample(config: RunConfig, out_dir: Path) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     groups = min(chains, cpus)
     bounds = [chains * g // groups for g in range(groups + 1)]
-    lifeline = ()
     if groups > 1:
         # A start no chain can follow fails before any fork, named as a serial
         # run names it (a worker's mh_chains numbers its chains from 0).
         start_log_densities(config.model, inits)
-        lifeline = os.pipe()
     workers = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            workers.append(_Worker(config, out_dir, lo, hi, inits, seeds, lifeline))
+            workers.append(_Worker(config, out_dir, lo, hi, inits, seeds))
         path = out_dir / "samples.csv"
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
@@ -394,8 +399,6 @@ def _run_sample(config: RunConfig, out_dir: Path) -> int:
     finally:
         for worker in workers:
             worker.stop()
-        for end in lifeline:
-            os.close(end)
     write_json(out_dir / "stats.json", {"chains": chain_stats})
     return 0
 
@@ -447,7 +450,8 @@ def run(config: RunConfig) -> int:
     try:
         out_dir = Path(config.settings["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(config, out_dir)
+        write_json(out_dir / "manifest.json",
+                   {"config": config.settings, "seed": config.seed, "version": __version__})
         return _DISPATCH[config.command](config, out_dir)
     except (OSError, ValueError) as e:
         print(f"loggas: error: {e}", file=sys.stderr)

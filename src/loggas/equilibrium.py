@@ -377,20 +377,12 @@ def _quad(f, a, b, fail_tol: float, **kw):
 def _log_potential_line(law: ClosedFormLaw, x: float) -> float:
     """integral of log|x - y| against a density on the line.
 
-    The domain splits at the singularity y = x; the two near pieces use
-    the change of variables u = |y - x| so the log endpoint singularity
-    sits at u = 0 where the adaptive rule handles it.
+    In the distance s = |y - x| it is int_0^inf (rho(x - s) + rho(x + s))
+    log s ds, split at s = 1: the log singularity sits at s = 0, where the
+    adaptive rule handles it.
     """
-    fail = 1e-7
-    near_minus = _quad(lambda u: law.density(x - u) * math.log(u), 0.0, 1.0, fail, **_QUAD_OPTS)
-    near_plus = _quad(lambda u: law.density(x + u) * math.log(u), 0.0, 1.0, fail, **_QUAD_OPTS)
-    far_plus = _quad(
-        lambda y: law.density(y) * math.log(y - x), x + 1.0, math.inf, fail, **_QUAD_OPTS
-    )
-    far_minus = _quad(
-        lambda y: law.density(y) * math.log(x - y), -math.inf, x - 1.0, fail, **_QUAD_OPTS
-    )
-    return near_minus + near_plus + far_plus + far_minus
+    f = lambda s: float(law.density(np.array([x - s, x + s])).sum()) * math.log(s)
+    return _quad(f, 0.0, 1.0, 1e-7, **_QUAD_OPTS) + _quad(f, 1.0, math.inf, 1e-7, **_QUAD_OPTS)
 
 
 def _log_potential_radial(law: ClosedFormLaw, x: float) -> float:

@@ -523,6 +523,19 @@ class TestWorkers:
         assert os.listdir(out) == ["manifest.json"]
         self.assert_no_child_left()
 
+    def test_worker_of_a_dead_parent_stops(self, tmp_path, monkeypatch, capsys):
+        # A worker whose parent is not the process that forked it (that
+        # process died before the worker's prctl call) exits at once.
+        monkeypatch.setattr(os, "getppid", lambda: 1)
+        raw = json.loads(json.dumps(FIVE_CHAINS))
+        raw["chain"]["chains"] = 2
+        rc, out = self.run_on(tmp_path, monkeypatch, 2, raw, "orphan")
+        assert (rc, capsys.readouterr().err) == (
+            2, "loggas: error: the worker for chains 1..1 failed (exit code 1)\n"
+        )
+        assert os.listdir(out) == ["manifest.json"]
+        self.assert_no_child_left()
+
     @staticmethod
     def running(pid: int) -> bool:
         """Whether process ``pid`` exists and is not a zombie."""
@@ -609,6 +622,39 @@ class TestMain:
         assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "grid.tol" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("model", "beta", 10**400, "expected a finite number, got an integer past the float range"),
+        ("chain", "sweeps", 10**30, "must be below 2**63"),
+        ("model", "n", 10**30, "must be below 2**63"),
+        ("grid", "resolution", 10**30, "must be below 2**63"),
+    ], ids=["float-beta", "sweeps", "n", "resolution"])
+    def test_unrepresentable_number_exits_two_naming_its_key(self, tmp_path, capsys, section,
+                                                             key, value, message):
+        raw = json.loads(json.dumps(MINIMAL_SAMPLE))
+        if section == "grid":
+            raw.update(command="equilibrium", grid={"window": [-10, 10], "resolution": 64})
+        raw[section][key] = value
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main([raw["command"], "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"loggas: error: {section}.{key}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"command": "verify", "seed": 1, "seed": 2}', "seed"),
+        ('{"command": "sample", "chain": {"sweeps": 10},'
+         ' "model": {"support": "real_line", "beta": 2, "beta": 3, "n": 4,'
+         ' "potential": {"name": "cauchy"}}}', "beta"),
+    ], ids=["top-level", "section"])
+    def test_key_given_twice_exits_two_naming_it(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main([json.loads(text)["command"], "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"loggas: error: {key!r}: given twice in one object\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_bad_seed_flag_exits_two_before_writing(self, tmp_path, capsys, seed):
