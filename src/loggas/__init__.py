@@ -66,7 +66,6 @@ from .model import (
     Support,
     admissibility_check,
     cauchy_potential,
-    empirical_measure,
     quadratic_potential,
     spherical_potential,
     validate_configuration,

@@ -27,10 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-# NumPy loads these on first use: numpy.random at a command's first seed or
-# draw, numpy.ma inside np.unique.  Loading them here keeps start-up cost out
-# of run().
-import numpy.ma  # noqa: F401
+# Loaded here, not at a command's first seed or draw, to keep start-up out of run().
 import numpy.random  # noqa: F401
 
 from . import __version__
@@ -96,6 +93,18 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ValueError(f"{path}: {message}")
 
 
+# json.loads' value for an integer literal past int()'s digit limit
+# (sys.get_int_max_str_digits()): no key accepts it.
+_TOO_LONG = object()
+
+
+def _integer(text: str):
+    try:  # json passes integer literals only, so a ValueError is the digit limit
+        return int(text)
+    except ValueError:
+        return _TOO_LONG
+
+
 def _number(value, path: str, integer: bool = False, bound: int | None = 2**63):
     """A finite JSON number as a float, or as an int below ``bound`` when
     ``integer``.
@@ -104,6 +113,7 @@ def _number(value, path: str, integer: bool = False, bound: int | None = 2**63):
     rejected explicitly.  A count must fit NumPy's signed 64-bit sizes, and
     an integer in a number key must fit a float.
     """
+    _require(value is not _TOO_LONG, path, "an integer with too many digits to convert")
     kind = "integer" if integer else "number"
     allowed = int if integer else (int, float)
     if (
@@ -231,7 +241,7 @@ def parse_config(
     them, whose errors name the field.
     """
     try:
-        raw = json.loads(text, object_pairs_hook=_object)
+        raw = json.loads(text, object_pairs_hook=_object, parse_int=_integer)
     except json.JSONDecodeError as e:
         raise ValueError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     keys = {"command", "model", "chain", "grid", "analyze", "seed", "out"}
@@ -259,6 +269,10 @@ def parse_config(
         check_solvable(built["model"], built["grid"])
     elif command == "sample":
         built["model"].require_weak_growth()
+        # The samples are one complex array; NumPy sizes arrays in signed 64-bit bytes.
+        size = settings["chain"]["chains"] * len(built["chain"].recorded_sweeps) * 16
+        _require(size * built["model"].n < 2**63, "chain.sweeps",
+                 "chains x recorded sweeps x n x 16 bytes is too large (2**63 or more)")
     return RunConfig(settings, **built)
 
 

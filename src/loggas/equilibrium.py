@@ -156,26 +156,38 @@ class GridKernel:
         m = grid.resolution
         ndim = 2 if grid.is_planar else 1
         self._shape = (m,) * ndim
-        self._fft_shape = (_fft_length(2 * m - 1),) * ndim
-        self._axes = tuple(range(ndim))
-        self._scale = 1.0 / math.prod(self._fft_shape)
+        n = _fft_length(2 * m - 1)
+        self._scale = 1.0 / n**ndim
         offsets = np.arange(1 - m, m) * h
-        if grid.is_planar:
-            dist = np.hypot(offsets[:, None], offsets[None, :])
-        else:
-            dist = np.abs(offsets)
+        dist = np.hypot.outer(offsets, offsets) if grid.is_planar else np.abs(offsets)
         dist[(m - 1,) * ndim] = h / 2.0
-        circulant = np.zeros(self._fft_shape)
-        wrapped = np.arange(1 - m, m) % self._fft_shape[0]
+        circulant = np.zeros((n,) * ndim)
+        wrapped = np.arange(1 - m, m) % n
         circulant[np.ix_(*(wrapped,) * ndim)] = _pair_kernel(model.beta, dist, 0.0, 0.0)
-        self._kernel_hat = fft.rfftn(circulant, axes=self._axes)
+        self._kernel_hat = fft.rfftn(circulant)
         self._potential = model.potential_values(self.atoms)
+        # Work arrays, made once: FFT arrays made per call (~100 KB at 60 x 60) let malloc
+        # return their pages and fault them in again, at a cost set by the heap's layout.
+        self._signal = np.zeros(self._shape[:-1] + (n,))  # w, zero-padded on the last axis
+        self._rows = np.empty(self._shape[:-1] + self._kernel_hat.shape[-1:], dtype=complex)
+        self._spectrum = np.empty_like(self._kernel_hat)
+        self._conv = np.empty_like(self._signal)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        """Q w for any real w; the weights need not sum to 1."""
-        spectrum = fft.rfftn(w.reshape(self._shape), self._fft_shape, self._axes)
-        conv = fft.irfftn(spectrum * self._kernel_hat, self._fft_shape, self._axes, "forward")
-        kw = (conv[tuple(slice(m) for m in self._shape)] * self._scale).ravel()
+        """Q w for any real w; the weights need not sum to 1.
+
+        The FFTs are rfftn's and irfftn's, by axis; irfft runs on the result's m rows only.
+        """
+        m, n = self._shape[0], self._signal.shape[-1]
+        self._signal[..., :m] = w.reshape(self._shape)
+        spectrum = fft.rfft(self._signal, out=self._rows)
+        if len(self._shape) == 2:
+            spectrum = fft.fft(spectrum, n, axis=0, out=self._spectrum)
+        spectrum *= self._kernel_hat
+        if len(self._shape) == 2:
+            spectrum = fft.ifft(spectrum, axis=0, norm="forward", out=spectrum)[:m]
+        conv = fft.irfft(spectrum, n, norm="forward", out=self._conv)
+        kw = (conv[..., :m] * self._scale).ravel()
         v = self._potential
         return kw + 0.5 * v * w.sum() + 0.5 * (v @ w)
 
@@ -281,7 +293,7 @@ def grid_minimize(
             break
 
     weights = best_w / math.fsum(best_w.tolist())
-    measure = DiscreteMeasure(q.atoms, weights, side="plane")
+    measure = DiscreteMeasure(q.atoms, weights)
     report = GridMinimizeReport(
         energy=float(weights @ q(weights)),
         gap=best_gap,

@@ -136,4 +136,4 @@ def pushforward(mu: DiscreteMeasure) -> DiscreteMeasure:
     """Map a plane measure to the sphere atom-by-atom, weights unchanged."""
     if mu.side != "plane":
         raise ValueError("pushforward expects a plane-side measure")
-    return DiscreteMeasure(project_array(mu.positions), mu.weights, side="sphere")
+    return DiscreteMeasure(project_array(mu.positions), mu.weights)

@@ -140,7 +140,3 @@ def read_samples_csv(path) -> dict:
 
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path):
-    return json.loads(Path(path).read_text())

@@ -276,36 +276,36 @@ def validate_configuration(points, model: GasModel) -> None:
     ok = model.support.contains_array(pts)
     if not np.all(ok):
         raise ValueError(f"point {pts[~ok][0]} is not in support {model.support.value}")
-    if len(np.unique(pts)) != model.n:
+    # Equal points are neighbours once sorted; == equates 0.0 with -0.0.
+    pts = np.sort(pts)
+    if np.any(pts[1:] == pts[:-1]):
         raise ValueError("configuration has coincident points")
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """A probability measure with finitely many weighted atoms.
+    """A probability measure with finitely many weighted atoms, kept as given.
 
-    Atoms live either in the plane (complex positions) or on the Riemann
-    sphere (rows of 3-vectors) and must be finite; duplicated positions
-    are merged at construction with their weights summed, and weights must
-    be nonnegative and sum to 1 within 1e-12.
+    Atoms live either in the plane (a 1-D array, held as complex) or on the
+    Riemann sphere (an (N, 3) real array of 3-vectors), and ``side`` is read
+    off that shape.  Positions must be finite; equal atoms stay separate, so
+    two coincident atoms give +inf energy.  Weights must be nonnegative and
+    sum to 1 within 1e-12.
     """
 
     positions: np.ndarray
     weights: np.ndarray
-    side: str = "plane"
 
     def __post_init__(self):
-        if self.side not in ("plane", "sphere"):
-            raise ValueError(f"side must be 'plane' or 'sphere', got {self.side!r}")
-        if self.side == "plane":
-            pos = np.atleast_1d(np.asarray(self.positions, dtype=complex))
-        else:
-            pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-            if pos.shape[1] != 3:
-                raise ValueError("sphere-side positions must be (n, 3)")
+        pos = np.asarray(self.positions)
+        sphere = pos.ndim == 2 and pos.shape[1] == 3 and not np.iscomplexobj(pos)
+        if pos.ndim != 1 and not sphere:
+            raise ValueError("positions must be a 1-D array (plane) or an (N, 3) real "
+                             f"array (sphere), got a {pos.dtype} array of shape {pos.shape}")
+        pos = np.array(pos, dtype=float if sphere else complex)
         if not np.all(np.isfinite(pos)):
             raise ValueError("atom positions must be finite")
-        wts = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        wts = np.array(self.weights, dtype=float, ndmin=1)
         if len(wts) != len(pos):
             raise ValueError("positions and weights differ in length")
         if np.any(wts < 0):
@@ -313,40 +313,18 @@ class DiscreteMeasure:
         total = math.fsum(wts.tolist())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1 within 1e-12")
-        # A measure without repeated atoms keeps its weights bit for bit (-0.0 too).
-        first, groups = _atom_groups(pos)
-        wts = np.bincount(groups, weights=wts) if len(first) < len(wts) else wts.copy()
-        pos = pos[first]
         pos.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", wts)
 
+    @property
+    def side(self) -> str:
+        """'plane' for 1-D positions, 'sphere' for (N, 3) rows."""
+        return "plane" if self.positions.ndim == 1 else "sphere"
+
     def __len__(self) -> int:
         return len(self.weights)
-
-
-def _atom_groups(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal atoms (points, or rows of sphere coordinates).
-
-    Returns ``first``, the index of each distinct atom's first occurrence
-    in order of first occurrence, and ``groups``, the index into ``first``
-    of each atom.  Atoms are equal when all coordinates compare equal, so
-    0.0 and -0.0 are one atom.
-    """
-    _, first, inverse = np.unique(positions, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.reshape(-1)]
-
-
-def empirical_measure(points) -> DiscreteMeasure:
-    """Mass k/n at each distinct particle position, k its multiplicity.
-
-    Each weight is the correctly rounded quotient k/n.
-    """
-    pts = np.asarray(points, dtype=complex)
-    first, groups = _atom_groups(pts)
-    return DiscreteMeasure(pts[first], np.bincount(groups) / len(pts), side="plane")
 
 
 class Admissibility(enum.Enum):

@@ -147,7 +147,7 @@ def energy_transport_deviation(rng, measures) -> float:
             pts = _random_configuration(rng, MEASURE_ATOMS, real)
             w = rng.exponential(size=MEASURE_ATOMS)
             w /= w.sum()
-            mu = DiscreteMeasure(pts, w, side="plane")
+            mu = DiscreteMeasure(pts, w)
             plane = measure_energy(mu, model)
             sphere = measure_energy(pushforward(mu), model)
             worst = max(worst, abs(plane - sphere))

@@ -41,7 +41,6 @@ from loggas import (
     spherical_potential,
 )
 from loggas.cli import main as cli_main
-from loggas.io import read_json
 from loggas.verify import SUITE_TOLERANCES, run_identity_suites
 
 LOG2 = math.log(2.0)
@@ -186,10 +185,10 @@ def test_criterion_08_convexity_and_uniqueness():
         w1 /= w1.sum()
         w2 = rng.exponential(size=m)
         w2 /= w2.sum()
-        mu = DiscreteMeasure(pos, w1, side="sphere")
-        nu = DiscreteMeasure(pos, w2, side="sphere")
+        mu = DiscreteMeasure(pos, w1)
+        nu = DiscreteMeasure(pos, w2)
         worst = min(worst, signed_log_energy(mu, nu, policy=reg))
-    mu_eq = DiscreteMeasure(equator_grid(64), np.full(64, 1 / 64), side="sphere")
+    mu_eq = DiscreteMeasure(equator_grid(64), np.full(64, 1 / 64))
     zero = signed_log_energy(mu_eq, mu_eq, policy=reg)
 
     model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
@@ -260,7 +259,7 @@ def test_criterion_11_reproducibility(tmp_path):
         tmp_path / "b" / "samples.csv"
     ).read_bytes()
     verify_code = cli_main(["verify", "--out", str(tmp_path / "v"), "--seed", "7"])
-    verify_json = read_json(tmp_path / "v" / "verify.json")
+    verify_json = json.loads((tmp_path / "v" / "verify.json").read_text())
     ok = code_a == 0 and code_b == 0 and identical and verify_code == 0 and verify_json["pass"]
     _report(11, "same seed + config gives byte-identical CSV; verify exits 0",
             ok, f"identical={identical}, verify exit={verify_code}")

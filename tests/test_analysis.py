@@ -12,7 +12,6 @@ from loggas import (
     cauchy_law,
     cauchy_potential,
     closed_form_cell_masses,
-    empirical_measure,
     ks_distance,
     quadratic_potential,
     radial_cdf_distance,
@@ -88,7 +87,7 @@ class TestAngularKs:
 
 class TestRateGap:
     def test_delta_pair(self):
-        mu = empirical_measure(np.array([-1.0, 1.0], dtype=complex))
+        mu = DiscreteMeasure(np.array([-1.0, 1.0], dtype=complex), np.full(2, 1 / 2))
         assert rate_gap(mu, CAUCHY) == pytest.approx(-math.log(2))
 
     def test_law_grid_small_gap(self):
@@ -111,7 +110,7 @@ class TestRateGap:
         from loggas import measure_energy
 
         quad = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 2)
-        mu = empirical_measure(np.array([-1.0, 1.0], dtype=complex))
+        mu = DiscreteMeasure(np.array([-1.0, 1.0], dtype=complex), np.full(2, 1 / 2))
         with pytest.raises(ValueError, match="^model has no closed-form reference energy"):
             rate_gap(mu, quad)
         expected = measure_energy(mu, quad) - 1.0

@@ -21,7 +21,7 @@ from loggas import (
 )
 import loggas.cli
 from loggas.cli import main, parse_config, run
-from loggas.io import read_json, read_samples_csv
+from loggas.io import read_samples_csv
 
 MINIMAL_SAMPLE = {
     "command": "sample",
@@ -228,9 +228,9 @@ class TestRun:
         assert run(config) == 0
         data = read_samples_csv(tmp_path / "r" / "samples.csv")
         assert len(np.unique(data["sweep"])) == 30
-        stats = read_json(tmp_path / "r" / "stats.json")
+        stats = json.loads((tmp_path / "r" / "stats.json").read_text())
         assert "chains" in stats and len(stats["chains"]) == 1
-        manifest = read_json(tmp_path / "r" / "manifest.json")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["config"]["model"]["n"] == 8
         assert manifest["config"]["chain"]["burn_in"] == 30
 
@@ -261,7 +261,7 @@ class TestRun:
             "out": str(tmp_path),
         }
         assert run(parse_config(json.dumps(raw))) == 0
-        report = read_json(tmp_path / "report.json")
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["converged"]
         assert report["gap"] <= 1e-4
         assert (tmp_path / "measure.csv").exists()
@@ -280,7 +280,7 @@ class TestRun:
         }))
         out = tmp_path / "o"
         assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 1
-        report = read_json(out / "report.json")
+        report = json.loads((out / "report.json").read_text())
         assert not report["converged"] and report["iterations"] == 5
         assert (out / "measure.csv").exists()
         err = capsys.readouterr().err
@@ -309,13 +309,14 @@ class TestRun:
             assert run(parse_config(json.dumps(raw))) == 0
             outputs.append([(tmp_path / str(k) / f).read_bytes()
                             for f in ("measure.csv", "report.json")])
-            assert read_json(tmp_path / str(k) / "report.json")["captured_mass"] == mass
+            report = json.loads((tmp_path / str(k) / "report.json").read_text())
+            assert report["captured_mass"] == mass
         assert outputs[0] == outputs[1]
 
     def test_verify_exits_zero(self, tmp_path):
         raw = {"command": "verify", "out": str(tmp_path), "seed": 1}
         assert run(parse_config(json.dumps(raw))) == 0
-        result = read_json(tmp_path / "verify.json")
+        result = json.loads((tmp_path / "verify.json").read_text())
         assert result["pass"]
         assert set(result["suites"]) == {
             "metric", "pole", "kernel_transport", "density_transport",
@@ -334,7 +335,7 @@ class TestRun:
             "out": str(tmp_path / "fit"),
         }
         assert run(parse_config(json.dumps(raw))) == 0
-        fit = read_json(tmp_path / "fit" / "fit.json")
+        fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
         assert fit["reports"][0]["reference"] == "cauchy"
         assert 0.0 <= fit["reports"][0]["statistic"] <= 1.0
 
@@ -389,7 +390,7 @@ class TestRun:
         out = tmp_path / "run"
         config = parse_config(json.dumps(raw), flags={"out": str(out)})
         assert run(config) == 0
-        echoed = read_json(out / "manifest.json")["config"]
+        echoed = json.loads((out / "manifest.json").read_text())["config"]
         assert echoed == config.settings
         replayed = parse_config(json.dumps(echoed))
         assert replayed.settings == echoed
@@ -623,23 +624,45 @@ class TestMain:
         assert "grid.tol" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("section, key, value, message", [
-        ("model", "beta", 10**400, "expected a finite number, got an integer past the float range"),
-        ("chain", "sweeps", 10**30, "must be below 2**63"),
-        ("model", "n", 10**30, "must be below 2**63"),
-        ("grid", "resolution", 10**30, "must be below 2**63"),
-    ], ids=["float-beta", "sweeps", "n", "resolution"])
+    @pytest.mark.parametrize("section, key, literal, message", [
+        ("model", "beta", str(10**400),
+         "expected a finite number, got an integer past the float range"),
+        ("chain", "sweeps", str(10**30), "must be below 2**63"),
+        ("model", "n", str(10**30), "must be below 2**63"),
+        ("grid", "resolution", str(10**30), "must be below 2**63"),
+        # past int()'s 4,300-digit limit on decimal strings
+        ("model", "beta", "9" * 5001, "an integer with too many digits to convert"),
+    ], ids=["float-beta", "sweeps", "n", "resolution", "5001-digit-beta"])
     def test_unrepresentable_number_exits_two_naming_its_key(self, tmp_path, capsys, section,
-                                                             key, value, message):
+                                                             key, literal, message):
         raw = json.loads(json.dumps(MINIMAL_SAMPLE))
         if section == "grid":
             raw.update(command="equilibrium", grid={"window": [-10, 10], "resolution": 64})
-        raw[section][key] = value
+        raw[section][key] = "LITERAL"
         cfg = tmp_path / "big.json"
-        cfg.write_text(json.dumps(raw))
+        cfg.write_text(json.dumps(raw).replace('"LITERAL"', literal))
         out = tmp_path / "o"
         assert main([raw["command"], "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"loggas: error: {section}.{key}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("chain, n", [
+        ({"sweeps": 2**62}, 4),
+        ({"sweeps": 2**40, "burn_in": 0, "chains": 2**10}, 2**10),
+        ({"sweeps": 2**59 + 1, "burn_in": 1}, 1),
+    ], ids=["sweeps", "chains", "one-particle"])
+    def test_samples_array_too_large_exits_two_before_writing(self, tmp_path, capsys, chain, n):
+        raw = json.loads(json.dumps(MINIMAL_SAMPLE))
+        raw["model"]["n"] = n
+        raw["chain"] = chain
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "loggas: error: chain.sweeps: chains x recorded sweeps x n x 16 bytes is too "
+            "large (2**63 or more)\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("text, key", [
@@ -668,7 +691,7 @@ class TestMain:
         cfg.write_text(json.dumps({"command": "verify", "seed": 5, "out": "unused"}))
         assert main(["verify", "--config", str(cfg), "--seed", "2",
                      "--out", str(tmp_path / "o")]) == 0
-        manifest = read_json(tmp_path / "o" / "manifest.json")
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["seed"] == 2
         assert manifest["config"]["out"] == str(tmp_path / "o")
 
@@ -764,9 +787,9 @@ class TestMain:
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "o"
         assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 0
-        manifest = read_json(out / "manifest.json")
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["model"]["potential"]["beta_prime"] is None
-        assert len(read_json(out / "stats.json")["chains"]) == 2
+        assert len(json.loads((out / "stats.json").read_text())["chains"]) == 2
 
     @pytest.mark.parametrize("support", ["real_line", "half_line", "complex_plane"])
     @pytest.mark.parametrize("beta, potential, message", [

@@ -12,7 +12,6 @@ from loggas import (
     Support,
     cauchy_potential,
     compactified_potential,
-    empirical_measure,
     log_density,
     log_density_sphere,
     measure_energy,
@@ -43,8 +42,8 @@ def offset_grids_on_union(m, offset):
     pos = np.concatenate([equator_grid(m), equator_grid(m, offset=offset)])
     uniform, empty = np.full(m, 1 / m), np.zeros(m)
     return (
-        DiscreteMeasure(pos, np.concatenate([uniform, empty]), side="sphere"),
-        DiscreteMeasure(pos, np.concatenate([empty, uniform]), side="sphere"),
+        DiscreteMeasure(pos, np.concatenate([uniform, empty])),
+        DiscreteMeasure(pos, np.concatenate([empty, uniform])),
     )
 
 
@@ -130,7 +129,7 @@ class TestKernelSphere:
 
 class TestMeasureEnergy:
     def test_pair_example(self):
-        mu = empirical_measure(np.array([-1.0, 1.0], dtype=complex))
+        mu = DiscreteMeasure(np.array([-1.0, 1.0], dtype=complex), np.full(2, 1 / 2))
         assert measure_energy(mu, CAUCHY) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_atom(self):
@@ -207,8 +206,8 @@ class TestEnergiesMatchDenseReference:
         rng = np.random.default_rng(m)
         pos = equator_grid(m, offset=0.3)
         w1, w2 = rng.exponential(size=(2, m))
-        mu = DiscreteMeasure(pos, w1 / w1.sum(), side="sphere")
-        nu = DiscreteMeasure(pos, w2 / w2.sum(), side="sphere")
+        mu = DiscreteMeasure(pos, w1 / w1.sum())
+        nu = DiscreteMeasure(pos, w2 / w2.sum())
         d = mu.weights - nu.weights
         spacings = [0.05, np.linspace(0.01, 0.1, m)] + ([None] if m > 1 else [])
         cases = [(DiagonalPolicy.OFF_DIAGONAL_ONLY, None)] + [(REG, h) for h in spacings]
@@ -218,8 +217,16 @@ class TestEnergiesMatchDenseReference:
 
     def test_coincident_and_single_atoms(self):
         pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5e-301], [0.5, 0.0, 0.5]])
-        mu = DiscreteMeasure(pos, np.full(3, 1 / 3), side="sphere")
+        mu = DiscreteMeasure(pos, np.full(3, 1 / 3))
         assert measure_energy(mu, CAUCHY) == math.inf
+        plane = DiscreteMeasure(np.array([0.5, -1.0, 0.5]), np.full(3, 1 / 3))
+        assert len(plane) == 3
+        assert measure_energy(plane, CAUCHY) == math.inf
+        sphere = pushforward(plane)
+        assert len(sphere) == 3
+        assert measure_energy(sphere, CAUCHY) == math.inf
+        with pytest.raises(ValueError, match="^duplicate atom positions in support$"):
+            signed_log_energy(sphere, sphere)
         one = DiscreteMeasure(np.array([0.5j]), np.array([1.0]))
         with pytest.raises(ValueError, match="two atoms"):
             measure_energy(one, CAUCHY, policy=REG)
@@ -342,12 +349,12 @@ def quadrature_signed_energy(weights_a, offset_a, weights_b, offset_b, dense=400
 
 class TestSignedLogEnergy:
     def test_equal_measures_zero(self):
-        mu = DiscreteMeasure(equator_grid(64), np.full(64, 1 / 64), side="sphere")
+        mu = DiscreteMeasure(equator_grid(64), np.full(64, 1 / 64))
         assert signed_log_energy(mu, mu, policy=REG) == 0.0
 
     def test_mismatched_supports(self):
-        mu = DiscreteMeasure(equator_grid(8), np.full(8, 1 / 8), side="sphere")
-        nu = DiscreteMeasure(equator_grid(8, offset=0.1), np.full(8, 1 / 8), side="sphere")
+        mu = DiscreteMeasure(equator_grid(8), np.full(8, 1 / 8))
+        nu = DiscreteMeasure(equator_grid(8, offset=0.1), np.full(8, 1 / 8))
         with pytest.raises(ValueError, match="^atom position lists differ$"):
             signed_log_energy(mu, nu)
 
@@ -379,14 +386,14 @@ class TestSignedLogEnergy:
             w1 /= w1.sum()
             w2 = rng.exponential(size=m)
             w2 /= w2.sum()
-            mu = DiscreteMeasure(pos, w1, side="sphere")
-            nu = DiscreteMeasure(pos, w2, side="sphere")
+            mu = DiscreteMeasure(pos, w1)
+            nu = DiscreteMeasure(pos, w2)
             assert signed_log_energy(mu, nu, policy=REG) >= -1e-10
 
     def test_off_diagonal_can_be_negative_for_atoms(self):
         # the documented caveat for the unregularized surrogate: two
         # adjacent atoms at chord sin(pi/4) < 1 give a negative cross term
         pos = equator_grid(4)
-        mu = DiscreteMeasure(pos, np.array([1.0, 0.0, 0.0, 0.0]), side="sphere")
-        nu = DiscreteMeasure(pos, np.array([0.0, 1.0, 0.0, 0.0]), side="sphere")
+        mu = DiscreteMeasure(pos, np.array([1.0, 0.0, 0.0, 0.0]))
+        nu = DiscreteMeasure(pos, np.array([0.0, 1.0, 0.0, 0.0]))
         assert signed_log_energy(mu, nu) < 0.0

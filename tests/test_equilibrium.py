@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -388,6 +389,25 @@ class TestGridKernel:
             w = rng.standard_normal(len(q.atoms))
             w /= np.linalg.norm(w)
             assert np.max(np.abs(q(w) - dense(w))) <= 1e-13
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec((-20.0, 20.0), 3600),
+        GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60),
+    ], ids=["line", "plane"])
+    def test_matvec_makes_no_fft_array(self, grid):
+        # The FFT arrays (~117 KB here) are made once.  Made per call, malloc
+        # returned their pages and faulted them in again, by heap layout.
+        model = CAUCHY if not grid.is_planar else SPHERICAL
+        q = GridKernel(model, grid)
+        w = np.full(len(q.atoms), 1.0 / len(q.atoms))
+        q(w)
+        tracemalloc.start()
+        try:
+            q(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * w.nbytes  # the result and its temporaries, 3,600 floats each
 
     @pytest.mark.parametrize("model, grid", [
         (CAUCHY, GridSpec((-20.0, 20.0), 400)),

@@ -11,7 +11,6 @@ from loggas import (
     cauchy_potential,
     chordal_distance,
     compactified_potential,
-    empirical_measure,
     measure_energy,
     project_array,
     pushforward,
@@ -171,8 +170,8 @@ class TestCompactifiedPotential:
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
         others = [project_array(0.5), project_array(-2.0)]
         weights = np.array([0.2, 0.5, 0.3])
-        at_pole = DiscreteMeasure(np.array([[0.0, 0.0, 1.0], *others]), weights, side="sphere")
-        near_pole = DiscreteMeasure(np.array([project_array(1e8), *others]), weights, side="sphere")
+        at_pole = DiscreteMeasure(np.array([[0.0, 0.0, 1.0], *others]), weights)
+        near_pole = DiscreteMeasure(np.array([project_array(1e8), *others]), weights)
         assert measure_energy(at_pole, model) == pytest.approx(
             measure_energy(near_pole, model), abs=1e-8
         )
@@ -201,7 +200,7 @@ class TestPushforward:
         assert nu.positions[0] == pytest.approx([0, 0, 0])
 
     def test_empirical_three_points(self):
-        mu = empirical_measure(np.array([0, 1, 1j], dtype=complex))
+        mu = DiscreteMeasure(np.array([0, 1, 1j], dtype=complex), np.full(3, 1 / 3))
         nu = pushforward(mu)
         rows = {tuple(np.round(p, 12)) for p in nu.positions}
         assert (0.0, 0.0, 0.0) in rows

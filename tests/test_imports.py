@@ -1,4 +1,5 @@
-"""Import boundaries: no command or matrix-model sampler loads SciPy, and a run imports nothing.
+"""Import boundaries: no command or matrix-model sampler loads SciPy, no command
+loads numpy.ma, and a run imports nothing.
 
 Every check runs in a fresh interpreter, so modules loaded by other tests
 do not count.
@@ -76,9 +77,10 @@ def test_command_loads_no_scipy(tmp_path, command):
 
         loggas.cli.run = run
         rc = loggas.cli.main(json.loads(sys.argv[1]))
-        print(json.dumps([rc, loaded("scipy"), during_run]))
+        print(json.dumps([rc, loaded("scipy", "numpy.ma"), during_run]))
     """, json.dumps(argv))
     assert rc == 0
+    # numpy.ma is what np.unique loads; no command path calls it
     assert modules == []
     # Start-up cost stays in start-up: the run itself imports nothing.
     assert during_run == []

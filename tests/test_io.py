@@ -1,11 +1,12 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 import loggas.io
-from loggas import DiscreteMeasure, empirical_measure, pushforward
-from loggas.io import read_json, read_samples_csv, write_json, write_measure_csv, write_samples_csv
+from loggas import DiscreteMeasure, pushforward
+from loggas.io import read_samples_csv, write_json, write_measure_csv, write_samples_csv
 
 
 def _fields(path):
@@ -36,7 +37,7 @@ class TestMeasureCsv:
 
     def test_sphere_measure_text(self, tmp_path):
         mu = pushforward(
-            empirical_measure(np.array([0, 1, 1j], dtype=complex))
+            DiscreteMeasure(np.array([0, 1, 1j], dtype=complex), np.full(3, 1 / 3))
         )
         path = tmp_path / "s.csv"
         write_measure_csv(path, mu)
@@ -200,4 +201,4 @@ class TestJson:
         write_json(p1, obj)
         write_json(p2, obj)
         assert p1.read_bytes() == p2.read_bytes()
-        assert read_json(p1) == obj
+        assert json.loads((p1).read_text()) == obj

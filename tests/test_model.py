@@ -12,7 +12,6 @@ from loggas import (
     Support,
     admissibility_check,
     cauchy_potential,
-    empirical_measure,
     quadratic_potential,
     spherical_potential,
     validate_configuration,
@@ -62,42 +61,26 @@ class TestSupports:
         assert not Support.UNIT_CIRCLE.solver_allowed
 
 
-class TestEmpiricalMeasure:
-    def test_three_distinct_points(self):
-        mu = empirical_measure(np.array([0, 1, 1j], dtype=complex))
-        assert len(mu) == 3
-        assert np.allclose(mu.weights, 1 / 3)
-
-    def test_duplicates_merge(self):
-        mu = empirical_measure(np.array([1.0, 1.0], dtype=complex))
-        assert len(mu) == 1
-        assert mu.weights[0] == 1.0
-
-    def test_multiplicity(self):
-        mu = empirical_measure(np.array([-1, 0, 1, 0], dtype=complex))
-        by_pos = dict(zip(mu.positions.tolist(), mu.weights.tolist()))
-        assert by_pos[-1 + 0j] == 0.25
-        assert by_pos[0j] == 0.5
-        assert by_pos[1 + 0j] == 0.25
-
-    def test_weights_sum_exactly_one(self):
-        # rational k/n bookkeeping keeps the float total at 1 for many n
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 3, 7, 11, 100, 128):
-            pts = rng.integers(0, max(2, n // 2), n).astype(complex)
-            mu = empirical_measure(pts)
-            assert math.fsum(mu.weights.tolist()) == pytest.approx(1.0, abs=1e-15)
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDiscreteMeasure:
-    def test_merging_and_idempotence(self):
-        pos = np.array([1.0, 2.0, 1.0], dtype=complex)
-        w = np.array([0.25, 0.5, 0.25])
-        mu = DiscreteMeasure(pos, w)
-        assert len(mu) == 2
-        again = DiscreteMeasure(mu.positions, mu.weights)
-        assert np.array_equal(again.positions, mu.positions)
-        assert np.array_equal(again.weights, mu.weights)
+    def test_three_distinct_points(self):
+        mu = DiscreteMeasure(np.array([0, 1, 1j], dtype=complex), np.full(3, 1 / 3))
+        assert len(mu) == 3 and mu.side == "plane"
+        assert np.allclose(mu.weights, 1 / 3)
+
+    @pytest.mark.parametrize("pos", [
+        [1.0, 1.0, 2.0],
+        [[0.0, 0.0, 1.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]],
+    ], ids=["plane", "sphere"])
+    def test_duplicate_atoms_kept(self, pos):
+        mu = DiscreteMeasure(pos, [0.25, 0.25, 0.5])
+        assert len(mu) == 3
+        assert same_bits(mu.weights, [0.25, 0.25, 0.5])
+        assert np.array_equal(mu.positions, np.asarray(pos))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -109,62 +92,36 @@ class TestDiscreteMeasure:
 
     def test_sphere_side_shape(self):
         pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
-        mu = DiscreteMeasure(pos, np.array([0.3, 0.7]), side="sphere")
-        assert mu.positions.shape == (2, 3)
-        with pytest.raises(ValueError):
-            DiscreteMeasure(np.array([[0.0, 0.0]]), np.array([1.0]), side="sphere")
+        mu = DiscreteMeasure(pos, np.array([0.3, 0.7]))
+        assert mu.positions.shape == (2, 3) and mu.side == "sphere"
+        plane = DiscreteMeasure(np.array([0.0, 0.5]), np.array([0.3, 0.7]))
+        assert plane.positions.dtype == complex and plane.side == "plane"
 
-    @pytest.mark.parametrize("pos, side", [
-        ([np.inf, 1.0], "plane"),
-        ([complex(1.0, np.nan), 0j], "plane"),
-        ([[0.0, 0.0, 0.0], [0.0, 0.0, np.inf]], "sphere"),
-        ([[np.nan, 0.0, 0.0], [0.5, 0.0, 0.5]], "sphere"),
+    @pytest.mark.parametrize("pos", [
+        np.zeros((2, 2)),
+        np.zeros((2, 3), dtype=complex),
+        np.zeros((2, 3, 1)),
+        np.zeros(()),
+    ], ids=["n-by-2", "complex-n-by-3", "3-d", "scalar"])
+    def test_other_shapes_rejected(self, pos):
+        with pytest.raises(ValueError, match="^positions must be a 1-D array"):
+            DiscreteMeasure(pos, [0.5, 0.5])
+
+    @pytest.mark.parametrize("pos", [
+        [np.inf, 1.0],
+        [complex(1.0, np.nan), 0j],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, np.inf]],
+        [[np.nan, 0.0, 0.0], [0.5, 0.0, 0.5]],
     ])
-    def test_rejects_nonfinite_positions(self, pos, side):
+    def test_rejects_nonfinite_positions(self, pos):
         with pytest.raises(ValueError, match="finite"):
-            DiscreteMeasure(pos, [0.5, 0.5], side=side)
+            DiscreteMeasure(pos, [0.5, 0.5])
 
     def test_input_arrays_stay_writable(self):
         pos = np.array([0j, 1j])
         w = np.array([0.5, 0.5])
         DiscreteMeasure(pos, w)
         assert pos.flags.writeable and w.flags.writeable
-
-
-def loop_merge(pos, wts, side):
-    """Reference: duplicate atoms merged by a dict over hashable keys."""
-    keys: dict = {}
-    order = []
-    merged: list[float] = []
-    for i in range(len(wts)):
-        key = complex(pos[i]) if side == "plane" else tuple(pos[i])
-        j = keys.get(key)
-        if j is None:
-            keys[key] = len(order)
-            order.append(i)
-            merged.append(wts[i])
-        else:
-            merged[j] += wts[i]
-    return pos[np.array(order)], np.array(merged, dtype=float)
-
-
-def loop_empirical(points):
-    """Reference: multiplicities counted by a dict, weights as rationals k/n."""
-    from fractions import Fraction
-
-    counts: dict[complex, int] = {}
-    for p in points:
-        counts[complex(p)] = counts.get(complex(p), 0) + 1
-    n = len(points)
-    return (
-        np.array(list(counts), dtype=complex),
-        np.array([float(Fraction(k, n)) for k in counts.values()]),
-    )
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_atoms(rng, n, side):
@@ -181,8 +138,8 @@ def random_weights(rng, n):
     return w / w.sum()
 
 
-class TestAtomGroupingMatchesLoop:
-    """Array grouping equals the dict loops it replaced, bit for bit."""
+class TestAtomsKeptAsGiven:
+    """Positions and weights come back bit for bit: no atom is merged or moved."""
 
     @pytest.mark.parametrize("side", ["plane", "sphere"])
     def test_discrete_measure(self, side):
@@ -190,28 +147,15 @@ class TestAtomGroupingMatchesLoop:
         for _ in range(100):
             n = int(rng.integers(1, 40))
             pos, w = random_atoms(rng, n, side), random_weights(rng, n)
-            mu = DiscreteMeasure(pos, w, side=side)
-            ref_pos, ref_w = loop_merge(pos, w, side)
-            assert same_bits(mu.positions, ref_pos)
-            assert same_bits(mu.weights, ref_w)
+            mu = DiscreteMeasure(pos, w)
+            assert mu.side == side
+            assert same_bits(mu.positions, pos)
+            assert same_bits(mu.weights, w)
 
-    def test_negative_zero_weight_kept_without_duplicates(self):
-        mu = DiscreteMeasure([0j, -0.0 + 0j, 1j], [-0.0, 0.5, 0.5])
-        assert len(mu) == 2 and same_bits(mu.weights, [0.5, 0.5])
-        mu = DiscreteMeasure([0j, 1j], [-0.0, 1.0])
-        assert same_bits(mu.weights, loop_merge(mu.positions, [-0.0, 1.0], "plane")[1])
-        # merged sums start from +0.0, so a zero-mass group is +0.0
-        mu = DiscreteMeasure([0j, 0j, 1j], [-0.0, -0.0, 1.0])
-        assert same_bits(mu.weights, [0.0, 1.0])
-
-    def test_empirical_measure(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            pts = random_atoms(rng, int(rng.integers(1, 40)), "plane")
-            mu = empirical_measure(pts)
-            ref_pos, ref_w = loop_empirical(pts)
-            assert same_bits(mu.positions, ref_pos)
-            assert same_bits(mu.weights, ref_w)
+    def test_negative_zero_weight_kept(self):
+        mu = DiscreteMeasure([0j, complex(-0.0, 0.0), 1j], [-0.0, 0.5, 0.5])
+        assert len(mu) == 3 and same_bits(mu.weights, [-0.0, 0.5, 0.5])
+        assert same_bits(mu.positions, np.array([0j, complex(-0.0, 0.0), 1j]))
 
 
 class TestValidateConfiguration:
@@ -223,8 +167,27 @@ class TestValidateConfiguration:
             validate_configuration(np.array([0.0], dtype=complex), m)
         with pytest.raises(ValueError):
             validate_configuration(np.array([0.0, 1.0 + 1j], dtype=complex), m)
-        with pytest.raises(ValueError, match="^configuration has coincident points$"):
-            validate_configuration(np.array([1.0, 1.0], dtype=complex), m)
+
+    @pytest.mark.parametrize("points, coincident", [
+        ([1.0, 1.0], True),
+        ([0.0, -0.0], True),
+        ([complex(2.0, 0.0), complex(2.0, -0.0)], True),
+        ([1 + 2j, 3.0, 1 + 2j], True),
+        ([1j, complex(-0.0, 0.5), complex(-0.0, 1.0)], True),
+        ([1 + 2j, 1 - 2j], False),
+        ([1 + 2j, 2 + 1j], False),
+        ([5e-324, 0.0], False),
+        ([1.0, np.nextafter(1.0, 2.0)], False),
+    ])
+    def test_coincident_points(self, points, coincident):
+        # equal as np.unique compares: 0.0 equals -0.0, complex points match
+        # only when both parts are equal
+        m = model(spherical_potential(), n=len(points), support=Support.COMPLEX_PLANE)
+        if coincident:
+            with pytest.raises(ValueError, match="^configuration has coincident points$"):
+                validate_configuration(np.array(points, dtype=complex), m)
+        else:
+            validate_configuration(np.array(points, dtype=complex), m)
 
     @pytest.mark.parametrize("points", [[[0.0, 1.0]], [[0.0], [1.0]], 0.0, [[0.0, 1.0]] * 2],
                              ids=["row", "column", "scalar", "two-rows"])
