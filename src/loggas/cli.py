@@ -22,7 +22,7 @@ import signal
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -143,29 +143,23 @@ def _object(pairs: list) -> dict:
 
 
 def _parse_potential(section, path="model.potential") -> tuple[PotentialSpec, dict]:
-    section = _section(section, path, {"name", "params", "beta_prime"})
+    section = _section(section, path, {"name", "params"})
     name = section.get("name")
     _require(isinstance(name, str), f"{path}.name", "required string")
     if name in BUILTIN_POTENTIALS:
         if "params" in section:
             raise ValueError(f"{path}.params: not accepted for built-in {name!r}")
-        pot = BUILTIN_POTENTIALS[name]()
-        extra = {}
-    else:
-        _require("params" in section, f"{path}.params", "required for custom potentials")
-        given = dict(_section(section["params"], f"{path}.params",
-                              {"poly", "poly_var", "log_coeff"}))
-        if "poly" in given:
-            _require(isinstance(given["poly"], list), f"{path}.params.poly", "must be a list")
-            given["poly"] = [_number(c, f"{path}.params.poly") for c in given["poly"]]
-        if "log_coeff" in given:
-            given["log_coeff"] = _number(given["log_coeff"], f"{path}.params.log_coeff")
-        pot = PotentialSpec(name, **given)
-        extra = {"params": {"poly": list(pot.poly), "poly_var": pot.poly_var,
-                            "log_coeff": pot.log_coeff}}
-    if section.get("beta_prime") is not None:
-        pot = replace(pot, beta_prime=_number(section["beta_prime"], f"{path}.beta_prime"))
-    return pot, {"name": name, "beta_prime": pot.beta_prime, **extra}
+        return BUILTIN_POTENTIALS[name](), {"name": name}
+    _require("params" in section, f"{path}.params", "required for custom potentials")
+    given = dict(_section(section["params"], f"{path}.params", {"poly", "poly_var", "log_coeff"}))
+    if "poly" in given:
+        _require(isinstance(given["poly"], list), f"{path}.params.poly", "must be a list")
+        given["poly"] = [_number(c, f"{path}.params.poly") for c in given["poly"]]
+    if "log_coeff" in given:
+        given["log_coeff"] = _number(given["log_coeff"], f"{path}.params.log_coeff")
+    pot = PotentialSpec(name, **given)
+    return pot, {"name": name, "params": {"poly": list(pot.poly), "poly_var": pot.poly_var,
+                                          "log_coeff": pot.log_coeff}}
 
 
 def _parse_model(section, path="model") -> tuple[GasModel, dict]:

@@ -94,8 +94,8 @@ def check_solvable(model: GasModel, grid: GridSpec) -> None:
     """Raise ValueError unless grid_minimize accepts ``model`` on ``grid``.
 
     Each message starts with the field at fault, named as in a run
-    config: model.support, model.beta, model.potential.beta_prime or
-    grid.window.
+    config: model.support, model.beta, model.potential.params.log_coeff,
+    model.potential.params.poly or grid.window.
     """
     if not model.support.solver_allowed:
         raise ValueError("model.support: the solver accepts only the real line and the plane")

@@ -98,27 +98,18 @@ class PotentialSpec:
     ``poly`` lists coefficients from degree 0 upward in the variable
     ``poly_var`` ("x" for the point itself on real supports, "r2" for
     |x|^2); an empty ``poly`` or a zero ``log_coeff`` drops that term.
-    Values, gradient, parity and the pole value all follow from this
-    structure.
-
-    ``beta_prime`` is the user-declared growth witness, above 1 when
-    given: on an unbounded support the gas is weak-growth admissible at
-    inverse temperature beta iff beta_prime exists, beta_prime >= beta and
-    the structure bears it out (``pole_value(beta_prime, support) > -inf``).
-    Bounded supports never read it.
+    Values, gradient, parity, the pole value and the largest growth
+    witness beta' (``growth_limit``) all follow from this structure.
     """
 
     name: str
     poly: tuple[float, ...] = ()
     poly_var: str = "r2"
     log_coeff: float = 0.0
-    beta_prime: float | None = None
 
     def __post_init__(self):
         if self.poly_var not in ("x", "r2"):
             raise ValueError("model.potential.params.poly_var: must be 'x' or 'r2'")
-        if self.beta_prime is not None and not self.beta_prime > 1.0:
-            raise ValueError(f"model.potential.beta_prime: must exceed 1, got {self.beta_prime}")
         object.__setattr__(self, "poly", tuple(float(c) for c in self.poly))
         object.__setattr__(self, "log_coeff", float(self.log_coeff))
 
@@ -153,10 +144,7 @@ class PotentialSpec:
         part decides the liminf by itself; otherwise the sign of the
         effective log coefficient does.
         """
-        if self.poly_var == "x" and support is not Support.HALF_LINE:
-            poly_lim = min(_poly_end_limit(self.poly, +1.0), _poly_end_limit(self.poly, -1.0))
-        else:
-            poly_lim = _poly_end_limit(self.poly, +1.0)
+        poly_lim = self.poly_limit(support)
         if math.isinf(poly_lim):
             return poly_lim
         c_eff = self.log_coeff - beta / 2.0
@@ -165,6 +153,12 @@ class PotentialSpec:
         if c_eff < 0:
             return -math.inf
         return poly_lim
+
+    def poly_limit(self, support: Support) -> float:
+        """liminf of the poly part as |x| -> inf in the support: its lower end on the line."""
+        if self.poly_var == "x" and support is not Support.HALF_LINE:
+            return min(_poly_end_limit(self.poly, +1.0), _poly_end_limit(self.poly, -1.0))
+        return _poly_end_limit(self.poly, +1.0)
 
 
 def _poly_end_limit(coeffs: Sequence[float], sign: float) -> float:
@@ -196,17 +190,17 @@ def _horner(coeffs: tuple[float, ...], x, var: str):
 
 def cauchy_potential() -> PotentialSpec:
     """V(x) = log(1 + |x|^2), the Cauchy weight on the real line."""
-    return PotentialSpec("cauchy", log_coeff=1.0, beta_prime=2.0)
+    return PotentialSpec("cauchy", log_coeff=1.0)
 
 
 def spherical_potential() -> PotentialSpec:
     """V(x) = log(1 + |x|^2), the spherical weight on the complex plane."""
-    return PotentialSpec("spherical", log_coeff=1.0, beta_prime=2.0)
+    return PotentialSpec("spherical", log_coeff=1.0)
 
 
 def quadratic_potential() -> PotentialSpec:
     """V(x) = |x|^2."""
-    return PotentialSpec("quadratic", (0.0, 1.0), beta_prime=2.0)
+    return PotentialSpec("quadratic", (0.0, 1.0))
 
 
 BUILTIN_POTENTIALS = {
@@ -235,25 +229,25 @@ class GasModel:
                              f"not {self.support.value}; use 'r2'")
 
     def require_weak_growth(self) -> None:
-        """Raise ValueError unless V bears out a declared beta_prime >= beta.
+        """Raise ValueError unless the gas is weak-growth admissible:
+        growth_limit(self) > 1 and beta <= growth_limit(self).
 
-        A bounded support passes at once: every gas on it is Strong and
-        normalizable, whatever beta_prime is.  Otherwise the message starts
-        with the field at fault, named as in a run config: model.beta when
-        it exceeds beta_prime, otherwise model.potential.beta_prime.
+        A bounded support always passes.  Otherwise the message starts with
+        the field at fault, named as in a run config:
+        model.potential.params.poly when the poly part tends to -inf,
+        model.potential.params.log_coeff when 2 log_coeff <= 1, and
+        model.beta when beta exceeds 2 log_coeff.
         """
-        if self.support.is_bounded:
-            return
-        growth = admissibility_check(self)
-        bp = self.potential.beta_prime
-        if bp < self.beta:
-            raise ValueError(
-                f"model.beta: {self.beta:g} exceeds beta_prime {bp:g}; "
-                "the model fails weak-growth admissibility"
-            )
-        if growth is Admissibility.INADMISSIBLE:
-            raise ValueError(f"model.potential.beta_prime: V contradicts {bp:g}, since "
-                             f"V(x) - ({bp:g}/2) log(1+|x|^2) tends to -inf")
+        bp = growth_limit(self)
+        if bp == -math.inf:
+            raise ValueError("model.potential.params.poly: tends to -inf at an end of "
+                             f"{self.support.value}; the model fails weak-growth admissibility")
+        if not bp > 1.0:
+            raise ValueError(f"model.potential.params.log_coeff: {self.potential.log_coeff:g} "
+                             "must exceed 1/2 when the poly part has a finite limit")
+        if self.beta > bp:
+            raise ValueError(f"model.beta: {self.beta:g} exceeds 2 log_coeff = {bp:g}; "
+                             "the model fails weak-growth admissibility")
 
     def potential_values(self, points) -> np.ndarray:
         """Evaluate V at points of the support (arrays accepted)."""
@@ -333,26 +327,30 @@ class Admissibility(enum.Enum):
     INADMISSIBLE = "inadmissible"
 
 
-def admissibility_check(model: GasModel) -> Admissibility:
-    """The growth class of V against the declared beta_prime, exact from V's structure.
+def growth_limit(model: GasModel) -> float:
+    """The largest beta' whose V(x) - (beta'/2) log(1+|x|^2) is bounded below
+    at infinity in the support, read off V's structure.
 
-    The class is read off the pole value at beta_prime, the liminf of
-    V(x) - (beta'/2) log(1+|x|^2) at infinity: +inf is Strong, a finite
-    value WeakOnly and -inf Inadmissible.  Bounded supports are Strong
-    whatever beta_prime is; elsewhere a missing beta_prime raises
-    ValueError.  Weak-growth admissibility rejects Inadmissible models, and
-    the sampler draws heavy-tailed proposals for targets that are not
-    Strong.
+    inf on a bounded support or where the poly part tends to +inf at every
+    end (every beta' is a witness), -inf where it tends to -inf at an end
+    (none is), and 2 log_coeff otherwise.
     """
     if model.support.is_bounded:
+        return math.inf
+    poly_lim = model.potential.poly_limit(model.support)
+    return poly_lim if math.isinf(poly_lim) else 2.0 * model.potential.log_coeff
+
+
+def admissibility_check(model: GasModel) -> Admissibility:
+    """The growth class of V at beta' = growth_limit(model).
+
+    Strong when growth_limit is inf (the pole value at every beta' is
+    +inf), WeakOnly when it is finite and above 1 (the pole value there is
+    finite), and Inadmissible otherwise.  Weak-growth admissibility rejects
+    Inadmissible models, and the sampler draws heavy-tailed proposals for
+    targets that are not Strong.
+    """
+    bp = growth_limit(model)
+    if bp == math.inf:
         return Admissibility.STRONG
-    bp = model.potential.beta_prime
-    if bp is None:
-        raise ValueError("model.potential.beta_prime: weak-growth admissibility "
-                         "needs a declared value")
-    pole = model.potential.pole_value(bp, model.support)
-    if pole == math.inf:
-        return Admissibility.STRONG
-    if pole == -math.inf:
-        return Admissibility.INADMISSIBLE
-    return Admissibility.WEAK_ONLY
+    return Admissibility.WEAK_ONLY if bp > 1.0 else Admissibility.INADMISSIBLE

@@ -230,8 +230,7 @@ def test_criterion_09_convergence_trend():
 def test_criterion_10_growth_classification():
     strong = admissibility_check(GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 1))
     weak = admissibility_check(GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1))
-    half_log = PotentialSpec("half_log", poly=[], poly_var="r2",
-                             log_coeff=0.5, beta_prime=2.0)
+    half_log = PotentialSpec("half_log", poly=[], poly_var="r2", log_coeff=0.5)
     inadmissible = admissibility_check(GasModel(Support.REAL_LINE, 2.0, half_log, 1))
     ok = (
         strong is Admissibility.STRONG

@@ -35,11 +35,11 @@ MINIMAL_SAMPLE = {
 }
 
 
-# V = (1/2) log(1+x^2): V - (beta'/2) log(1+x^2) tends to -inf at beta' = 2
-HALF_LOG = {"name": "half_log", "params": {"log_coeff": 0.5}, "beta_prime": 2.0}
+# V = (1/2) log(1+x^2): V - (beta'/2) log(1+x^2) is bounded below only up to beta' = 1
+HALF_LOG = {"name": "half_log", "params": {"log_coeff": 0.5}}
 
 # V = 1e306 |x|^2 overflows to inf for |x| > 1.34
-STEEP = {"name": "steep", "params": {"poly": [0.0, 1e306], "poly_var": "r2"}, "beta_prime": 2.0}
+STEEP = {"name": "steep", "params": {"poly": [0.0, 1e306], "poly_var": "r2"}}
 
 
 REPLAY_CASES = {
@@ -52,7 +52,6 @@ REPLAY_CASES = {
             "potential": {
                 "name": "tilted",
                 "params": {"poly": [0.3, -0.2, 0.5], "poly_var": "x"},
-                "beta_prime": 2.5,
             },
         },
         "chain": {"sweeps": 40, "chains": 2},
@@ -116,7 +115,6 @@ class TestParseConfig:
         raw["model"]["potential"] = {
             "name": "quartic",
             "params": {"poly": [0.0, 0.0, 1.0], "poly_var": "r2"},
-            "beta_prime": 2.0,
         }
         config = parse_config(json.dumps(raw))
         assert config.model.potential.evaluate(2.0) == pytest.approx(16.0)
@@ -173,8 +171,6 @@ class TestParseConfig:
          lambda: GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 0), "model.n"),
         ({"model.potential": {"name": "p", "params": {"poly_var": "y"}}},
          lambda: PotentialSpec("p", poly_var="y"), "model.potential.params.poly_var"),
-        ({"model.potential.beta_prime": 0.5},
-         lambda: PotentialSpec("p", beta_prime=0.5), "model.potential.beta_prime"),
         ({"chain": {"sweeps": 1, "burn_in": 0}},
          lambda: ChainParams(sweeps=1, burn_in=0), "chain.sweeps"),
         ({"chain": {"sweeps": 10, "burn_in": 10}},
@@ -189,7 +185,7 @@ class TestParseConfig:
          lambda: GridSpec(((-4.0, 4.0), (-3.0, 3.0)), 64), "grid.window"),
         ({"grid.tol": 0}, lambda: GridSpec((-10.0, 10.0), 64, tol=0.0), "grid.tol"),
         ({"grid.max_iter": 0}, lambda: GridSpec((-10.0, 10.0), 64, max_iter=0), "grid.max_iter"),
-    ], ids=["beta", "n", "poly_var", "beta_prime", "sweeps", "burn_in", "thin",
+    ], ids=["beta", "n", "poly_var", "sweeps", "burn_in", "thin",
             "step_scale", "resolution", "window-reversed", "window-not-square", "tol",
             "max_iter"])
     def test_config_and_library_reject_alike(self, edits, build, field):
@@ -289,7 +285,7 @@ class TestRun:
 
     @pytest.mark.parametrize("support, window, resolution, potentials, mass", [
         ("real_line", [-20, 20], 400,
-         [{"name": "mycauchy", "params": {"log_coeff": 1.0}, "beta_prime": 2}, {"name": "cauchy"}],
+         [{"name": "mycauchy", "params": {"log_coeff": 1.0}}, {"name": "cauchy"}],
          0.9681954974876472),
         ("complex_plane", [[-4, 4], [-4, 4]], 60,
          [{"name": "cauchy"}, {"name": "spherical"}],
@@ -704,6 +700,7 @@ class TestMain:
         ("model.potential", {"name": "c", "params": [1.0]}, "model.potential.params"),
         ("model.support", ["real_line"], "model.support"),
         ("model.potential.v_infinity", 0.0, "v_infinity"),
+        ("model.potential.beta_prime", 2.0, "unknown key 'beta_prime' in model.potential"),
         ("model.beta", 3.0, "model.beta"),
         pytest.param(
             ("command", "model.support", "grid"),
@@ -721,12 +718,12 @@ class TestMain:
             ("equilibrium", "complex_plane", {"window": [-4, 4], "resolution": 16}),
             "grid.window", id="equilibrium-line-window-on-plane"),
         pytest.param(
-            "model.potential", HALF_LOG, "model.potential.beta_prime",
-            id="sample-contradicted-beta-prime"),
+            "model.potential", HALF_LOG, "model.potential.params.log_coeff",
+            id="sample-half-log"),
         pytest.param(
             ("command", "model.potential", "grid"),
             ("equilibrium", HALF_LOG, {"window": [-10, 10], "resolution": 16}),
-            "model.potential.beta_prime", id="equilibrium-contradicted-beta-prime"),
+            "model.potential.params.log_coeff", id="equilibrium-half-log"),
     ])
     def test_malformed_section_exits_two(self, tmp_path, capsys, path, value, named):
         # a row sets one dotted path, or a tuple of paths to a tuple of values
@@ -767,7 +764,6 @@ class TestMain:
         raw["model"]["support"] = support
         raw["model"]["potential"] = {
             "name": "tilted", "params": {"poly": [0.0, 1.0, 1.0], "poly_var": "x"},
-            "beta_prime": 2.0,
         }
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))
@@ -775,8 +771,8 @@ class TestMain:
         assert "model.potential.params.poly_var" in capsys.readouterr().err
 
     @pytest.mark.parametrize("support", ["unit_circle", "unit_segment"])
-    def test_bounded_support_needs_no_beta_prime(self, tmp_path, support):
-        # every gas on a bounded support is normalizable, so beta' is never read
+    def test_bounded_support_admits_every_beta(self, tmp_path, support):
+        # every gas on a bounded support is normalizable
         raw = {
             "command": "sample",
             "model": {"support": support, "beta": 3.0, "n": 6,
@@ -788,21 +784,13 @@ class TestMain:
         out = tmp_path / "o"
         assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["model"]["potential"]["beta_prime"] is None
+        assert manifest["config"]["model"]["potential"] == {
+            "name": "bowl", "params": {"poly": [0.0, 1.0], "poly_var": "r2", "log_coeff": 0.0}}
         assert len(json.loads((out / "stats.json").read_text())["chains"]) == 2
 
-    @pytest.mark.parametrize("support", ["real_line", "half_line", "complex_plane"])
-    @pytest.mark.parametrize("beta, potential, message", [
-        (3.0, {"name": "cauchy"},
-         "model.beta: 3 exceeds beta_prime 2; the model fails weak-growth admissibility"),
-        (2.0, {"name": "bowl", "params": {"poly": [0.0, 1.0]}},
-         "model.potential.beta_prime: weak-growth admissibility needs a declared value"),
-        (2.0, HALF_LOG,
-         "model.potential.beta_prime: V contradicts 2, since V(x) - (2/2) log(1+|x|^2) "
-         "tends to -inf"),
-    ], ids=["beta-above-beta-prime", "no-beta-prime", "contradicted-beta-prime"])
-    def test_unbounded_support_keeps_the_weak_growth_gate(self, tmp_path, capsys, support,
-                                                          beta, potential, message):
+    @staticmethod
+    def _sample(tmp_path, support, beta, potential) -> tuple[int, Path]:
+        """Exit code and output directory of a short ``loggas sample`` run."""
         raw = {
             "command": "sample",
             "model": {"support": support, "beta": beta, "n": 6, "potential": potential},
@@ -811,9 +799,38 @@ class TestMain:
         cfg = tmp_path / "unbounded.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "o"
-        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+        return main(["sample", "--config", str(cfg), "--out", str(out)]), out
+
+    @pytest.mark.parametrize("support, beta, potential, message", [
+        *[(support, 2.5, {"name": "cauchy"},
+           "model.beta: 2.5 exceeds 2 log_coeff = 2; the model fails weak-growth admissibility")
+          for support in ("real_line", "half_line", "complex_plane")],
+        *[(support, 1.0, HALF_LOG, "model.potential.params.log_coeff: 0.5 must exceed 1/2 "
+           "when the poly part has a finite limit")
+          for support in ("real_line", "half_line", "complex_plane")],
+        ("real_line", 2.0, {"name": "cubic", "params": {"poly": [0, 0, 0, 1], "poly_var": "x"}},
+         "model.potential.params.poly: tends to -inf at an end of real_line; "
+         "the model fails weak-growth admissibility"),
+        ("real_line", 1.21, {"name": "log_0.6", "params": {"log_coeff": 0.6}},
+         "model.beta: 1.21 exceeds 2 log_coeff = 1.2; the model fails weak-growth admissibility"),
+    ], ids=["cauchy-2.5-line", "cauchy-2.5-half-line", "cauchy-2.5-plane", "half-log-line",
+            "half-log-half-line", "half-log-plane", "cubic-line", "log-0.6-at-1.21"])
+    def test_unbounded_support_keeps_the_weak_growth_gate(self, tmp_path, capsys, support,
+                                                          beta, potential, message):
+        code, out = self._sample(tmp_path, support, beta, potential)
+        assert code == 2
         assert capsys.readouterr().err == f"loggas: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("support, beta, potential", [
+        ("real_line", 1.2, {"name": "log_0.6", "params": {"log_coeff": 0.6}}),
+        ("real_line", 4.0, {"name": "quadratic"}),
+        ("half_line", 2.0, {"name": "cubic", "params": {"poly": [0, 0, 0, 1], "poly_var": "x"}}),
+    ], ids=["log-0.6-at-1.2", "quadratic-4", "cubic-half-line"])
+    def test_weak_growth_admits_up_to_the_limit(self, tmp_path, support, beta, potential):
+        code, out = self._sample(tmp_path, support, beta, potential)
+        assert code == 0
+        assert (out / "samples.csv").exists()
 
     def test_config_not_utf8_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.json"

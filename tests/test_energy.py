@@ -291,7 +291,7 @@ class TestLogDensity:
     def test_overflowing_potential_sum_is_minus_inf(self, density):
         # Each V is finite near 1.4e306; their sum is not, and fsum's
         # partials overflow.
-        potential = PotentialSpec("steep", (0.0, 1e306), beta_prime=2.0)
+        potential = PotentialSpec("steep", (0.0, 1e306))
         model = GasModel(Support.REAL_LINE, 1.0, potential, 200)
         config = np.linspace(1.2, 1.3, 200).astype(complex)
         assert np.isfinite(model.potential_values(config)).all()

@@ -40,7 +40,7 @@ QUADRATIC = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 1)
 # V(x) = x^2 + x/2 is not even, so v differs from its mirror image.
 TILTED = GasModel(
     Support.REAL_LINE, 2.0,
-    PotentialSpec("tilted", [0.0, 0.5, 1.0], "x", beta_prime=2.0), 1,
+    PotentialSpec("tilted", [0.0, 0.5, 1.0], "x"), 1,
 )
 
 
@@ -91,7 +91,7 @@ class TestClosedForm:
 
     def test_matched_by_structure(self):
         # the law follows V's structure and the support, not the potential's name
-        renamed = PotentialSpec("mine", log_coeff=1.0, poly=(0.0,), beta_prime=2.0)
+        renamed = PotentialSpec("mine", log_coeff=1.0, poly=(0.0,))
         for support, name in [(Support.REAL_LINE, "cauchy"), (Support.COMPLEX_PLANE, "spherical")]:
             for potential in (cauchy_potential(), spherical_potential(), renamed):
                 assert closed_form(GasModel(support, 2.0, potential, 1)).name == name
@@ -99,7 +99,7 @@ class TestClosedForm:
     def test_no_closed_form(self):
         assert closed_form(QUADRATIC) is None
         assert closed_form(GasModel(Support.REAL_LINE, 1.5, cauchy_potential(), 1)) is None
-        tilted_log = PotentialSpec("cauchy", (0.0, 0.1), "x", log_coeff=1.0, beta_prime=2.0)
+        tilted_log = PotentialSpec("cauchy", (0.0, 0.1), "x", log_coeff=1.0)
         assert closed_form(GasModel(Support.REAL_LINE, 2.0, tilted_log, 1)) is None
         half_line = GasModel(Support.HALF_LINE, 2.0, cauchy_potential(), 1)
         assert closed_form(half_line) is None
@@ -174,7 +174,7 @@ class TestGridSpec:
     ], ids=["line", "plane"])
     def test_potential_must_be_finite_on_the_grid(self, support, wide, narrow):
         # V = 1e306 |x|^2 is inf for |x| > 13.4; the check itself warns of nothing
-        model = GasModel(support, 1.0, PotentialSpec("steep", (0.0, 1e306), beta_prime=2.0), 1)
+        model = GasModel(support, 1.0, PotentialSpec("steep", (0.0, 1e306)), 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^grid.window: V is not finite"):
@@ -189,8 +189,7 @@ class TestGridSpec:
     ], ids=["line", "plane"])
     def test_potential_just_inside_the_scale_bound_solves(self, support, window, coefficient):
         # max |V| times the atom count is 1.4e149 on the line, 3.7e149 on the plane
-        model = GasModel(support, 1.0, PotentialSpec("steep", (0.0, coefficient),
-                                                     beta_prime=2.0), 1)
+        model = GasModel(support, 1.0, PotentialSpec("steep", (0.0, coefficient)), 1)
         grid = GridSpec(window, 16, max_iter=50)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -282,7 +281,7 @@ class TestGridMinimize:
                 GasModel(Support.HALF_LINE, 2.0, cauchy_potential(), 1),
                 GridSpec((0.0, 10.0), 32),
             )
-        with pytest.raises(ValueError, match="^model.beta: 3 exceeds beta_prime 2;"):
+        with pytest.raises(ValueError, match="^model.beta: 3 exceeds 2 log_coeff = 2;"):
             grid_minimize(
                 GasModel(Support.REAL_LINE, 3.0, cauchy_potential(), 1),
                 GridSpec((-10.0, 10.0), 32),

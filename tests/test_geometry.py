@@ -180,7 +180,7 @@ class TestCompactifiedPotential:
         model = GasModel(Support.REAL_LINE, 2.5, cauchy_potential(), 1)
         with pytest.raises(ValueError, match="model.beta"):
             model.require_weak_growth()
-        with pytest.raises(ValueError, match="^model.beta: 2.5 exceeds beta_prime 2;"):
+        with pytest.raises(ValueError, match="^model.beta: 2.5 exceeds 2 log_coeff = 2;"):
             compactified_potential(model)
 
     def test_plane_form_matches_sphere_form(self):

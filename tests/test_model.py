@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from loggas import (
     spherical_potential,
     validate_configuration,
 )
-from loggas.model import LARGE_MODULUS, log1p_modulus_squared
+from loggas.model import LARGE_MODULUS, growth_limit, log1p_modulus_squared
 
 
 def model(potential, beta=2.0, n=1, support=Support.REAL_LINE):
@@ -214,8 +215,7 @@ class TestPotentials:
         assert pot.pole_value(3.0, Support.REAL_LINE) == -math.inf
 
     def test_custom_structured_potential(self):
-        pot = PotentialSpec("mix", poly=[0.0, 0.5], poly_var="r2", log_coeff=0.3,
-                               beta_prime=2.0)
+        pot = PotentialSpec("mix", poly=[0.0, 0.5], poly_var="r2", log_coeff=0.3)
         x = 1.7
         assert pot.evaluate(x) == pytest.approx(0.5 * x**2 + 0.3 * math.log(1 + x**2))
         # finite differences confirm the generated gradient
@@ -304,21 +304,40 @@ class TestGasModel:
 
     @pytest.mark.parametrize("support", [Support.COMPLEX_PLANE, Support.UNIT_CIRCLE])
     def test_x_polynomial_needs_a_real_support(self, support):
-        tilted = PotentialSpec("tilted", [0.0, 1.0, 1.0], "x", beta_prime=2.0)
+        tilted = PotentialSpec("tilted", [0.0, 1.0, 1.0], "x")
         with pytest.raises(ValueError, match="real support"):
             model(tilted, support=support)
         model(tilted, support=Support.HALF_LINE)
 
-    def test_weak_growth_flag(self):
-        model(cauchy_potential(), beta=2.0).require_weak_growth()
-        with pytest.raises(ValueError, match="model.beta"):  # beta' < beta
-            model(cauchy_potential(), beta=2.5).require_weak_growth()
-        nameless = PotentialSpec("bare", poly=[0.0, 1.0])
-        with pytest.raises(ValueError, match="model.potential.beta_prime"):  # no beta'
-            model(nameless, beta=2.0).require_weak_growth()
+    @pytest.mark.parametrize("pot, beta", [
+        (cauchy_potential(), 2.0),
+        (quadratic_potential(), 4.0),  # x^2 bounds every beta'
+        (PotentialSpec("bare", poly=[0.0, 1.0]), 50.0),
+        (PotentialSpec("weak_log", log_coeff=0.9), 1.8),
+        (PotentialSpec("log_0.6", log_coeff=0.6), 1.2),  # at the limit 2 * 0.6
+    ], ids=["cauchy", "quadratic", "bare", "0.9-log", "0.6-log"])
+    def test_weak_growth_passes_up_to_the_limit(self, pot, beta):
+        model(pot, beta=beta).require_weak_growth()
+
+    @pytest.mark.parametrize("pot, beta, support, message", [
+        (cauchy_potential(), 2.5, Support.REAL_LINE, "model.beta: 2.5 exceeds 2 log_coeff = 2;"),
+        (PotentialSpec("weak_log", log_coeff=0.9), 2.0, Support.REAL_LINE,
+         "model.beta: 2 exceeds 2 log_coeff = 1.8;"),
+        (PotentialSpec("log_0.6", log_coeff=0.6), 1.21, Support.REAL_LINE,
+         "model.beta: 1.21 exceeds 2 log_coeff = 1.2;"),
+        (PotentialSpec("half_log", log_coeff=0.5), 0.5, Support.REAL_LINE,
+         "model.potential.params.log_coeff: 0.5 must exceed 1/2"),
+        (PotentialSpec("flat", [1.0]), 0.5, Support.COMPLEX_PLANE,
+         "model.potential.params.log_coeff: 0 must exceed 1/2"),
+        (PotentialSpec("cubic", [0.0, 0.0, 0.0, 1.0], "x"), 0.5, Support.REAL_LINE,
+         "model.potential.params.poly: tends to -inf at an end of real_line;"),
+    ], ids=["cauchy", "0.9-log", "0.6-log", "half-log", "flat", "cubic"])
+    def test_weak_growth_gate_names_the_field(self, pot, beta, support, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            model(pot, beta=beta, support=support).require_weak_growth()
 
     @pytest.mark.parametrize("support", [Support.UNIT_CIRCLE, Support.UNIT_SEGMENT])
-    def test_bounded_support_needs_no_beta_prime(self, support):
+    def test_bounded_support_admits_every_beta(self, support):
         # a gas on a bounded support is normalizable at every beta
         for pot in (PotentialSpec("bare", poly=[0.0, 1.0]), cauchy_potential()):
             model(pot, beta=3.0, support=support).require_weak_growth()
@@ -345,44 +364,30 @@ class TestAdmissibility:
         radii = np.array([2.0**k for k in range(4, 41)])
         gap = 0.5 * np.log1p(radii**2) - 2.0 * np.log(radii)
         assert gap[-1] - gap[-8] < -3.0
-        pot = PotentialSpec("half_log", poly=[], poly_var="r2", log_coeff=0.5,
-                            beta_prime=2.0)
+        pot = PotentialSpec("half_log", poly=[], poly_var="r2", log_coeff=0.5)
         assert admissibility_check(model(pot)) is Admissibility.INADMISSIBLE
-
-    def test_cauchy_never_strong_for_admissible_beta_prime(self):
-        # log(1+x^2) - (beta'/2) log(1+x^2) is 0 or tends to -inf for beta' >= 2
-        for bp in (2.0, 2.5, 3.0, 10.0):
-            pot = PotentialSpec("c", poly=[], poly_var="r2", log_coeff=1.0,
-                                beta_prime=bp)
-            assert admissibility_check(model(pot, beta=2.0)) is not Admissibility.STRONG
 
     @pytest.mark.parametrize("shift", [-5.0, 1e-6, 1.0])
     def test_constant_shift_keeps_the_class(self, shift):
         # V + c is the same gas as V: log(1+x^2) + c - log(1+x^2) -> c, finite
-        pot = PotentialSpec("shifted", poly=[shift], log_coeff=1.0, beta_prime=2.0)
+        pot = PotentialSpec("shifted", poly=[shift], log_coeff=1.0)
         assert admissibility_check(model(pot)) is Admissibility.WEAK_ONLY
 
     @pytest.mark.parametrize("pot, support, expected", [
-        # 0.9 log(1+x^2) - log(1+x^2) = -0.1 log(1+x^2) -> -inf
-        (PotentialSpec("weak_log", log_coeff=0.9, beta_prime=2.0), Support.REAL_LINE,
-         Admissibility.INADMISSIBLE),
+        # 0.9 log(1+x^2) - (beta'/2) log(1+x^2) stays bounded below up to beta' = 1.8
+        (PotentialSpec("weak_log", log_coeff=0.9), Support.REAL_LINE,
+         Admissibility.WEAK_ONLY),
         # 1e6 r^2 - 1e-30 r^4: the quartic wins at r^2 > 1e36
-        (PotentialSpec("quartic", [0.0, 1e6, -1e-30], beta_prime=2.0), Support.REAL_LINE,
+        (PotentialSpec("quartic", [0.0, 1e6, -1e-30]), Support.REAL_LINE,
          Admissibility.INADMISSIBLE),
         # x^3 falls to -inf on the left end of the line only
-        (PotentialSpec("cubic", [0.0, 0.0, 0.0, 1.0], "x", beta_prime=2.0), Support.REAL_LINE,
+        (PotentialSpec("cubic", [0.0, 0.0, 0.0, 1.0], "x"), Support.REAL_LINE,
          Admissibility.INADMISSIBLE),
-        (PotentialSpec("cubic", [0.0, 0.0, 0.0, 1.0], "x", beta_prime=2.0), Support.HALF_LINE,
+        (PotentialSpec("cubic", [0.0, 0.0, 0.0, 1.0], "x"), Support.HALF_LINE,
          Admissibility.STRONG),
     ], ids=["0.9-log", "r2-quartic", "cubic-line", "cubic-half-line"])
     def test_class_is_the_exact_limit(self, pot, support, expected):
         assert admissibility_check(model(pot, support=support)) is expected
-
-    def test_missing_beta_prime(self):
-        pot = PotentialSpec("bare", poly=[0.0, 1.0])
-        with pytest.raises(ValueError, match="^model.potential.beta_prime: weak-growth "
-                                             "admissibility needs a declared value$"):
-            admissibility_check(model(pot))
 
     def test_bounded_support_vacuous(self):
         gas = model(cauchy_potential(), support=Support.UNIT_CIRCLE)
@@ -390,3 +395,18 @@ class TestAdmissibility:
         bare = PotentialSpec("bare", poly=[0.0, 1.0])
         for support in (Support.UNIT_CIRCLE, Support.UNIT_SEGMENT):
             assert admissibility_check(model(bare, support=support)) is Admissibility.STRONG
+
+    @pytest.mark.parametrize("pot, support, limit", [
+        (cauchy_potential(), Support.REAL_LINE, 2.0),
+        (spherical_potential(), Support.COMPLEX_PLANE, 2.0),
+        (quadratic_potential(), Support.REAL_LINE, math.inf),
+        (PotentialSpec("weak_log", [3.0], log_coeff=0.9), Support.HALF_LINE, 1.8),
+        (PotentialSpec("half_log", log_coeff=0.5), Support.REAL_LINE, 1.0),
+        (PotentialSpec("cubic", [0.0, 0.0, 0.0, 1.0], "x"), Support.REAL_LINE, -math.inf),
+        (PotentialSpec("cubic", [0.0, 0.0, 0.0, 1.0], "x"), Support.HALF_LINE, math.inf),
+        (PotentialSpec("falling", [0.0, -1.0]), Support.UNIT_CIRCLE, math.inf),
+    ], ids=["cauchy", "spherical", "quadratic", "0.9-log", "half-log", "cubic-line",
+            "cubic-half-line", "bounded"])
+    def test_growth_limit(self, pot, support, limit):
+        # the largest beta' at which V - (beta'/2) log(1+|x|^2) is bounded below
+        assert growth_limit(model(pot, support=support)) == limit

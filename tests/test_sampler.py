@@ -28,7 +28,7 @@ from loggas.sampler import TRACE_RECOMPUTE_EVERY, _BlockedMoves, initial_configu
 
 CAUCHY2 = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 2)
 # V = 1e306 x^2: finite for |x| < 13.4, while n V overflows far inside that
-STEEP = PotentialSpec("steep", (0.0, 1e306), beta_prime=2.0)
+STEEP = PotentialSpec("steep", (0.0, 1e306))
 
 
 def seeded_init(model, seed):
@@ -136,8 +136,24 @@ class TestProposalLogRatio:
 class TestMhChain:
     def test_inadmissible_rejected(self):
         model = GasModel(Support.REAL_LINE, 3.0, cauchy_potential(), 4)
-        with pytest.raises(ValueError, match="^model.beta: 3 exceeds beta_prime 2;"):
+        with pytest.raises(ValueError, match="^model.beta: 3 exceeds 2 log_coeff = 2;"):
             small_chain(model)
+
+    def test_quadratic_line_at_beta_four_meets_mehta(self):
+        # Mehta's integral for prod |x_i - x_j|^beta exp(-n sum x_i^2): scaling x gives
+        # E[sum x_i^2] = 1/2 + beta (n - 1)/4, 23.5 at beta = 4, n = 24.
+        n, beta = 24, 4.0
+        model = GasModel(Support.REAL_LINE, beta, quadratic_potential(), n)
+        params = ChainParams(sweeps=4000, burn_in=500)
+        seeds = [chain_seed(7, j) for j in range(4)]
+        inits = [seeded_init(model, seed) for seed in seeds]
+        samples, _ = mh_chains(model, inits, params, seeds)
+        exact = 0.5 + beta * (n - 1) / 4.0
+        for chain in samples:
+            sums = np.sum(np.square(chain.real), axis=1)
+            batches = sums[: len(sums) // 35 * 35].reshape(35, -1).mean(axis=1)
+            stderr = batches.std(ddof=1) / math.sqrt(len(batches))
+            assert abs(sums.mean() - exact) < 4.0 * stderr, (sums.mean(), stderr)
 
     def test_deterministic(self):
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 8)

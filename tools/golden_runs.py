@@ -37,6 +37,11 @@ RUNS = {
         "model": _model("half_line", 1.5, 32, "quadratic"),
         "chain": {"sweeps": 300, "burn_in": 100, "thin": 2, "chains": 3},
     }, 3),
+    # A strong-growth chain above beta = 2: V = x^2 admits every beta.
+    "sample-line-beta4": ("sample", {
+        "model": _model("real_line", 4.0, 24, "quadratic"),
+        "chain": {"sweeps": 300, "burn_in": 100, "chains": 2},
+    }, 3),
     "sample-circle": ("sample", {
         "model": _model("unit_circle", 2.0, 24, "spherical"),
         "chain": {"sweeps": 300, "burn_in": 100, "chains": 2},
