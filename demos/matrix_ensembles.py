@@ -2,10 +2,11 @@
 
 The line gas with V = log(1+x^2) is the image of the unitary-ensemble
 eigenphase gas under the half-angle tangent, so one Haar-unitary
-eigendecomposition yields one exact joint draw.  The plane gas with
-V = log(1+|x|^2) arises from the generalized eigenvalues of a pair of
-complex Gaussian matrices.  Both beat the Markov chain whenever beta = 2
-is what you want.
+eigendecomposition yields one exact joint draw.  The generalized
+eigenvalues of a pair of complex Gaussian matrices are one exact draw of
+the plane gas with weight (1+|x|^2)^-(n+1), that is
+V = (1 + 1/n) log(1+|x|^2); its limit law is that of V = log(1+|x|^2).
+Both beat the Markov chain whenever beta = 2 is what you want.
 """
 
 import time

@@ -94,6 +94,8 @@ def _weighted_energy(
     The regularized self-distance is h_a/2, h_a being ``spacing`` or the
     nearest-neighbor distance.  Returns None when two atoms coincide.
     """
+    if spacing is not None and policy is DiagonalPolicy.OFF_DIAGONAL_ONLY:
+        raise ValueError("spacing: only the regularized self-energy policy takes a spacing")
     iu, ju, dist = _pair_distances(positions)
     if np.any(dist < COINCIDENCE_TOL):
         return None
@@ -121,8 +123,9 @@ def measure_energy(
 
     With the regularized policy a diagonal term
     w_a^2 * ((beta/2) log(1/(h_a/2)) + V(p_a)) is added, h_a the local
-    spacing (``spacing`` or the nearest-neighbor distance).  Coincident
-    atoms give +inf.
+    spacing (``spacing`` or the nearest-neighbor distance); a ``spacing``
+    under the off-diagonal policy raises ValueError.  Coincident atoms
+    give +inf.
     """
     if mu.side == "plane":
         v = model.potential_values(mu.positions)
@@ -181,7 +184,7 @@ def signed_log_energy(
 
     Off-diagonally this can be negative for atomic measures; positivity
     (zero iff mu == nu) is only meaningful for grid measures under the
-    regularized policy.
+    regularized policy, the only one that takes a ``spacing``.
     """
     if mu.side != "sphere" or nu.side != "sphere":
         raise ValueError("signed_log_energy expects sphere-side measures")

@@ -23,11 +23,12 @@ potential forms |x|^2; both use equivalent forms in 1/|x|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LARGE_MODULUS, DiscreteMeasure, GasModel, log1p_modulus_squared
+from .model import LARGE_MODULUS, DiscreteMeasure, GasModel, growth_limit, log1p_modulus_squared
 
 
 def project_array(xs) -> np.ndarray:
@@ -96,8 +97,8 @@ class CompactifiedPotential:
     """The sphere-side potential induced by a gas model.
 
     On projected points it equals V(x) - (beta/2) log(1 + |x|^2); at the
-    pole it takes the liminf of that expression, which
-    ``PotentialSpec.pole_value`` gives exactly from V's structure.
+    pole it takes the liminf of that expression: the poly part's limit
+    when beta = growth_limit(model), +inf when beta is below it.
     """
 
     model: GasModel
@@ -127,9 +128,11 @@ class CompactifiedPotential:
 
 def compactified_potential(model: GasModel) -> CompactifiedPotential:
     """Build the sphere-side potential for an admissible model."""
-    # Without weak growth the potential would be -infinity at the pole.
+    # Weak growth gives beta <= growth_limit: above it the pole would be -inf.
     model.require_weak_growth()
-    return CompactifiedPotential(model, model.potential.pole_value(model.beta, model.support))
+    at_limit = model.beta == growth_limit(model)
+    pole = model.potential.poly_limit(model.support) if at_limit else math.inf
+    return CompactifiedPotential(model, pole)
 
 
 def pushforward(mu: DiscreteMeasure) -> DiscreteMeasure:

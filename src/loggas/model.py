@@ -98,8 +98,8 @@ class PotentialSpec:
     ``poly`` lists coefficients from degree 0 upward in the variable
     ``poly_var`` ("x" for the point itself on real supports, "r2" for
     |x|^2); an empty ``poly`` or a zero ``log_coeff`` drops that term.
-    Values, gradient, parity, the pole value and the largest growth
-    witness beta' (``growth_limit``) all follow from this structure.
+    Values, gradient, parity and the largest growth witness beta'
+    (``growth_limit``) all follow from this structure.
     """
 
     name: str
@@ -136,23 +136,6 @@ class PotentialSpec:
     def is_even(self) -> bool:
         """Whether V(-x) = V(x): always for r2 polynomials, else when odd terms vanish."""
         return self.poly_var == "r2" or all(c == 0.0 for c in self.poly[1::2])
-
-    def pole_value(self, beta: float, support: Support) -> float:
-        """Exact liminf of V(x) - (beta/2) log(1+|x|^2) as |x| -> inf in the support.
-
-        Polynomial growth dominates the logarithm, so a nonconstant poly
-        part decides the liminf by itself; otherwise the sign of the
-        effective log coefficient does.
-        """
-        poly_lim = self.poly_limit(support)
-        if math.isinf(poly_lim):
-            return poly_lim
-        c_eff = self.log_coeff - beta / 2.0
-        if c_eff > 0:
-            return math.inf
-        if c_eff < 0:
-            return -math.inf
-        return poly_lim
 
     def poly_limit(self, support: Support) -> float:
         """liminf of the poly part as |x| -> inf in the support: its lower end on the line."""

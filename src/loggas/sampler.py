@@ -29,8 +29,8 @@ seen at a reset is reported as the trace drift.
 The matrix-model routes sample the unitary-ensemble eigenphase gas and
 map it through the half-angle tangent (which transports it exactly onto
 the line gas with V = log(1 + x^2) at beta = 2), and the generalized
-eigenvalues of a pair of complex Gaussian matrices for the planar gas
-with V = log(1 + |x|^2).
+eigenvalues of a pair of complex Gaussian matrices, an exact draw of the
+beta = 2 planar gas with V = (1 + 1/n) log(1 + |x|^2).
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def mh_chains(
     support = model.support
     is_complex = not support.is_real
     rotate = support is Support.UNIT_CIRCLE
-    heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
+    heavy_tails = admissibility_check(model) is not Admissibility.STRONG
 
     x = np.array(inits, dtype=complex)
     # On a real support the chain runs on the real parts of its starts.
@@ -392,11 +392,13 @@ def sample_cauchy_ensemble(n: int, seed: int = 0) -> np.ndarray:
 
 
 def sample_spherical_ensemble(n: int, seed: int = 0) -> np.ndarray:
-    """One draw of the beta = 2 planar gas with V = log(1 + |x|^2).
+    """One exact draw of the beta = 2 planar gas with V = (1 + 1/n) log(1 + |x|^2).
 
     Eigenvalues of B^{-1} A, the generalized eigenvalues of a pair (A, B) of
-    iid complex Gaussian matrices (exact up to an O(1/n) correction in the
-    confinement strength); a singular B, a probability-zero event, raises LinAlgError.
+    iid complex Gaussian matrices, have joint density proportional to
+    prod_{i<j} |x_i - x_j|^2 prod_i (1 + |x_i|^2)^-(n+1) (Krishnapur 2009).
+    V = log(1 + |x|^2), exponent n, has no finite normalization at beta = 2.
+    A singular B, a probability-zero event, raises LinAlgError.
     """
     if not 1 <= n <= MAX_ENSEMBLE_SIZE:
         raise ValueError(f"need 1 <= n <= {MAX_ENSEMBLE_SIZE}")

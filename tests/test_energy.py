@@ -231,6 +231,19 @@ class TestEnergiesMatchDenseReference:
         with pytest.raises(ValueError, match="two atoms"):
             measure_energy(one, CAUCHY, policy=REG)
 
+    @pytest.mark.parametrize("spacing", [0.1, np.full(3, 0.1)], ids=["float", "array"])
+    def test_off_diagonal_policy_rejects_a_spacing(self, spacing):
+        # the off-diagonal energy reads no spacing, so a given one is an error
+        plane = DiscreteMeasure(np.array([0.5, -1.0, 2.0]), np.full(3, 1 / 3))
+        sphere = pushforward(plane)
+        with pytest.raises(ValueError, match="^spacing: "):
+            measure_energy(plane, CAUCHY, spacing=spacing)
+        with pytest.raises(ValueError, match="^spacing: "):
+            measure_energy(sphere, CAUCHY, policy=DiagonalPolicy.OFF_DIAGONAL_ONLY,
+                           spacing=spacing)
+        with pytest.raises(ValueError, match="^spacing: "):
+            signed_log_energy(sphere, sphere, spacing=spacing)
+
 
 class TestIdentitySuiteSeeds:
     @pytest.mark.parametrize("seed", [30, 46, 534095829])

@@ -13,6 +13,8 @@ from loggas import (
     Support,
     admissibility_check,
     cauchy_potential,
+    compactified_potential,
+    project_array,
     quadratic_potential,
     spherical_potential,
     validate_configuration,
@@ -22,6 +24,10 @@ from loggas.model import LARGE_MODULUS, growth_limit, log1p_modulus_squared
 
 def model(potential, beta=2.0, n=1, support=Support.REAL_LINE):
     return GasModel(support, beta, potential, n)
+
+
+def pole_value(potential, beta=2.0, support=Support.REAL_LINE):
+    return compactified_potential(model(potential, beta=beta, support=support)).pole_value
 
 
 class TestSupports:
@@ -205,14 +211,29 @@ class TestPotentials:
 
     def test_pole_values_at_beta_two(self):
         # closed-form values of the sphere potential at the pole
-        assert cauchy_potential().pole_value(2.0, Support.REAL_LINE) == 0.0
-        assert spherical_potential().pole_value(2.0, Support.COMPLEX_PLANE) == 0.0
-        assert quadratic_potential().pole_value(2.0, Support.REAL_LINE) == math.inf
+        assert pole_value(cauchy_potential()) == 0.0
+        assert pole_value(spherical_potential(), support=Support.COMPLEX_PLANE) == 0.0
+        assert pole_value(quadratic_potential()) == math.inf
 
-    def test_pole_value_tracks_beta(self):
-        pot = cauchy_potential()
-        assert pot.pole_value(1.0, Support.REAL_LINE) == math.inf  # log coeff 1 > beta/2
-        assert pot.pole_value(3.0, Support.REAL_LINE) == -math.inf
+    @pytest.mark.parametrize("support, u", [
+        (Support.REAL_LINE, -1.0), (Support.HALF_LINE, 1.0), (Support.COMPLEX_PLANE, 0.6 + 0.8j),
+    ])
+    def test_pole_value_tracks_beta(self, support, u):
+        # V = 0.7 + 0.8 log(1 + |x|^2): the poly part's limit 0.7 at beta = 1.6, +inf below
+        pot = PotentialSpec("shifted", poly=[0.7], log_coeff=0.8)
+        at_limit = compactified_potential(model(pot, beta=1.6, support=support))
+        assert at_limit.pole_value == 0.7
+        assert abs(at_limit.on_sphere_array(project_array(1e12 * u)) - 0.7) <= 1e-12
+        assert pole_value(pot, beta=1.2, support=support) == math.inf
+        assert pole_value(cauchy_potential(), beta=1.0, support=support) == math.inf
+
+    @pytest.mark.parametrize("support, potential, beta", [
+        (Support.UNIT_CIRCLE, spherical_potential(), 2.0),
+        (Support.UNIT_SEGMENT, cauchy_potential(), 3.0),
+    ])
+    def test_bounded_support_pole_is_infinite(self, support, potential, beta):
+        # the pole lies off a bounded support, where growth_limit is inf
+        assert pole_value(potential, beta=beta, support=support) == math.inf
 
     def test_custom_structured_potential(self):
         pot = PotentialSpec("mix", poly=[0.0, 0.5], poly_var="r2", log_coeff=0.3)
@@ -288,11 +309,10 @@ class TestPotentials:
             assert np.array_equal(PotentialSpec("z", []).evaluate(xs), np.zeros(3))
             assert np.array_equal(PotentialSpec("c", [1.5]).evaluate(xs), np.full(3, 1.5))
 
-    def test_odd_polynomial_pole_is_minus_infinity(self):
+    def test_odd_polynomial_pole_on_the_half_line(self):
+        # on the half-line only the +infinity end of x^3 matters
         pot = PotentialSpec("cubic", poly=[0.0, 0.0, 0.0, 1.0], poly_var="x")
-        assert pot.pole_value(2.0, Support.REAL_LINE) == -math.inf
-        # on the half-line only the +infinity end matters
-        assert pot.pole_value(2.0, Support.HALF_LINE) == math.inf
+        assert pole_value(pot, support=Support.HALF_LINE) == math.inf
 
 
 class TestGasModel:

@@ -46,6 +46,11 @@ RUNS = {
         "model": _model("unit_circle", 2.0, 24, "spherical"),
         "chain": {"sweeps": 300, "burn_in": 100, "chains": 2},
     }, 3),
+    # The one bounded real support: the chain rejects moves that leave [0, 1].
+    "sample-segment": ("sample", {
+        "model": _model("unit_segment", 2.0, 16, "quadratic"),
+        "chain": {"sweeps": 300, "burn_in": 100, "chains": 2},
+    }, 3),
     "equilibrium-plane": ("equilibrium", {
         "model": _model("complex_plane", 2.0, 1, "spherical"),
         "grid": {"window": [[-4.0, 4.0], [-4.0, 4.0]], "resolution": 60},
