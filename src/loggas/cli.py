@@ -176,19 +176,14 @@ def _parse_model(section, path="model") -> tuple[GasModel, dict]:
 
 
 def _parse_chain(section, path="chain") -> tuple[ChainParams, dict]:
-    section = _section(
-        section, path, {"sweeps", "burn_in", "step_scale", "adapt", "thin", "chains"}
-    )
+    section = _section(section, path, {"sweeps", "burn_in", "thin", "chains"})
     sweeps = _number(section.get("sweeps"), f"{path}.sweeps", integer=True)
     given = {"sweeps": sweeps, "burn_in": min(1000, sweeps // 2)}
-    for key, integer in (("burn_in", True), ("step_scale", False), ("thin", True)):
+    for key in ("burn_in", "thin"):
         if key in section:
-            given[key] = _number(section[key], f"{path}.{key}", integer=integer)
+            given[key] = _number(section[key], f"{path}.{key}", integer=True)
     chains = _number(section.get("chains", 1), f"{path}.chains", integer=True)
     _require(chains >= 1, f"{path}.chains", "integer >= 1")
-    if "adapt" in section:
-        _require(isinstance(section["adapt"], bool), f"{path}.adapt", "must be boolean")
-        given["adapt"] = section["adapt"]
     params = ChainParams(**given)
     return params, {**asdict(params), "chains": chains}
 

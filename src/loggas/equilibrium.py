@@ -58,6 +58,14 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 16:
             raise ValueError(f"grid.resolution: must be an integer >= 16, got {self.resolution}")
+        # The solver's largest array is its circulant spectrum, about (2m)^d
+        # complex values; NumPy sizes arrays in signed 64-bit bytes.
+        ndim = 2 if self.is_planar else 1
+        if 16 * (2 * self.resolution) ** ndim >= 2**63:
+            raise ValueError(
+                f"grid.resolution: {self.resolution} is too large: the solver's "
+                f"(2 x resolution)^{ndim} complex values would take 2**63 bytes or more"
+            )
         if not self.tol > 0:
             raise ValueError("grid.tol: must be positive")
         if self.max_iter < 1:

@@ -1,11 +1,11 @@
 """Metropolis sampling of the gas and exact beta = 2 matrix-model samplers.
 
 The Markov chain uses single-particle random-walk proposals with the
-acceptance ratio computed incrementally in O(n) per move.  Step scale is
-tuned toward 0.3 acceptance during burn-in (Robbins-Monro) and frozen
-afterward, so the recorded chain is a fixed Markov kernel.  Models that
-are only weakly confining mix a 10% fraction of heavy-tailed proposal
-steps so the polynomial tails of the target get explored.
+acceptance ratio computed incrementally in O(n) per move.  Step scale
+starts at 1, is tuned toward 0.3 acceptance during burn-in (Robbins-Monro)
+and is frozen afterward, so the recorded chain is a fixed Markov kernel.
+Models that are only weakly confining mix a 10% fraction of heavy-tailed
+proposal steps so the polynomial tails of the target get explored.
 
 ``mh_chains`` runs C chains of one model on one ``ChainParams`` schedule
 together: their state is a (C, n) array, and each sweep is taken in
@@ -57,13 +57,11 @@ BLOCK_ELEMENTS = 16384
 
 @dataclass(frozen=True)
 class ChainParams:
-    """The schedule all chains of a run share: sweep counts, initial proposal
-    scale, adaptation switch (burn-in only), thinning."""
+    """The schedule all chains of a run share: sweep counts and thinning.
+    Each chain's step scale adapts during the ``burn_in`` sweeps."""
 
     sweeps: int
     burn_in: int
-    step_scale: float = 1.0
-    adapt: bool = True
     thin: int = 1
 
     def __post_init__(self):
@@ -71,8 +69,6 @@ class ChainParams:
             raise ValueError(f"chain.sweeps: must be an integer >= 2, got {self.sweeps}")
         if not 0 <= self.burn_in < self.sweeps:
             raise ValueError("chain.burn_in: must satisfy 0 <= burn_in < sweeps")
-        if not self.step_scale > 0:
-            raise ValueError("chain.step_scale: must be positive")
         if self.thin < 1:
             raise ValueError("chain.thin: must be an integer >= 1")
 
@@ -280,7 +276,7 @@ def mh_chains(
     moves = _BlockedMoves(x if is_complex else x.real)
     x = moves.state
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    scales = [params.step_scale] * len(seeds)
+    scales = [1.0] * len(seeds)
     chains = range(len(seeds))
 
     steps = np.empty(x.shape, dtype=x.dtype)
@@ -316,12 +312,11 @@ def mh_chains(
         acc_sweep = moves.sweep(proposals, valid, dv, u_accept, model.beta, running)
 
         if sweep < params.burn_in:
-            if params.adapt:
-                gain = (sweep + 1.0) ** -0.6
-                scales = [
-                    scale * math.exp(gain * (acc / n - TARGET_ACCEPTANCE))
-                    for scale, acc in zip(scales, acc_sweep)
-                ]
+            gain = (sweep + 1.0) ** -0.6
+            scales = [
+                scale * math.exp(gain * (acc / n - TARGET_ACCEPTANCE))
+                for scale, acc in zip(scales, acc_sweep)
+            ]
         else:
             accepted_recorded = [a + b for a, b in zip(accepted_recorded, acc_sweep)]
             if sweep in recorded:

@@ -42,6 +42,12 @@ HALF_LOG = {"name": "half_log", "params": {"log_coeff": 0.5}}
 STEEP = {"name": "steep", "params": {"poly": [0.0, 1e306], "poly_var": "r2"}}
 
 
+def resolution_too_large(m, ndim):
+    """The whole stderr of a run whose ``grid.resolution`` m is rejected for size."""
+    return (f"loggas: error: grid.resolution: {m} is too large: the solver's "
+            f"(2 x resolution)^{ndim} complex values would take 2**63 bytes or more\n")
+
+
 REPLAY_CASES = {
     "custom_sample": {
         "command": "sample",
@@ -81,7 +87,6 @@ class TestParseConfig:
         assert config.chain.sweeps == 1000
         assert config.chain.burn_in == 500  # default: min(1000, sweeps // 2)
         assert config.chain.thin == 1
-        assert config.chain.adapt is True
         assert config.seed == 0
 
     def test_unknown_key_named(self):
@@ -136,7 +141,7 @@ class TestParseConfig:
             parse_config(json.dumps(raw))
 
     @pytest.mark.parametrize("key, value", [
-        ("step_scale", "abc"), ("thin", True), ("chains", True),
+        ("thin", True), ("chains", True),
     ])
     def test_chain_numbers_strict(self, key, value):
         raw = json.loads(json.dumps(MINIMAL_SAMPLE))
@@ -176,9 +181,9 @@ class TestParseConfig:
         ({"chain": {"sweeps": 10, "burn_in": 10}},
          lambda: ChainParams(sweeps=10, burn_in=10), "chain.burn_in"),
         ({"chain.thin": 0}, lambda: ChainParams(sweeps=10, burn_in=5, thin=0), "chain.thin"),
-        ({"chain.step_scale": 0.0},
-         lambda: ChainParams(sweeps=10, burn_in=5, step_scale=0.0), "chain.step_scale"),
         ({"grid.resolution": 8}, lambda: GridSpec((-10.0, 10.0), 8), "grid.resolution"),
+        ({"grid.resolution": 2**62},
+         lambda: GridSpec((-10.0, 10.0), 2**62), "grid.resolution"),
         ({"grid.window": [10, -10]}, lambda: GridSpec((10.0, -10.0), 64), "grid.window"),
         ({"model.support": "complex_plane", "model.potential.name": "spherical",
           "grid.window": [[-4, 4], [-3, 3]]},
@@ -186,7 +191,7 @@ class TestParseConfig:
         ({"grid.tol": 0}, lambda: GridSpec((-10.0, 10.0), 64, tol=0.0), "grid.tol"),
         ({"grid.max_iter": 0}, lambda: GridSpec((-10.0, 10.0), 64, max_iter=0), "grid.max_iter"),
     ], ids=["beta", "n", "poly_var", "sweeps", "burn_in", "thin",
-            "step_scale", "resolution", "window-reversed", "window-not-square", "tol",
+            "resolution", "resolution-2**62", "window-reversed", "window-not-square", "tol",
             "max_iter"])
     def test_config_and_library_reject_alike(self, edits, build, field):
         # a grid row is checked in an equilibrium config, any other in a sample one
@@ -701,6 +706,10 @@ class TestMain:
         ("model.support", ["real_line"], "model.support"),
         ("model.potential.v_infinity", 0.0, "v_infinity"),
         ("model.potential.beta_prime", 2.0, "unknown key 'beta_prime' in model.potential"),
+        pytest.param("chain.adapt", True, "loggas: error: unknown key 'adapt' in chain\n",
+                     id="chain.adapt"),
+        pytest.param("chain.step_scale", 1.0,
+                     "loggas: error: unknown key 'step_scale' in chain\n", id="chain.step_scale"),
         ("model.beta", 3.0, "model.beta"),
         pytest.param(
             ("command", "model.support", "grid"),
@@ -717,6 +726,18 @@ class TestMain:
             ("command", "model.support", "grid"),
             ("equilibrium", "complex_plane", {"window": [-4, 4], "resolution": 16}),
             "grid.window", id="equilibrium-line-window-on-plane"),
+        # Grids whose circulant spectrum alone would take 2**63 bytes: no array is made.
+        pytest.param(
+            ("command", "grid"), ("equilibrium", {"window": [-10, 10], "resolution": 2**58}),
+            resolution_too_large(2**58, 1), id="equilibrium-resolution-line-2**58"),
+        pytest.param(
+            ("command", "grid"), ("equilibrium", {"window": [-10, 10], "resolution": 2**62}),
+            resolution_too_large(2**62, 1), id="equilibrium-resolution-line-2**62"),
+        pytest.param(
+            ("command", "model.support", "model.potential.name", "grid"),
+            ("equilibrium", "complex_plane", "spherical",
+             {"window": [[-4, 4], [-4, 4]], "resolution": 2**61}),
+            resolution_too_large(2**61, 2), id="equilibrium-resolution-plane-2**61"),
         pytest.param(
             "model.potential", HALF_LOG, "model.potential.params.log_coeff",
             id="sample-half-log"),

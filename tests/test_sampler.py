@@ -44,7 +44,8 @@ def per_move_chain(model, init, params, seed):
     """Reference for mh_chain: the same random draws, one proposal at a time.
 
     Each move is built from the current position and decided with the
-    scalar Support.contains and proposal_log_ratio.  Returns the recorded
+    scalar Support.contains and proposal_log_ratio; the step scale starts
+    at 1 and adapts after every burn-in sweep.  Returns the recorded
     samples and the running log-density at each, which starts at the exact
     log_density and adds every accepted log ratio, with the exact value
     taken again at every TRACE_RECOMPUTE_EVERY-th sample.
@@ -55,7 +56,7 @@ def per_move_chain(model, init, params, seed):
     heavy_tails = not rotate and admissibility_check(model) is not Admissibility.STRONG
     rng = np.random.default_rng(seed)
     x = np.array(init, dtype=complex)
-    scale = params.step_scale
+    scale = 1.0
     running = log_density(init, model)
     samples, trace = [], []
     for sweep in range(params.sweeps):
@@ -82,8 +83,7 @@ def per_move_chain(model, init, params, seed):
                 accepted += 1
                 running += delta
         if sweep < params.burn_in:
-            if params.adapt:
-                scale *= math.exp((sweep + 1.0) ** -0.6 * (accepted / n - 0.3))
+            scale *= math.exp((sweep + 1.0) ** -0.6 * (accepted / n - 0.3))
         elif (sweep - params.burn_in) % params.thin == 0:
             if len(samples) % TRACE_RECOMPUTE_EVERY == 0:
                 running = log_density(x, model)
@@ -98,8 +98,6 @@ class TestChainParams:
             ChainParams(sweeps=10, burn_in=10)
         with pytest.raises(ValueError):
             ChainParams(sweeps=10, burn_in=2, thin=0)
-        with pytest.raises(ValueError):
-            ChainParams(sweeps=10, burn_in=2, step_scale=0.0)
 
     def test_recorded_sweeps(self):
         assert list(ChainParams(sweeps=23, burn_in=5, thin=3).recorded_sweeps) == [
@@ -185,21 +183,22 @@ class TestMhChain:
         assert stats.acceptance_rate > 0.0
 
     def test_adaptation_freezes_after_burn_in(self):
+        # Every chain starts at scale 1 and adapts during burn-in only.
         model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 8)
-        _, stats_off = small_chain(model, seed=2, adapt=False, step_scale=0.7)
-        assert stats_off.final_step_scale == 0.7
-        _, stats_on = small_chain(model, seed=2, adapt=True, step_scale=0.7,
-                                  sweeps=400, burn_in=200)
-        assert stats_on.final_step_scale != 0.7
+        _, no_burn_in = small_chain(model, seed=2, burn_in=0)
+        assert no_burn_in.final_step_scale == 1.0
+        _, stats = small_chain(model, seed=2, sweeps=400, burn_in=200)
+        assert stats.final_step_scale != 1.0
         # recorded-phase kernel is fixed: rerunning reproduces it exactly
-        _, again = small_chain(model, seed=2, adapt=True, step_scale=0.7,
-                               sweeps=400, burn_in=200)
-        assert stats_on.final_step_scale == again.final_step_scale
+        _, again = small_chain(model, seed=2, sweeps=400, burn_in=200)
+        assert stats.final_step_scale == again.final_step_scale
 
     def test_adaptation_targets_acceptance(self):
-        model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 16)
-        _, stats = small_chain(model, seed=3, sweeps=600, burn_in=300,
-                               step_scale=20.0)
+        # Scale 1 is far too wide for n = 64 particles confined by n x^2.
+        model = GasModel(Support.REAL_LINE, 2.0, quadratic_potential(), 64)
+        _, unadapted = small_chain(model, seed=3, sweeps=300, burn_in=0)
+        assert unadapted.acceptance_rate < 0.15
+        _, stats = small_chain(model, seed=3, sweeps=600, burn_in=300)
         assert 0.15 <= stats.acceptance_rate <= 0.45
 
     @pytest.mark.parametrize(
@@ -283,7 +282,7 @@ class TestMhChains:
     def test_equals_a_loop_of_mh_chain(self):
         model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 10)
         inits = [seeded_init(model, seed=j) for j in range(5)]
-        params = ChainParams(sweeps=50, burn_in=10, step_scale=0.7, adapt=False, thin=3)
+        params = ChainParams(sweeps=50, burn_in=10, thin=3)
         seeds = [100 + j for j in range(5)]
         samples, stats = mh_chains(model, inits, params, seeds)
         for init, seed, got in zip(inits, seeds, zip(samples, stats)):

@@ -51,6 +51,11 @@ RUNS = {
         "model": _model("unit_segment", 2.0, 16, "quadratic"),
         "chain": {"sweeps": 300, "burn_in": 100, "chains": 2},
     }, 3),
+    # No burn-in: the step scale never adapts and stays at its start, 1.
+    "sample-no-burn-in": ("sample", {
+        "model": _model("real_line", 2.0, 32, "cauchy"),
+        "chain": {"sweeps": 200, "burn_in": 0, "chains": 2},
+    }, 3),
     "equilibrium-plane": ("equilibrium", {
         "model": _model("complex_plane", 2.0, 1, "spherical"),
         "grid": {"window": [[-4.0, 4.0], [-4.0, 4.0]], "resolution": 60},
