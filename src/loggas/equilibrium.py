@@ -18,7 +18,10 @@ memory on an m x m planar grid instead of O(m^4).  E is convex on the
 simplex; iterates use an accelerated projected-gradient scheme kept
 monotone by fallback, and the stopping certificate is the standard
 linear-minimization duality gap  max_s <grad, w - s> = <grad, w> -
-min_a grad_a,  which bounds the suboptimality E(w) - E*.
+min_a grad_a,  which bounds the suboptimality E(w) - E*.  Q is linear,
+so the extrapolated point's Q y is formed from the products of the
+iterates that y combines: an iteration applies Q once, twice on a
+fallback.
 """
 
 from __future__ import annotations
@@ -253,6 +256,11 @@ def grid_minimize(
     is returned flagged (converged=False).  ``on_iterate(k, energy, gap)``,
     when given, is called once per iteration with the monotone objective
     value and the certificate gap.
+
+    The extrapolated point y = z + a (w_new - z) + b (w_new - w_prev) has
+    Q y = Q z + a (Q w_new - Q z) + b (Q w_new - Q w_prev), each term a
+    product ``GridKernel`` made directly in this iteration or the one
+    before, so Q y costs no product and its rounding does not accumulate.
     """
     check_solvable(model, grid)
 
@@ -268,14 +276,14 @@ def grid_minimize(
     energy_w = float(w @ qw)
 
     best_w, best_gap = w, math.inf
-    y = w.copy()
-    w_prev = w.copy()
+    y, qy = w.copy(), qw
+    w_prev, qw_prev = w.copy(), qw
     t = 1.0
     iterations = 0
     converged = False
     for k in range(1, grid.max_iter + 1):
         iterations = k
-        z = project_to_simplex(y - step * 2.0 * q(y))
+        z = project_to_simplex(y - step * 2.0 * qy)
         qz = q(z)
         energy_z = float(z @ qz)
         if energy_z <= energy_w:
@@ -289,8 +297,12 @@ def grid_minimize(
         grad = 2.0 * q_new
         gap = float(grad @ w_new - grad.min())
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = z + (t / t_next) * (w_new - z) + ((t - 1.0) / t_next) * (w_new - w_prev)
-        w_prev, w, qw, energy_w = w, w_new, q_new, energy_new
+        a, b = t / t_next, (t - 1.0) / t_next
+        y = z + a * (w_new - z) + b * (w_new - w_prev)
+        # Q is linear, so Q y is the same combination of products made directly.
+        qy = qz + a * (q_new - qz) + b * (q_new - qw_prev)
+        w_prev, w, energy_w = w, w_new, energy_new
+        qw_prev, qw = qw, q_new
         t = t_next
         if on_iterate is not None:
             on_iterate(k, energy_w, gap)

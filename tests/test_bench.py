@@ -1,0 +1,42 @@
+"""``tools/bench.py --tiny``: every figure is made, finite and has a unit."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+_spec = importlib.util.spec_from_file_location("bench", TOOL)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def test_tiny_run_writes_every_figure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "REPEATS", 2)
+    assert bench.main(["--label", "t", "--tiny"]) == 0
+    path = tmp_path / "BENCH_t.json"
+    assert capsys.readouterr().out.strip() == str(path)
+    record = json.loads(path.read_text())
+    assert record["label"] == "t" and record["sizes"] == "tiny"
+    assert set(record["environment"]) == {
+        "python", "numpy", "scipy", "cpu_model", "affinity_cpus", "numpy_dispatch"}
+    figures = record["figures"]
+    assert sorted(figures) == sorted(
+        [f"{name}.plane-16" for name in (
+            "grid_kernel.product", "equilibrium.project_to_simplex", "equilibrium.spectral_norm")]
+        + [f"grid_minimize.{kind}.{where}" for kind in ("wall", "iterations", "products")
+           for where in ("line-64", "plane-16")]
+    )
+    for name, figure in figures.items():
+        assert math.isfinite(figure["value"]) and figure["value"] > 0, name
+        assert figure["unit"] in {"us", "s", "count"}, name
+        low, high = figure["spread"]
+        assert low <= figure["value"] <= high, name
+        assert figure["repeats"] == (1 if figure["unit"] == "count" else 2), name
+        assert figure["call"], name
+    # 82 products (the power iteration's 80, the start's and the final
+    # energy's) and one per projection, of which each iteration makes one or two
+    for where in ("line-64", "plane-16"):
+        iterations = figures[f"grid_minimize.iterations.{where}"]["value"]
+        assert figures[f"grid_minimize.products.{where}"]["value"] >= 82 + iterations

@@ -73,6 +73,45 @@ def dense_grid_minimize(monkeypatch, *args, **kwargs):
         return grid_minimize(*args, **kwargs)
 
 
+def two_product_grid_minimize(model, grid):
+    """grid_minimize's loop with a product of its own for Q y: the oracle for
+    forming Q y from the products of z, w_new and w_prev.
+
+    Starts from uniform weights; returns (weights, energy, iterations).
+    """
+    q = GridKernel(model, grid)
+    size = len(q.atoms)
+    step = 1.0 / (2.0 * equilibrium._spectral_norm(q) * 1.05)
+    w = np.full(size, 1.0 / size)
+    qw = q(w)
+    energy_w = float(w @ qw)
+    best_w, best_gap = w, math.inf
+    y, w_prev, t = w.copy(), w.copy(), 1.0
+    for k in range(1, grid.max_iter + 1):
+        z = project_to_simplex(y - step * 2.0 * q(y))
+        qz = q(z)
+        energy_z = float(z @ qz)
+        if energy_z <= energy_w:
+            w_new, q_new, energy_new = z, qz, energy_z
+        else:
+            w_new = project_to_simplex(w - step * 2.0 * qw)
+            q_new = q(w_new)
+            energy_new = float(w_new @ q_new)
+            t = 1.0
+        grad = 2.0 * q_new
+        gap = float(grad @ w_new - grad.min())
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = z + (t / t_next) * (w_new - z) + ((t - 1.0) / t_next) * (w_new - w_prev)
+        w_prev, w, qw, energy_w = w, w_new, q_new, energy_new
+        t = t_next
+        if gap < best_gap:
+            best_w, best_gap = w, gap
+        if gap < grid.tol:
+            break
+    weights = best_w / math.fsum(best_w.tolist())
+    return weights, float(weights @ q(weights)), k
+
+
 class TestClosedForm:
     def test_cauchy(self):
         law = closed_form(CAUCHY)
@@ -437,6 +476,40 @@ class TestGridKernel:
         _, rep = grid_minimize(SPHERICAL, grid)
         assert rep.converged and rep.iterations == 308
         assert abs(rep.energy - 0.5) <= 0.05
+
+    def test_one_product_per_iteration(self, monkeypatch):
+        counts = {"products": 0, "projections": 0}
+        product, project = GridKernel.__call__, equilibrium.project_to_simplex
+
+        def counted_product(self, w):
+            counts["products"] += 1
+            return product(self, w)
+
+        def counted_project(v):
+            counts["projections"] += 1
+            return project(v)
+
+        monkeypatch.setattr(GridKernel, "__call__", counted_product)
+        monkeypatch.setattr(equilibrium, "project_to_simplex", counted_project)
+        grid = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60, tol=1e-4)
+        _, rep = grid_minimize(SPHERICAL, grid)
+        assert rep.iterations == 308
+        # 80 for the power iteration, one at the start, one per projection
+        # (an iteration's, and a fallback's) and one for the final energy
+        assert counts["products"] == 82 + counts["projections"] == 425
+
+    @pytest.mark.parametrize("model, grid", [
+        (SPHERICAL, GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60)),
+        (GasModel(Support.REAL_LINE, 1.0, quadratic_potential(), 1), GridSpec((-3.0, 3.0), 400)),
+        (CAUCHY, GridSpec((-20.0, 20.0), 3200)),
+    ], ids=["plane-60", "quadratic-line-400", "cauchy-line-3200"])
+    def test_solve_matches_two_product_solve(self, model, grid):
+        mu, rep = grid_minimize(model, grid)
+        weights, energy, iterations = two_product_grid_minimize(model, grid)
+        assert rep.converged
+        assert rep.iterations == iterations
+        assert np.max(np.abs(mu.weights - weights)) <= 1e-13
+        assert abs(rep.energy - energy) <= 1e-14
 
     def test_cli_outputs_reproducible(self, tmp_path):
         outputs = []

@@ -1,0 +1,211 @@
+"""Time the grid solver's layers in process and write BENCH_<label>.json.
+
+usage: python tools/bench.py --label LABEL [--tiny]
+
+Imports loggas from this checkout's ``src`` and writes BENCH_<LABEL>.json
+at the checkout's root.  The file records the environment (Python, NumPy
+and SciPy versions, CPU model, the CPUs this process may run on and
+NumPy's dispatch targets in effect) and one entry per figure: its
+``value``, the median over the repeats; its ``unit``; the ``repeats``; the
+``spread``, the least and greatest of the repeats; and the ``call`` that
+made it.  The figures:
+
+- µs per ``GridKernel`` product, per ``project_to_simplex`` call and per
+  ``_spectral_norm`` call on the spherical plane gas, at m x m atoms;
+- ``grid_minimize`` wall time, iterations and ``GridKernel`` products per
+  solve, on the Cauchy line and the spherical plane.
+
+``--tiny`` runs small sizes only, to check that every figure is made.
+Compare two files only if one machine made both in one session, from
+alternating runs.
+"""
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from loggas import (  # noqa: E402
+    GasModel,
+    GridSpec,
+    Support,
+    cauchy_potential,
+    grid_minimize,
+    spherical_potential,
+)
+from loggas import equilibrium  # noqa: E402
+
+REPEATS = 7
+# A repeat of a per-call figure runs the call often enough to last this long.
+MIN_REPEAT_S = 0.05
+
+LINE = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
+PLANE = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
+
+# figure group -> sizes: planar m for the per-call figures and the plane
+# solves, atom count for the line solves.
+SIZES = {"per_call": (60, 120, 240), "line": (400, 3200), "plane": (60, 120)}
+TINY_SIZES = {"per_call": (16,), "line": (64,), "plane": (16,)}
+
+
+def _line_grid(atoms: int) -> GridSpec:
+    return GridSpec((-20.0, 20.0), atoms)
+
+
+def _plane_grid(m: int) -> GridSpec:
+    return GridSpec(((-4.0, 4.0), (-4.0, 4.0)), m)
+
+
+def environment() -> dict:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
+    cpu_model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu_model = next(
+                (line.split(":", 1)[1].strip() for line in f if line.startswith("model name")),
+                cpu_model,
+            )
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy_version,
+        "cpu_model": cpu_model,
+        "affinity_cpus": len(os.sched_getaffinity(0)),
+        "numpy_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+    }
+
+
+def _figure(samples, unit: str, call: str) -> dict:
+    values = sorted(samples)
+    return {
+        "value": statistics.median(values),
+        "unit": unit,
+        "repeats": len(values),
+        "spread": [values[0], values[-1]],
+        "call": call,
+    }
+
+
+def _per_call_us(fn, call: str) -> dict:
+    """µs per call of ``fn``: each repeat times a loop of at least MIN_REPEAT_S.
+
+    The loop length doubles until one loop lasts that long, which also warms
+    the call up.
+    """
+    loops = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(loops):
+            fn()
+        if time.perf_counter() - start >= MIN_REPEAT_S:
+            break
+        loops *= 2
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(loops):
+            fn()
+        samples.append((time.perf_counter() - start) / loops * 1e6)
+    return _figure(samples, "us", f"{call}, {loops} calls per repeat")
+
+
+def _counted_solve(model: GasModel, grid: GridSpec) -> tuple[int, int]:
+    """Iterations and GridKernel products of one solve."""
+    products = 0
+    product = equilibrium.GridKernel.__call__
+
+    def counted(self, w):
+        nonlocal products
+        products += 1
+        return product(self, w)
+
+    equilibrium.GridKernel.__call__ = counted
+    try:
+        _, report = grid_minimize(model, grid)
+    finally:
+        equilibrium.GridKernel.__call__ = product
+    return report.iterations, products
+
+
+def per_call_figures(m: int) -> dict:
+    grid = _plane_grid(m)
+    q = equilibrium.GridKernel(PLANE, grid)
+    size = len(q.atoms)
+    w = np.full(size, 1.0 / size)
+    v = np.random.default_rng(0).standard_normal(size)
+    where = f"spherical plane, [-4, 4]^2, m = {m}"
+    return {
+        f"grid_kernel.product.plane-{m}": _per_call_us(
+            lambda: q(w), f"GridKernel({where})(w), w uniform"),
+        f"equilibrium.project_to_simplex.plane-{m}": _per_call_us(
+            lambda: equilibrium.project_to_simplex(v),
+            f"project_to_simplex(v), v standard normal of {size} entries"),
+        f"equilibrium.spectral_norm.plane-{m}": _per_call_us(
+            lambda: equilibrium._spectral_norm(q), f"_spectral_norm(GridKernel({where}))"),
+    }
+
+
+def solve_figures(name: str, model: GasModel, grid: GridSpec, where: str) -> dict:
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        grid_minimize(model, grid)
+        samples.append(time.perf_counter() - start)
+    iterations, products = _counted_solve(model, grid)
+    call = f"grid_minimize({where}, tol = {grid.tol:g}), uniform start"
+    return {
+        f"grid_minimize.wall.{name}": _figure(samples, "s", call),
+        f"grid_minimize.iterations.{name}": _figure([iterations], "count", call),
+        f"grid_minimize.products.{name}": _figure([products], "count", call),
+    }
+
+
+def figures(sizes: dict) -> dict:
+    out = {}
+    for m in sizes["per_call"]:
+        out.update(per_call_figures(m))
+    for atoms in sizes["line"]:
+        out.update(solve_figures(
+            f"line-{atoms}", LINE, _line_grid(atoms), f"Cauchy line, [-20, 20], {atoms} atoms"))
+    for m in sizes["plane"]:
+        out.update(solve_figures(
+            f"plane-{m}", PLANE, _plane_grid(m), f"spherical plane, [-4, 4]^2, m = {m}"))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    parser.add_argument("--tiny", action="store_true", help="small sizes only")
+    args = parser.parse_args(argv)
+    record = {
+        "label": args.label,
+        "sizes": "tiny" if args.tiny else "full",
+        "environment": environment(),
+        "figures": figures(TINY_SIZES if args.tiny else SIZES),
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

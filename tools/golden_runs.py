@@ -1,12 +1,20 @@
 """Run a fixed set of ``loggas`` commands whose outputs serve as a golden record.
 
 usage: python tools/golden_runs.py OUT
+       python tools/golden_runs.py --compare A B
 
 Each command runs in a fresh process on this checkout's ``src``, with
 ``cwd=OUT`` and relative ``--out`` and ``input`` paths, so every output
 file, ``manifest.json`` included, depends only on the code.  Run it on two
 commits and compare with ``diff -r``: an empty diff means the change kept
 every output byte for byte.  OUT must be empty or absent.
+
+``--compare A B`` compares two such records.  ``stats.json``,
+``report.json``, ``measure.csv`` and ``verify.json``, whose last digits
+may change with NumPy's SIMD dispatch, are compared number by number
+within ABS_TOL + REL_TOL * max(|a|, |b|); every other file byte for byte.
+It prints each differing or missing file with its first differing value
+and exits 1 if there is one, 0 otherwise.
 """
 
 import json
@@ -16,6 +24,16 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The output kinds whose last digits may change with NumPy's SIMD dispatch
+# (README, "Dispatch"); --compare reads them as numbers.
+NUMERIC_FILES = {"stats.json", "report.json", "measure.csv", "verify.json"}
+# With every dispatch target off, values moved by up to 3.4e-15 on measure
+# weights, 1.4e-14 on identity-suite deviations (which measure rounding of
+# quantities far larger than themselves) and 1.6e-15 relative on log-density
+# summaries; the tolerance is several times each.
+ABS_TOL = 1e-13
+REL_TOL = 1e-14
 
 
 def _model(support, beta, n, potential):
@@ -74,9 +92,108 @@ RUNS = {
 }
 
 
+def _close(a: float, b: float) -> bool:
+    both_nan = a != a and b != b
+    return a == b or both_nan or abs(a - b) <= ABS_TOL + REL_TOL * max(abs(a), abs(b))
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _json_difference(a, b, path="$"):
+    """The first difference between two parsed JSON values, or None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return f"{path}: keys {list(a)} vs {list(b)}"
+        for key in a:
+            diff = _json_difference(a[key], b[key], f"{path}.{key}")
+            if diff:
+                return diff
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return f"{path}: {len(a)} vs {len(b)} items"
+        for i, (x, y) in enumerate(zip(a, b)):
+            diff = _json_difference(x, y, f"{path}[{i}]")
+            if diff:
+                return diff
+        return None
+    if _is_number(a) and _is_number(b) and _close(a, b):
+        return None
+    if type(a) is type(b) and a == b:
+        return None
+    return f"{path}: {a!r} vs {b!r}"
+
+
+def _csv_difference(a: str, b: str):
+    """The first difference between two CSV texts whose numbers may round apart, or None."""
+    rows_a, rows_b = a.splitlines(), b.splitlines()
+    if len(rows_a) != len(rows_b):
+        return f"{len(rows_a)} vs {len(rows_b)} lines"
+    for line, (row_a, row_b) in enumerate(zip(rows_a, rows_b), 1):
+        fields_a, fields_b = row_a.split(","), row_b.split(",")
+        if len(fields_a) != len(fields_b):
+            return f"line {line}: {len(fields_a)} vs {len(fields_b)} fields"
+        for column, (x, y) in enumerate(zip(fields_a, fields_b), 1):
+            if x == y:
+                continue
+            try:
+                close = _close(float(x), float(y))
+            except ValueError:
+                close = False
+            if not close:
+                return f"line {line}, field {column}: {x} vs {y}"
+    return None
+
+
+def _bytes_difference(a: bytes, b: bytes):
+    """The first differing line of two byte strings, or None if they are equal."""
+    if a == b:
+        return None
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for line, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        if x != y:
+            return f"line {line}: {x.decode(errors='replace')} vs {y.decode(errors='replace')}"
+    return f"{len(lines_a)} vs {len(lines_b)} lines"
+
+
+def compare(a: Path, b: Path) -> int:
+    """Compare two golden records; print each failure and return the exit status."""
+    for root in (a, b):
+        if not root.is_dir():
+            print(f"{root}: not a directory", file=sys.stderr)
+            return 2
+    names = sorted({p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()})
+    failures = identical = 0
+    for name in names:
+        path_a, path_b = a / name, b / name
+        if not (path_a.is_file() and path_b.is_file()):
+            diff = f"missing in {a if not path_a.is_file() else b}"
+        else:
+            bytes_a, bytes_b = path_a.read_bytes(), path_b.read_bytes()
+            if bytes_a == bytes_b:
+                identical += 1
+                continue
+            if name.name not in NUMERIC_FILES:
+                diff = _bytes_difference(bytes_a, bytes_b)
+            elif name.suffix == ".json":
+                diff = _json_difference(json.loads(bytes_a), json.loads(bytes_b))
+            else:
+                diff = _csv_difference(bytes_a.decode(), bytes_b.decode())
+        if diff:
+            failures += 1
+            print(f"{name}: {diff}")
+    print(f"{len(names)} files: {identical} byte-identical, "
+          f"{len(names) - identical - failures} within tolerance, {failures} differ")
+    return 1 if failures else 0
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
