@@ -119,8 +119,7 @@ def check_solvable(model: GasModel, grid: GridSpec) -> None:
         raise ValueError("grid.window: must be symmetric about 0 for an even potential")
     # Row by row: whole-grid temporaries here raised a 60 x 60 solve's peak RSS 0.3 MB.
     rows = grid.atoms()[0].reshape(-1, grid.resolution)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_max = np.max([np.abs(model.potential_values(row)).max() for row in rows])
+    v_max = np.max([np.abs(model.potential_values(row)).max() for row in rows])
     if not np.isfinite(v_max):
         raise ValueError("grid.window: V is not finite at every atom; narrow the window")
     if v_max > MAX_POTENTIAL_SCALE / rows.size:

@@ -17,8 +17,9 @@ which is bounded by the sphere diameter 1.  A useful consequence: the
 squared distance of T(x) from the origin equals its own height
 coordinate, so 1 - |T(x)|^2 = 1/(1 + |x|^2) exactly.
 
-Above ``model.LARGE_MODULUS`` neither the projection nor the sphere-side
-potential forms |x|^2; both use equivalent forms in 1/|x|.
+Neither the projection nor the sphere-side potential forms |x|^2 above
+``model.LARGE_MODULUS``: the projection takes its switch, |x|^2 and
+1/|x| from ``model.modulus_forms``, and both use forms in 1/|x| there.
 """
 
 from __future__ import annotations
@@ -28,31 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LARGE_MODULUS, DiscreteMeasure, GasModel, growth_limit, log1p_modulus_squared
+from .model import DiscreteMeasure, GasModel, growth_limit, log1p_modulus_squared, modulus_forms
 
 
 def project_array(xs) -> np.ndarray:
-    """Vectorized projection; returns an array of shape xs.shape + (3,)."""
+    """Vectorized projection; returns an array of shape xs.shape + (3,).
+
+    Its switch, |x|^2 and t = 1/|x| come from ``modulus_forms``; on big, with u = x t,
+    T(x) = (Re u t, Im u t, 1)/(1 + t^2), which never forms |x|^2."""
     xs = np.asarray(xs, dtype=complex)
-    out = np.empty(xs.shape + (3,), dtype=float)
-    r = np.abs(xs)
-    big = r > LARGE_MODULUS
-    small = ~big
-    x = xs[small]
-    r2 = x.real**2 + x.imag**2
-    denom = 1.0 + r2
-    out[small, 0] = x.real / denom
-    out[small, 1] = x.imag / denom
-    out[small, 2] = r2 / denom
-    # (Re x, Im x, |x|^2)/(1+|x|^2) = (Re u * t, Im u * t, 1)/(1 + t^2)
-    # with u = x/|x| and t = 1/|x|; avoids forming |x|^2.
-    t = 1.0 / r[big]
-    dt = 1.0 + t * t
-    u = xs[big] * t
-    out[big, 0] = u.real * t / dt
-    out[big, 1] = u.imag * t / dt
-    out[big, 2] = 1.0 / dt
-    return out
+    big, r2, t = modulus_forms(xs)
+    u = xs * t  # x itself off big (t = 1), x/|x| on it
+    den = np.where(big, 1.0 + t * t, 1.0 + r2)
+    return np.stack([u.real * t / den, u.imag * t / den, np.where(big, 1.0, r2) / den], axis=-1)
 
 
 def _unproject(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -124,8 +124,9 @@ class PotentialSpec:
         """dV/dx on real-axis supports; dV/dRe x + i dV/dIm x in the plane."""
         dcoeffs = tuple(k * c for k, c in enumerate(self.poly) if k)
         out = _horner(dcoeffs, x, self.poly_var)
-        if self.poly_var == "r2":
-            out = out * 2.0 * x
+        if self.poly_var == "r2" and any(dcoeffs):
+            with np.errstate(over="ignore"):  # +-inf past the float range, as in _horner
+                out = out * 2.0 * x
         if self.log_coeff != 0.0:
             # 2x/(1 + |x|^2), as 2 (x t) t on big
             big, r2, t = modulus_forms(x)
@@ -144,11 +145,15 @@ class PotentialSpec:
         return _poly_end_limit(self.poly, +1.0)
 
 
+def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
+    """coeffs (low to high) without trailing zeros: the leading one is nonzero."""
+    nonzero = [k for k, c in enumerate(coeffs) if c != 0.0]
+    return tuple(coeffs[: nonzero[-1] + 1]) if nonzero else ()
+
+
 def _poly_end_limit(coeffs: Sequence[float], sign: float) -> float:
     """Limit of a polynomial (coeffs low->high) as its variable -> sign*inf."""
-    trimmed = list(coeffs)
-    while trimmed and trimmed[-1] == 0.0:
-        trimmed.pop()
+    trimmed = _trimmed(coeffs)
     if len(trimmed) <= 1:
         return trimmed[0] if trimmed else 0.0
     lead = trimmed[-1] * (sign ** (len(trimmed) - 1))
@@ -159,15 +164,18 @@ def _horner(coeffs: tuple[float, ...], x, var: str):
     """sum_k coeffs[k] s^k (coeffs low to high; empty is 0), shaped like x,
     with s = |x|^2 for ``var`` "r2" and s = x for "x".
 
-    Horner's rule from the leading coefficient: no 0 * s term, so the value
-    at an infinite s is infinite, not nan.  A constant never forms |x|^2.
+    Horner's rule from the leading nonzero coefficient: no 0 * s term, so
+    the value is +-inf, with no warning, where s or a partial sum leaves
+    the float range, never nan.  A constant never forms |x|^2.
     """
+    coeffs = _trimmed(coeffs)
     if len(coeffs) < 2:
         return np.full(np.shape(x), coeffs[0] if coeffs else 0.0)
-    s = np.square(np.abs(x)) if var == "r2" else x
-    out = coeffs[-1] * s + coeffs[-2]
-    for c in coeffs[-3::-1]:
-        out = out * s + c
+    with np.errstate(over="ignore"):
+        s = np.square(np.abs(x)) if var == "r2" else x
+        out = coeffs[-1] * s + coeffs[-2]
+        for c in coeffs[-3::-1]:
+            out = out * s + c
     return out
 
 

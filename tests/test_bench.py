@@ -27,6 +27,10 @@ def test_tiny_run_writes_every_figure(tmp_path, monkeypatch, capsys):
             "grid_kernel.product", "equilibrium.project_to_simplex", "equilibrium.spectral_norm")]
         + [f"grid_minimize.{kind}.{where}" for kind in ("wall", "iterations", "products")
            for where in ("line-64", "plane-16")]
+        + ["geometry.project_array.complex-1000", "geometry.project_array.real-1000",
+           "verify.metric.pairs-1000", "verify.pole.pairs-1000",
+           "verify.kernel_transport.pairs-1000", "verify.density_transport.configs-2",
+           "verify.energy_transport.measures-2"]
     )
     for name, figure in figures.items():
         assert math.isfinite(figure["value"]) and figure["value"] > 0, name

@@ -15,14 +15,37 @@ from loggas import (
     project_array,
     pushforward,
     quadratic_potential,
+    spherical_law,
     spherical_potential,
     unproject_array,
 )
+from loggas.model import LARGE_MODULUS, modulus_forms
 
 
 def wide_complex(rng, count, max_exp=6.0):
     mags = 10.0 ** rng.uniform(-3.0, max_exp, count)
     return mags * np.exp(2j * np.pi * rng.random(count))
+
+
+def direct_projection(xs):
+    """(Re x, Im x, |x|^2)/(1 + |x|^2) with |x|^2 = np.square(np.abs(x))."""
+    xs = np.asarray(xs, dtype=complex)
+    r2 = np.square(np.abs(xs))
+    return np.stack([xs.real / (1.0 + r2), xs.imag / (1.0 + r2), r2 / (1.0 + r2)], axis=-1)
+
+
+def inverse_modulus_projection(xs):
+    """(Re u * t, Im u * t, 1)/(1 + t^2) with t = 1/|x| and u = x t."""
+    xs = np.asarray(xs, dtype=complex)
+    t = 1.0 / np.abs(xs)
+    u = xs * t
+    den = 1.0 + t * t
+    return np.stack([u.real * t / den, u.imag * t / den, 1.0 / den], axis=-1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestProject:
@@ -44,6 +67,36 @@ class TestProject:
             zs = project_array([1e200 + 1e200j, -1e300, 2.0])
         assert zs[0, 2] == pytest.approx(1.0)
         assert np.isfinite(zs).all()
+
+    def test_direct_formula_below_the_switch(self):
+        rng = np.random.default_rng(10)
+        xs = wide_complex(rng, 100_000, max_exp=8.0)  # |x| < 1e8 = LARGE_MODULUS
+        reals = np.array([0.0, -0.0, 1e-300, 0.3, -1.0, 2.5, -7e3, 1e8, -1e8])
+        for points in (xs, reals):
+            assert same_bits(project_array(points), direct_projection(points))
+
+    def test_inverse_modulus_form_above_the_switch(self):
+        rng = np.random.default_rng(11)
+        xs = wide_complex(rng, 100_000, max_exp=300.0)
+        xs = xs[np.abs(xs) > LARGE_MODULUS]
+        xs = np.concatenate([xs, [1e200, -1e300, 1e300j]])
+        assert same_bits(project_array(xs), inverse_modulus_projection(xs))
+
+    def test_switch_form_is_the_one_modulus_forms_picks(self):
+        after = np.nextafter(LARGE_MODULUS, np.inf)
+        xs = np.array([LARGE_MODULUS, -LARGE_MODULUS, 1j * LARGE_MODULUS,
+                       after, -after, 1j * after])
+        big = modulus_forms(xs)[0]
+        assert big.tolist() == [False] * 3 + [True] * 3
+        expected = np.where(big[:, None], inverse_modulus_projection(xs), direct_projection(xs))
+        assert same_bits(project_array(xs), expected)
+
+    def test_height_is_the_spherical_radial_cdf(self):
+        # x3 of T(x) is |x|^2/(1 + |x|^2), the spherical law's CDF at r = |x|
+        rng = np.random.default_rng(12)
+        mags = 10.0 ** rng.uniform(-3.0, 300.0, 100_000)
+        xs = mags * np.exp(2j * np.pi * rng.random(mags.size))
+        assert same_bits(project_array(xs)[:, 2], spherical_law().cdf(np.abs(xs)))
 
     def test_scalar_matches_array(self):
         rng = np.random.default_rng(2)

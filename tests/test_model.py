@@ -271,9 +271,41 @@ class TestPotentials:
     def test_quadratic_infinite_at_huge_modulus(self):
         # |x|^2 overflows to inf; V must follow it to +inf, not turn into nan
         potential = quadratic_potential()
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert potential.evaluate(1e200) == math.inf
             assert np.all(potential.evaluate(np.array([1e200, -1e200, np.inf])) == math.inf)
+
+    @pytest.mark.parametrize("poly, var, support, x, value, gradient", [
+        ((0.0, 0.0, 1.0), "r2", Support.REAL_LINE, 1e150, math.inf, math.inf),
+        ((0.0, 0.0, 1.0), "r2", Support.COMPLEX_PLANE, 1e150j, math.inf, complex(0.0, math.inf)),
+        ((0.0, 1.0, 0.0), "r2", Support.COMPLEX_PLANE, 1e200, math.inf, 2e200),
+        ((0.0, 0.0, -1.0), "r2", Support.REAL_LINE, -1e150, -math.inf, math.inf),
+        ((0.0, 0.0, 0.0, 1.0), "x", Support.REAL_LINE, -1e200, -math.inf, math.inf),
+    ])
+    def test_polynomial_infinite_past_the_float_range(self, poly, var, support, x, value,
+                                                      gradient):
+        # an overflowing power or partial sum gives +-inf, never nan, and no warning
+        gas = model(PotentialSpec("p", poly, var), support=support)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gas.potential_values([x]).tolist() == [value]
+            assert gas.potential_gradient([x]).tolist() == [gradient]
+
+    @pytest.mark.parametrize("support", [Support.REAL_LINE, Support.COMPLEX_PLANE])
+    def test_trailing_zero_coefficients_change_nothing(self, support):
+        # (0, 1, 0) is (0, 1): bit for bit where finite, and +inf (not nan) at 1e200
+        xs = np.array([0.0, -0.5, 3.0, 1e100, 1e200])
+        if support is Support.COMPLEX_PLANE:
+            xs = xs * np.exp(0.7j)
+        trailing = model(PotentialSpec("t", (0.0, 1.0, 0.0)), support=support)
+        trimmed = model(PotentialSpec("t", (0.0, 1.0)), support=support)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(trailing.potential_values(xs), trimmed.potential_values(xs))
+            assert same_bits(trailing.potential_gradient(xs), trimmed.potential_gradient(xs))
+        assert trailing.potential_values(xs)[-1] == math.inf
+        assert trailing.potential.poly == (0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("potential", [cauchy_potential(), PotentialSpec("c", [], "r2", 1.0)])
     def test_log_potential_finite_at_huge_modulus(self, potential):

@@ -1,4 +1,4 @@
-"""Time the grid solver's layers in process and write BENCH_<label>.json.
+"""Time the solver and identity layers in process and write BENCH_<label>.json.
 
 usage: python tools/bench.py --label LABEL [--tiny]
 
@@ -13,7 +13,13 @@ made it.  The figures:
 - µs per ``GridKernel`` product, per ``project_to_simplex`` call and per
   ``_spectral_norm`` call on the spherical plane gas, at m x m atoms;
 - ``grid_minimize`` wall time, iterations and ``GridKernel`` products per
-  solve, on the Cauchy line and the spherical plane.
+  solve, on the Cauchy line and the spherical plane;
+- µs per ``project_array`` call on wide-modulus complex points and on
+  real points, moduli 1e-3 to 1e12, so both sides of the large-modulus
+  switch;
+- µs per call of each ``verify.*_deviation`` suite at ``loggas verify``'s
+  own sizes, each call with a fresh ``np.random.default_rng(0)``, so every
+  repeat makes the same draws.
 
 ``--tiny`` runs small sizes only, to check that every figure is made.
 Compare two files only if one machine made both in one session, from
@@ -43,7 +49,7 @@ from loggas import (  # noqa: E402
     grid_minimize,
     spherical_potential,
 )
-from loggas import equilibrium  # noqa: E402
+from loggas import equilibrium, geometry, verify  # noqa: E402
 
 REPEATS = 7
 # A repeat of a per-call figure runs the call often enough to last this long.
@@ -53,9 +59,25 @@ LINE = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
 PLANE = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
 
 # figure group -> sizes: planar m for the per-call figures and the plane
-# solves, atom count for the line solves.
-SIZES = {"per_call": (60, 120, 240), "line": (400, 3200), "plane": (60, 120)}
-TINY_SIZES = {"per_call": (16,), "line": (64,), "plane": (16,)}
+# solves, atom count for the line solves; for the identity layer the
+# points per projection call and each suite's own count argument.
+SIZES = {
+    "per_call": (60, 120, 240), "line": (400, 3200), "plane": (60, 120),
+    "identity": {"points": 100_000, "pairs": verify.PAIRS, "configs": verify.CONFIGS,
+                 "measures": verify.MEASURES},
+}
+TINY_SIZES = {
+    "per_call": (16,), "line": (64,), "plane": (16,),
+    "identity": {"points": 1000, "pairs": 1000, "configs": 2, "measures": 2},
+}
+# identity suite -> (its function in loggas.verify, the SIZES key of its count)
+SUITES = {
+    "metric": (verify.metric_identity_deviation, "pairs"),
+    "pole": (verify.pole_identity_deviation, "pairs"),
+    "kernel_transport": (verify.kernel_transport_deviation, "pairs"),
+    "density_transport": (verify.density_transport_deviation, "configs"),
+    "energy_transport": (verify.energy_transport_deviation, "measures"),
+}
 
 
 def _line_grid(atoms: int) -> GridSpec:
@@ -177,6 +199,28 @@ def solve_figures(name: str, model: GasModel, grid: GridSpec, where: str) -> dic
     }
 
 
+def identity_figures(sizes: dict) -> dict:
+    points = sizes["points"]
+    rng = np.random.default_rng(0)
+    mags = 10.0 ** rng.uniform(-3.0, 12.0, points)
+    wide = mags * np.exp(2j * np.pi * rng.random(points))
+    real = mags * rng.choice([-1.0, 1.0], points)
+    out = {
+        f"geometry.project_array.complex-{points}": _per_call_us(
+            lambda: geometry.project_array(wide),
+            f"project_array(x), {points} complex x, |x| log-uniform in [1e-3, 1e12]"),
+        f"geometry.project_array.real-{points}": _per_call_us(
+            lambda: geometry.project_array(real),
+            f"project_array(x), {points} real x, |x| log-uniform in [1e-3, 1e12]"),
+    }
+    for suite, (fn, kind) in SUITES.items():
+        count = sizes[kind]
+        out[f"verify.{suite}.{kind}-{count}"] = _per_call_us(
+            lambda fn=fn, count=count: fn(np.random.default_rng(0), count),
+            f"verify.{fn.__name__}(np.random.default_rng(0), {count})")
+    return out
+
+
 def figures(sizes: dict) -> dict:
     out = {}
     for m in sizes["per_call"]:
@@ -187,6 +231,7 @@ def figures(sizes: dict) -> dict:
     for m in sizes["plane"]:
         out.update(solve_figures(
             f"plane-{m}", PLANE, _plane_grid(m), f"spherical plane, [-4, 4]^2, m = {m}"))
+    out.update(identity_figures(sizes["identity"]))
     return out
 
 
