@@ -11,8 +11,8 @@ which is what transports energies between the plane and the sphere.
 Discrete energies of atomic measures are computed off-diagonally by
 default (the true double integral is infinite for atoms).  Grid measures
 that stand in for densities may instead use a regularized self-energy,
-log(1/(h/2)) per atom with h the local grid spacing, matching the
-leading term of the cell-averaged log kernel.
+log(1/(h/2)) per atom with h the atom's nearest-neighbour distance,
+matching the leading term of the cell-averaged log kernel.
 
 Pair sums run over each unordered pair once and accumulate with
 math.fsum, which is correctly rounded, so golden values reproduce
@@ -85,31 +85,26 @@ def _weighted_energy(
     beta: float,
     v: np.ndarray,
     policy: DiagonalPolicy,
-    spacing: float | np.ndarray | None,
 ) -> float | None:
     """sum_{a != b} w_a w_b F_ab, plus sum_a w_a^2 F_aa when regularized.
 
     The off-diagonal sum is 2 fsum over a < b: the terms are symmetric and
     fsum is correctly rounded, so it equals the fsum over both orders.
-    The regularized self-distance is h_a/2, h_a being ``spacing`` or the
-    nearest-neighbor distance.  Returns None when two atoms coincide.
+    The regularized self-distance is h_a/2, h_a being atom a's
+    nearest-neighbour distance.  Returns None when two atoms coincide.
     """
-    if spacing is not None and policy is DiagonalPolicy.OFF_DIAGONAL_ONLY:
-        raise ValueError("spacing: only the regularized self-energy policy takes a spacing")
     iu, ju, dist = _pair_distances(positions)
     if np.any(dist < COINCIDENCE_TOL):
         return None
     terms = _pair_kernel(beta, dist, v[iu], v[ju]) * (w[iu] * w[ju])
     value = 2.0 * math.fsum(terms.tolist())
     if policy is DiagonalPolicy.REGULARIZED_SELF_ENERGY:
-        if spacing is None:
-            if len(w) < 2:
-                raise ValueError("self-energy regularization needs at least two atoms")
-            spacing = np.full(len(w), np.inf)
-            np.minimum.at(spacing, iu, dist)
-            np.minimum.at(spacing, ju, dist)
-        half = np.asarray(spacing, dtype=float) / 2.0
-        value += math.fsum((_pair_kernel(beta, half, v, v) * (w * w)).tolist())
+        if len(w) < 2:
+            raise ValueError("self-energy regularization needs at least two atoms")
+        nearest = np.full(len(w), np.inf)
+        np.minimum.at(nearest, iu, dist)
+        np.minimum.at(nearest, ju, dist)
+        value += math.fsum((_pair_kernel(beta, nearest / 2.0, v, v) * (w * w)).tolist())
     return float(value)
 
 
@@ -117,21 +112,19 @@ def measure_energy(
     mu: DiscreteMeasure,
     model: GasModel,
     policy: DiagonalPolicy = DiagonalPolicy.OFF_DIAGONAL_ONLY,
-    spacing: float | np.ndarray | None = None,
 ) -> float:
     """Discrete energy sum_{a != b} w_a w_b F(p_a, p_b) of an atomic measure.
 
     With the regularized policy a diagonal term
-    w_a^2 * ((beta/2) log(1/(h_a/2)) + V(p_a)) is added, h_a the local
-    spacing (``spacing`` or the nearest-neighbor distance); a ``spacing``
-    under the off-diagonal policy raises ValueError.  Coincident atoms
-    give +inf.
+    w_a^2 * ((beta/2) log(1/(h_a/2)) + V(p_a)) is added, h_a atom a's
+    nearest-neighbour distance; it needs at least two atoms.  Coincident
+    atoms give +inf.
     """
     if mu.side == "plane":
         v = model.potential_values(mu.positions)
     else:
         v = compactified_potential(model).on_sphere_array(mu.positions)
-    value = _weighted_energy(mu.weights, mu.positions, model.beta, v, policy, spacing)
+    value = _weighted_energy(mu.weights, mu.positions, model.beta, v, policy)
     return math.inf if value is None else value
 
 
@@ -174,24 +167,18 @@ def log_density_sphere(points, model: GasModel) -> float:
     return inter + conformal - n * vsum
 
 
-def signed_log_energy(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    policy: DiagonalPolicy = DiagonalPolicy.OFF_DIAGONAL_ONLY,
-    spacing: float | np.ndarray | None = None,
-) -> float:
-    """Logarithmic energy of the signed measure mu - nu on the sphere.
-
-    Off-diagonally this can be negative for atomic measures; positivity
-    (zero iff mu == nu) is only meaningful for grid measures under the
-    regularized policy, the only one that takes a ``spacing``.
+def signed_log_energy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Logarithmic energy of the signed measure mu - nu on the sphere, with
+    the regularized self-energy, which keeps it nonnegative on uniform grid
+    measures, as for densities; 0 when mu == nu.  Needs two or more atoms.
     """
     if mu.side != "sphere" or nu.side != "sphere":
         raise ValueError("signed_log_energy expects sphere-side measures")
     if not np.array_equal(mu.positions, nu.positions):
         raise ValueError("atom position lists differ")
     d = mu.weights - nu.weights
-    value = _weighted_energy(d, mu.positions, 2.0, np.zeros(len(d)), policy, spacing)
+    reg = DiagonalPolicy.REGULARIZED_SELF_ENERGY
+    value = _weighted_energy(d, mu.positions, 2.0, np.zeros(len(d)), reg)
     if value is None:
         raise ValueError("duplicate atom positions in support")
     return value

@@ -16,12 +16,12 @@ block-Toeplitz on the plane) and is applied by FFT through a circulant
 embedding, and its potential part has rank 2, so a solve needs O(m^2)
 memory on an m x m planar grid instead of O(m^4).  E is convex on the
 simplex; iterates use an accelerated projected-gradient scheme kept
-monotone by fallback, and the stopping certificate is the standard
-linear-minimization duality gap  max_s <grad, w - s> = <grad, w> -
-min_a grad_a,  which bounds the suboptimality E(w) - E*.  Q is linear,
-so the extrapolated point's Q y is formed from the products of the
-iterates that y combines: an iteration applies Q once, twice on a
-fallback.
+monotone by fallback (not MFISTA: see ``grid_minimize``), and the
+stopping certificate is the standard linear-minimization duality gap
+max_s <grad, w - s> = <grad, w> - min_a grad_a,  which bounds the
+suboptimality E(w) - E*.  Q is linear, so the extrapolated point's Q y
+is formed from the products of the iterates that y combines: an
+iteration applies Q once, twice on a fallback.
 """
 
 from __future__ import annotations
@@ -255,6 +255,13 @@ def grid_minimize(
     is returned flagged (converged=False).  ``on_iterate(k, energy, gap)``,
     when given, is called once per iteration with the monotone objective
     value and the certificate gap.
+
+    The loop is not MFISTA (Beck and Teboulle, IEEE Trans. Image Process.
+    18, 2009; read x_k as w_new, z_k as z).  Its momentum b (w_new - w_prev)
+    takes the iterate two back, where MFISTA's b (x_k - x_{k-1}) takes the
+    one before; its z and w_new weights are swapped, y = z + a (w_new - z)
+    against x_k + a (z_k - x_k); and it resets t to 1 on a fallback, which
+    is a gradient step from w where MFISTA keeps x_k = x_{k-1}.
 
     The extrapolated point y = z + a (w_new - z) + b (w_new - w_prev) has
     Q y = Q z + a (Q w_new - Q z) + b (Q w_new - Q w_prev), each term a

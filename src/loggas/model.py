@@ -125,8 +125,13 @@ class PotentialSpec:
         dcoeffs = tuple(k * c for k, c in enumerate(self.poly) if k)
         out = _horner(dcoeffs, x, self.poly_var)
         if self.poly_var == "r2" and any(dcoeffs):
+            # by components, a zero one giving 0: real * complex would make inf * 0 = nan
             with np.errstate(over="ignore"):  # +-inf past the float range, as in _horner
-                out = out * 2.0 * x
+                re, im = (np.where(c == 0.0, 0.0, out * 2.0) * c for c in (np.real(x), np.imag(x)))
+            if np.iscomplexobj(x):
+                re = re.astype(complex)
+                re.imag = im
+            out = re
         if self.log_coeff != 0.0:
             # 2x/(1 + |x|^2), as 2 (x t) t on big
             big, r2, t = modulus_forms(x)

@@ -165,6 +165,7 @@ class _BlockedMoves:
         """The current (C, n) positions, a view the moves update."""
         return self.points[:, : self.n]
 
+    @np.errstate(divide="ignore")  # a proposal on a particle gives -inf in the log table
     def sweep(self, proposals, valid, dv, u_accept, beta: float, running: list) -> list[int]:
         """Try moving particles 0..n-1 in order; returns each chain's accept count.
 
@@ -191,8 +192,7 @@ class _BlockedMoves:
             table = logs[: 2 * size, :, : n + size]
             np.subtract(points[:, : n + size], ends[2 * i0 : 2 * (i0 + size)], out=diff)
             np.abs(diff, out=table)
-            with np.errstate(divide="ignore"):  # a proposal on a particle gives -inf
-                np.log(table, out=table)
+            np.log(table, out=table)
             table[self.row_numbers[: 2 * size], :, self.particle[2 * i0 : 2 * (i0 + size)]] = 0.0
             rows = table[:, :, :n]
             summed = 0  # rows of moves below this one have their sums in `sums`

@@ -15,7 +15,6 @@ import pytest
 from loggas import (
     Admissibility,
     ChainParams,
-    DiagonalPolicy,
     DiscreteMeasure,
     GasModel,
     GridSpec,
@@ -176,7 +175,6 @@ def test_criterion_08_convexity_and_uniqueness():
         return np.column_stack([0.5 * np.cos(phi), np.zeros(m), 0.5 + 0.5 * np.sin(phi)])
 
     rng = np.random.default_rng(8)
-    reg = DiagonalPolicy.REGULARIZED_SELF_ENERGY
     worst = math.inf
     for _ in range(100):
         m = int(rng.integers(40, 160))
@@ -187,9 +185,9 @@ def test_criterion_08_convexity_and_uniqueness():
         w2 /= w2.sum()
         mu = DiscreteMeasure(pos, w1)
         nu = DiscreteMeasure(pos, w2)
-        worst = min(worst, signed_log_energy(mu, nu, policy=reg))
+        worst = min(worst, signed_log_energy(mu, nu))
     mu_eq = DiscreteMeasure(equator_grid(64), np.full(64, 1 / 64))
-    zero = signed_log_energy(mu_eq, mu_eq, policy=reg)
+    zero = signed_log_energy(mu_eq, mu_eq)
 
     model = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
     tol = 1e-4

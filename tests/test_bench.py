@@ -23,7 +23,9 @@ def test_tiny_run_writes_every_figure(tmp_path, monkeypatch, capsys):
         "python", "numpy", "scipy", "cpu_model", "affinity_cpus", "numpy_dispatch"}
     figures = record["figures"]
     assert sorted(figures) == sorted(
-        [f"{name}.plane-16" for name in (
+        [f"sampler.mh_chains.{where}-16x{chains}" for where in ("line", "plane")
+         for chains in (1, 2)]
+        + [f"{name}.plane-16" for name in (
             "grid_kernel.product", "equilibrium.project_to_simplex", "equilibrium.spectral_norm")]
         + [f"grid_minimize.{kind}.{where}" for kind in ("wall", "iterations", "products")
            for where in ("line-64", "plane-16")]

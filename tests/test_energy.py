@@ -148,7 +148,7 @@ class TestMeasureEnergy:
         assert sphere == pytest.approx(plane, abs=1e-10)
 
 
-def dense_energy(w, positions, beta, v, policy, spacing=None):
+def dense_energy(w, positions, beta, v, policy):
     """Reference: the n x n kernel matrix, fsum over a != b plus the diagonal."""
     n = len(w)
     if positions.ndim == 1:
@@ -158,8 +158,7 @@ def dense_energy(w, positions, beta, v, policy, spacing=None):
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
     off = ~np.eye(n, dtype=bool)
     if policy is REG:
-        h = np.min(np.where(off, dist, np.inf), axis=1) if spacing is None else spacing
-        np.fill_diagonal(dist, np.asarray(h, dtype=float) / 2.0)
+        np.fill_diagonal(dist, np.min(np.where(off, dist, np.inf), axis=1) / 2.0)
     else:
         np.fill_diagonal(dist, 1.0)
     terms = -(beta / 2.0) * np.log(dist) + 0.5 * (v[:, None] + v[None, :])
@@ -194,12 +193,9 @@ class TestEnergiesMatchDenseReference:
             (mu, model.potential_values(mu.positions)),
             (pushforward(mu), pot.on_sphere_array(pushforward(mu).positions)),
         ):
-            spacings = [0.01, np.linspace(0.01, 0.1, n)] + ([None] if n > 1 else [])
-            cases = [(DiagonalPolicy.OFF_DIAGONAL_ONLY, None)] + [(REG, h) for h in spacings]
-            for policy, h in cases:
-                got = measure_energy(m, model, policy=policy, spacing=h)
-                ref = dense_energy(m.weights, m.positions, model.beta, v, policy, h)
-                assert got == ref
+            for policy in [DiagonalPolicy.OFF_DIAGONAL_ONLY] + ([REG] if n > 1 else []):
+                got = measure_energy(m, model, policy=policy)
+                assert got == dense_energy(m.weights, m.positions, model.beta, v, policy)
 
     @pytest.mark.parametrize("m", [1, 2, 17, 64])
     def test_signed_log_energy(self, m):
@@ -208,12 +204,12 @@ class TestEnergiesMatchDenseReference:
         w1, w2 = rng.exponential(size=(2, m))
         mu = DiscreteMeasure(pos, w1 / w1.sum())
         nu = DiscreteMeasure(pos, w2 / w2.sum())
-        d = mu.weights - nu.weights
-        spacings = [0.05, np.linspace(0.01, 0.1, m)] + ([None] if m > 1 else [])
-        cases = [(DiagonalPolicy.OFF_DIAGONAL_ONLY, None)] + [(REG, h) for h in spacings]
-        for policy, h in cases:
-            ref = dense_energy(d, mu.positions, 2.0, np.zeros(m), policy, h)
-            assert signed_log_energy(mu, nu, policy=policy, spacing=h) == ref
+        if m == 1:
+            with pytest.raises(ValueError, match="two atoms"):
+                signed_log_energy(mu, nu)
+        else:
+            ref = dense_energy(mu.weights - nu.weights, mu.positions, 2.0, np.zeros(m), REG)
+            assert signed_log_energy(mu, nu) == ref
 
     def test_coincident_and_single_atoms(self):
         pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5e-301], [0.5, 0.0, 0.5]])
@@ -230,19 +226,6 @@ class TestEnergiesMatchDenseReference:
         one = DiscreteMeasure(np.array([0.5j]), np.array([1.0]))
         with pytest.raises(ValueError, match="two atoms"):
             measure_energy(one, CAUCHY, policy=REG)
-
-    @pytest.mark.parametrize("spacing", [0.1, np.full(3, 0.1)], ids=["float", "array"])
-    def test_off_diagonal_policy_rejects_a_spacing(self, spacing):
-        # the off-diagonal energy reads no spacing, so a given one is an error
-        plane = DiscreteMeasure(np.array([0.5, -1.0, 2.0]), np.full(3, 1 / 3))
-        sphere = pushforward(plane)
-        with pytest.raises(ValueError, match="^spacing: "):
-            measure_energy(plane, CAUCHY, spacing=spacing)
-        with pytest.raises(ValueError, match="^spacing: "):
-            measure_energy(sphere, CAUCHY, policy=DiagonalPolicy.OFF_DIAGONAL_ONLY,
-                           spacing=spacing)
-        with pytest.raises(ValueError, match="^spacing: "):
-            signed_log_energy(sphere, sphere, spacing=spacing)
 
 
 class TestIdentitySuiteSeeds:
@@ -363,7 +346,7 @@ def quadrature_signed_energy(weights_a, offset_a, weights_b, offset_b, dense=400
 class TestSignedLogEnergy:
     def test_equal_measures_zero(self):
         mu = DiscreteMeasure(equator_grid(64), np.full(64, 1 / 64))
-        assert signed_log_energy(mu, mu, policy=REG) == 0.0
+        assert signed_log_energy(mu, mu) == 0.0
 
     def test_mismatched_supports(self):
         mu = DiscreteMeasure(equator_grid(8), np.full(8, 1 / 8))
@@ -374,7 +357,7 @@ class TestSignedLogEnergy:
     def test_disjoint_uniform_grids_positive(self):
         m = 100
         a, b = offset_grids_on_union(m, np.pi / m)
-        value = signed_log_energy(a, b, policy=REG)
+        value = signed_log_energy(a, b)
         oracle = quadrature_signed_energy(
             np.full(m, 1 / m), 0.0, np.full(m, 1 / m), np.pi / m
         )
@@ -383,7 +366,7 @@ class TestSignedLogEnergy:
 
     def test_four_point_rotation_positive(self):
         a, b = offset_grids_on_union(4, np.pi / 4)
-        value = signed_log_energy(a, b, policy=REG)
+        value = signed_log_energy(a, b)
         oracle = quadrature_signed_energy(
             np.full(4, 0.25), 0.0, np.full(4, 0.25), np.pi / 4
         )
@@ -401,12 +384,4 @@ class TestSignedLogEnergy:
             w2 /= w2.sum()
             mu = DiscreteMeasure(pos, w1)
             nu = DiscreteMeasure(pos, w2)
-            assert signed_log_energy(mu, nu, policy=REG) >= -1e-10
-
-    def test_off_diagonal_can_be_negative_for_atoms(self):
-        # the documented caveat for the unregularized surrogate: two
-        # adjacent atoms at chord sin(pi/4) < 1 give a negative cross term
-        pos = equator_grid(4)
-        mu = DiscreteMeasure(pos, np.array([1.0, 0.0, 0.0, 0.0]))
-        nu = DiscreteMeasure(pos, np.array([0.0, 1.0, 0.0, 0.0]))
-        assert signed_log_energy(mu, nu) < 0.0
+            assert signed_log_energy(mu, nu) >= -1e-10

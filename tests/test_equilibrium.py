@@ -460,10 +460,7 @@ class TestGridKernel:
         assert rep.converged and rep_d.converged
         assert abs(rep.energy - rep_d.energy) <= 1e-12
         assert np.max(np.abs(mu.weights - mu_d.weights)) <= 1e-12
-        _, h = grid.atoms()
-        summed = measure_energy(
-            mu, model, policy=DiagonalPolicy.REGULARIZED_SELF_ENERGY, spacing=h
-        )
+        summed = measure_energy(mu, model, policy=DiagonalPolicy.REGULARIZED_SELF_ENERGY)
         assert abs(rep.energy - summed) <= 1e-12
 
     def test_fft_length_is_5_smooth_next_fast_len(self):

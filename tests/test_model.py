@@ -279,6 +279,10 @@ class TestPotentials:
     @pytest.mark.parametrize("poly, var, support, x, value, gradient", [
         ((0.0, 0.0, 1.0), "r2", Support.REAL_LINE, 1e150, math.inf, math.inf),
         ((0.0, 0.0, 1.0), "r2", Support.COMPLEX_PLANE, 1e150j, math.inf, complex(0.0, math.inf)),
+        ((0.0, 0.0, 1.0), "r2", Support.COMPLEX_PLANE, 1e200, math.inf, complex(math.inf, 0.0)),
+        ((0.0, 0.0, 1.0), "r2", Support.COMPLEX_PLANE, 1e200j, math.inf, complex(0.0, math.inf)),
+        ((0.0, 0.0, 1.0), "r2", Support.REAL_LINE, 1e200, math.inf, math.inf),
+        ((0.0, 0.0, 1.0), "r2", Support.REAL_LINE, -1e200, math.inf, -math.inf),
         ((0.0, 1.0, 0.0), "r2", Support.COMPLEX_PLANE, 1e200, math.inf, 2e200),
         ((0.0, 0.0, -1.0), "r2", Support.REAL_LINE, -1e150, -math.inf, math.inf),
         ((0.0, 0.0, 0.0, 1.0), "x", Support.REAL_LINE, -1e200, -math.inf, math.inf),

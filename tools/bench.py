@@ -1,4 +1,4 @@
-"""Time the solver and identity layers in process and write BENCH_<label>.json.
+"""Time the sampler, solver and identity layers in process; write BENCH_<label>.json.
 
 usage: python tools/bench.py --label LABEL [--tiny]
 
@@ -10,6 +10,11 @@ NumPy's dispatch targets in effect) and one entry per figure: its
 ``spread``, the least and greatest of the repeats; and the ``call`` that
 made it.  The figures:
 
+- µs per move per chain of ``mh_chains`` on the Cauchy line at beta = 2
+  and the spherical plane at beta = 1.5, by particle count n and chain
+  count C: the marginal cost (t(60 sweeps) - t(20 sweeps)) / (40 n C),
+  which leaves out each run's fixed cost (the starts' log-densities, the
+  buffers, the burn-in);
 - µs per ``GridKernel`` product, per ``project_to_simplex`` call and per
   ``_spectral_norm`` call on the spherical plane gas, at m x m atoms;
 - ``grid_minimize`` wall time, iterations and ``GridKernel`` products per
@@ -34,6 +39,7 @@ import platform
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,14 +48,16 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from loggas import (  # noqa: E402
+    ChainParams,
     GasModel,
     GridSpec,
     Support,
     cauchy_potential,
     grid_minimize,
+    mh_chains,
     spherical_potential,
 )
-from loggas import equilibrium, geometry, verify  # noqa: E402
+from loggas import equilibrium, geometry, sampler, verify  # noqa: E402
 
 REPEATS = 7
 # A repeat of a per-call figure runs the call often enough to last this long.
@@ -58,15 +66,23 @@ MIN_REPEAT_S = 0.05
 LINE = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
 PLANE = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
 
-# figure group -> sizes: planar m for the per-call figures and the plane
-# solves, atom count for the line solves; for the identity layer the
-# points per projection call and each suite's own count argument.
+# The sweep counts of the chain figures' two runs, each with this many
+# burn-in sweeps.
+CHAIN_SWEEPS = (20, 60)
+CHAIN_BURN_IN = 10
+
+# figure group -> sizes: (n, C) pairs for the chain figures; planar m for
+# the per-call figures and the plane solves, atom count for the line
+# solves; for the identity layer the points per projection call and each
+# suite's own count argument.
 SIZES = {
+    "chain": [(n, chains) for n in (64, 256) for chains in (1, 8)],
     "per_call": (60, 120, 240), "line": (400, 3200), "plane": (60, 120),
     "identity": {"points": 100_000, "pairs": verify.PAIRS, "configs": verify.CONFIGS,
                  "measures": verify.MEASURES},
 }
 TINY_SIZES = {
+    "chain": [(16, 1), (16, 2)],
     "per_call": (16,), "line": (64,), "plane": (16,),
     "identity": {"points": 1000, "pairs": 1000, "configs": 2, "measures": 2},
 }
@@ -148,6 +164,30 @@ def _per_call_us(fn, call: str) -> dict:
     return _figure(samples, "us", f"{call}, {loops} calls per repeat")
 
 
+def chain_figures(n: int, chains: int) -> dict:
+    short, long = CHAIN_SWEEPS
+    out = {}
+    for name, model in (("line", replace(LINE, n=n)), ("plane", replace(PLANE, beta=1.5, n=n))):
+        inits = [sampler.initial_configuration(model, np.random.default_rng([0, j]))
+                 for j in range(chains)]
+
+        def run(sweeps):
+            start = time.perf_counter()
+            mh_chains(model, inits, ChainParams(sweeps, CHAIN_BURN_IN), list(range(chains)))
+            return time.perf_counter() - start
+
+        run(short)  # warm-up
+        samples = []
+        for _ in range(REPEATS):
+            t_short = run(short)
+            samples.append((run(long) - t_short) / ((long - short) * n * chains) * 1e6)
+        call = (f"mh_chains({model.support.value}, beta = {model.beta:g}, {model.potential.name}"
+                f", n = {n}, C = {chains}), (t({long} sweeps) - t({short} sweeps))"
+                f" / ({long - short} n C), burn-in {CHAIN_BURN_IN}")
+        out[f"sampler.mh_chains.{name}-{n}x{chains}"] = _figure(samples, "us", call)
+    return out
+
+
 def _counted_solve(model: GasModel, grid: GridSpec) -> tuple[int, int]:
     """Iterations and GridKernel products of one solve."""
     products = 0
@@ -223,6 +263,8 @@ def identity_figures(sizes: dict) -> dict:
 
 def figures(sizes: dict) -> dict:
     out = {}
+    for n, chains in sizes["chain"]:
+        out.update(chain_figures(n, chains))
     for m in sizes["per_call"]:
         out.update(per_call_figures(m))
     for atoms in sizes["line"]:
