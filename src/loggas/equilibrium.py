@@ -22,6 +22,11 @@ max_s <grad, w - s> = <grad, w> - min_a grad_a,  which bounds the
 suboptimality E(w) - E*.  Q is linear, so the extrapolated point's Q y
 is formed from the products of the iterates that y combines: an
 iteration applies Q once, twice on a fallback.
+
+The step is 1/(2 * 1.05 * ||P K P||), P = I - 11^T/N and K the log part
+of Q.  Every step z - y has zero sum, and on zero-sum vectors the
+potential part and the constant -(beta/2) log h of K drop out, so the
+step depends on beta, the dimension and m only, not on V, the window or h.
 """
 
 from __future__ import annotations
@@ -37,10 +42,12 @@ from .analysis import ClosedFormLaw, closed_form
 from .energy import _pair_kernel, log_density
 from .model import DiscreteMeasure, GasModel, Support, validate_configuration
 
-# The largest max|V| times atom count N a grid may have.  The potential part
-# of Q w is at most max|V| |w|_1 <= max|V| sqrt(N) per entry for a unit w (the
-# power iteration's), so |Q w|^2 stays below (N max|V|)^2 plus the small
-# kernel part: far below the float maximum, 1.8e308.
+# The largest max|V| times atom count N a grid may have.  The solve applies Q
+# to simplex weights, |w|_1 = 1, so the potential part of Q w is at most max|V|
+# per entry, and a projection's cumulative sums over N such entries stay within
+# a small multiple of N max|V|: far below the float maximum, 1.8e308.  The
+# step's power iteration applies only Q's log part (``_spectral_norm``), so V
+# never enters it.
 MAX_POTENTIAL_SCALE = 1e150
 
 
@@ -140,7 +147,13 @@ def _fft_length(n: int) -> int:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection onto the probability simplex.
+
+    The input is first shifted by its maximum, which leaves the projection
+    unchanged: unshifted, u[0] - (u[0] - 1) rounds to 0 once max(v) passes
+    about 2**53, and no index qualifies.
+    """
+    v = v - v.max()
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, len(v) + 1)
@@ -183,8 +196,8 @@ class GridKernel:
         self._spectrum = np.empty_like(self._kernel_hat)
         self._conv = np.empty_like(self._signal)
 
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        """Q w for any real w; the weights need not sum to 1.
+    def log_part(self, w: np.ndarray) -> np.ndarray:
+        """K w, the log-kernel part of Q w, for any real w.
 
         The FFTs are rfftn's and irfftn's, by axis; irfft runs on the result's m rows only.
         """
@@ -197,18 +210,27 @@ class GridKernel:
         if len(self._shape) == 2:
             spectrum = fft.ifft(spectrum, axis=0, norm="forward", out=spectrum)[:m]
         conv = fft.irfft(spectrum, n, norm="forward", out=self._conv)
-        kw = (conv[..., :m] * self._scale).ravel()
+        return (conv[..., :m] * self._scale).ravel()
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """Q w for any real w; the weights need not sum to 1."""
         v = self._potential
-        return kw + 0.5 * v * w.sum() + 0.5 * (v @ w)
+        return self.log_part(w) + 0.5 * v * w.sum() + 0.5 * (v @ w)
 
 
 def _spectral_norm(q: GridKernel) -> float:
+    """||P K P|| = ||P Q P||, P = I - 11^T/N, by a power iteration through
+    ``q.log_part`` with each iterate's mean removed.  Through the whole Q, the
+    mean of potential terms near max|V| would leave a rounding residue that
+    swamps the norm."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(len(q.atoms))
+    v -= v.mean()
     v /= np.linalg.norm(v)
     lam = 1.0
-    for _ in range(80):
-        w = q(v)
+    for _ in range(20):
+        w = q.log_part(v)
+        w -= w.mean()
         lam = np.linalg.norm(w)
         if lam == 0.0:
             return 1.0
@@ -262,6 +284,12 @@ def grid_minimize(
     one before; its z and w_new weights are swapped, y = z + a (w_new - z)
     against x_k + a (z_k - x_k); and it resets t to 1 on a fallback, which
     is a gradient step from w where MFISTA keeps x_k = x_{k-1}.
+
+    The step is 1/(2 * 1.05 * ||P K P||): 2 ||P K P|| is the Lipschitz
+    constant of the gradient 2 Q w on the zero-sum directions the iterates
+    move in, and 1.05 a margin.  P = I - 11^T/N removes the rank-2 potential
+    part (v 1^T + 1 v^T)/2 and K's constant -(beta/2) log h, so V does not
+    set the step.
 
     The extrapolated point y = z + a (w_new - z) + b (w_new - w_prev) has
     Q y = Q z + a (Q w_new - Q z) + b (Q w_new - Q w_prev), each term a

@@ -28,7 +28,7 @@ def test_tiny_run_writes_every_figure(tmp_path, monkeypatch, capsys):
         + [f"{name}.plane-16" for name in (
             "grid_kernel.product", "equilibrium.project_to_simplex", "equilibrium.spectral_norm")]
         + [f"grid_minimize.{kind}.{where}" for kind in ("wall", "iterations", "products")
-           for where in ("line-64", "plane-16")]
+           for where in ("line-64", "plane-16", "plane-16-tol-1e-6", "quartic-plane-16")]
         + ["geometry.project_array.complex-1000", "geometry.project_array.real-1000",
            "verify.metric.pairs-1000", "verify.pole.pairs-1000",
            "verify.kernel_transport.pairs-1000", "verify.density_transport.configs-2",
@@ -41,8 +41,8 @@ def test_tiny_run_writes_every_figure(tmp_path, monkeypatch, capsys):
         assert low <= figure["value"] <= high, name
         assert figure["repeats"] == (1 if figure["unit"] == "count" else 2), name
         assert figure["call"], name
-    # 82 products (the power iteration's 80, the start's and the final
+    # 22 products (the power iteration's 20, the start's and the final
     # energy's) and one per projection, of which each iteration makes one or two
-    for where in ("line-64", "plane-16"):
+    for where in ("line-64", "plane-16", "plane-16-tol-1e-6", "quartic-plane-16"):
         iterations = figures[f"grid_minimize.iterations.{where}"]["value"]
-        assert figures[f"grid_minimize.products.{where}"]["value"] >= 82 + iterations
+        assert figures[f"grid_minimize.products.{where}"]["value"] >= 22 + iterations

@@ -61,9 +61,15 @@ class DenseKernel:
     def __init__(self, model, grid):
         self.atoms, h = grid.atoms()
         self.matrix = dense_kernel(model, self.atoms, h)
+        self.potential = model.potential_values(self.atoms)
 
     def __call__(self, w):
         return self.matrix @ w
+
+    def log_part(self, w):
+        """Q w less the potential part: the matrix minus (v_a + v_b)/2, applied."""
+        v = self.potential
+        return self.matrix @ w - 0.5 * (v * w.sum() + v @ w)
 
 
 def dense_grid_minimize(monkeypatch, *args, **kwargs):
@@ -249,6 +255,19 @@ class TestProjectToSimplex:
     def test_fixed_point(self):
         w = np.array([0.2, 0.3, 0.5])
         assert project_to_simplex(w) == pytest.approx(w)
+
+    @pytest.mark.parametrize("v", [
+        np.array([1e16, 0.0]),
+        np.array([1e147, 0.0, -1e147]),
+        np.random.default_rng(3).standard_normal(100) * 1e200,
+    ], ids=["1e16", "1e147", "1e200"])
+    def test_huge_entries_put_all_mass_on_the_maximum(self, v):
+        # Unshifted, u[0] - (u[0] - 1) rounds to 0 past about 2**53 and the
+        # projection found no index.
+        w = project_to_simplex(v)
+        assert np.all(w >= 0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert w[np.argmax(v)] == 1.0
 
 
 def spherical_mass_by_quadrature(box) -> float:
@@ -468,15 +487,16 @@ class TestGridKernel:
         assert lengths == [fft.next_fast_len(n, real=True) for n in range(1, 5001)]
 
     def test_plane_60_iterations(self):
-        # the dense solver took 308 iterations on this grid
+        # 308 with the step from the norm of the whole Q
         grid = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60, tol=1e-4)
         _, rep = grid_minimize(SPHERICAL, grid)
-        assert rep.converged and rep.iterations == 308
+        assert rep.converged and rep.iterations == 173
         assert abs(rep.energy - 0.5) <= 0.05
 
     def test_one_product_per_iteration(self, monkeypatch):
+        # every product, the step's power iteration included, goes through log_part
         counts = {"products": 0, "projections": 0}
-        product, project = GridKernel.__call__, equilibrium.project_to_simplex
+        product, project = GridKernel.log_part, equilibrium.project_to_simplex
 
         def counted_product(self, w):
             counts["products"] += 1
@@ -486,14 +506,14 @@ class TestGridKernel:
             counts["projections"] += 1
             return project(v)
 
-        monkeypatch.setattr(GridKernel, "__call__", counted_product)
+        monkeypatch.setattr(GridKernel, "log_part", counted_product)
         monkeypatch.setattr(equilibrium, "project_to_simplex", counted_project)
         grid = GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60, tol=1e-4)
         _, rep = grid_minimize(SPHERICAL, grid)
-        assert rep.iterations == 308
-        # 80 for the power iteration, one at the start, one per projection
+        assert rep.iterations == 173
+        # 20 for the power iteration, one at the start, one per projection
         # (an iteration's, and a fallback's) and one for the final energy
-        assert counts["products"] == 82 + counts["projections"] == 425
+        assert counts["products"] == 22 + counts["projections"] == 215
 
     @pytest.mark.parametrize("model, grid", [
         (SPHERICAL, GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 60)),
@@ -523,6 +543,41 @@ class TestGridKernel:
                 (tmp_path / name / f).read_bytes() for f in ("report.json", "measure.csv")
             ])
         assert outputs[0] == outputs[1]
+
+
+class TestSpectralNorm:
+    """The step's norm is that of Q on zero-sum vectors, ||P K P||."""
+
+    @pytest.mark.parametrize("support, potential, window, m", [
+        (Support.REAL_LINE, cauchy_potential(), (-20.0, 20.0), 64),
+        (Support.COMPLEX_PLANE, spherical_potential(), ((-4.0, 4.0),) * 2, 16),
+    ], ids=["line-64", "plane-16"])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_matches_dense_eigenvalue(self, support, potential, window, m, beta):
+        model = GasModel(support, beta, potential, 1)
+        grid = GridSpec(window, m)
+        dense = DenseKernel(model, grid)
+        v, size = dense.potential, len(dense.atoms)
+        k = dense.matrix - 0.5 * (v[:, None] + v[None, :])
+        p = np.eye(size) - 1.0 / size
+        expected = np.max(np.abs(np.linalg.eigvalsh(p @ k @ p)))
+        assert equilibrium._spectral_norm(GridKernel(model, grid)) == pytest.approx(
+            expected, rel=1e-6)
+
+    def test_independent_of_potential_and_spacing(self):
+        cauchy = equilibrium._spectral_norm(GridKernel(CAUCHY, GridSpec((-20.0, 20.0), 400)))
+        quadratic = equilibrium._spectral_norm(GridKernel(QUADRATIC, GridSpec((-3.0, 3.0), 400)))
+        assert cauchy == pytest.approx(quadratic, rel=1e-9)
+
+    def test_finite_for_a_potential_near_the_scale_bound(self):
+        # Through the whole Q, the mean of terms near 1e148 leaves a residue near
+        # 1e131 that swamps the kernel part.
+        model = GasModel(Support.REAL_LINE, 1.0, PotentialSpec("steep", (0.0, 1e148)), 1)
+        norm = equilibrium._spectral_norm(GridKernel(model, GridSpec((-1.0, 1.0), 16)))
+        assert math.isfinite(norm) and norm > 0
+        quadratic = replace(QUADRATIC, beta=1.0)
+        assert norm == pytest.approx(
+            equilibrium._spectral_norm(GridKernel(quadratic, GridSpec((-1.0, 1.0), 16))), rel=1e-9)
 
 
 class TestFeketeDescent:

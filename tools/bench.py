@@ -18,7 +18,8 @@ made it.  The figures:
 - µs per ``GridKernel`` product, per ``project_to_simplex`` call and per
   ``_spectral_norm`` call on the spherical plane gas, at m x m atoms;
 - ``grid_minimize`` wall time, iterations and ``GridKernel`` products per
-  solve, on the Cauchy line and the spherical plane;
+  solve, on the Cauchy line, the spherical plane at tol 1e-4 and 1e-6, and
+  the plane with V = 3|z|^2 + |z|^4;
 - µs per ``project_array`` call on wide-modulus complex points and on
   real points, moduli 1e-3 to 1e12, so both sides of the large-modulus
   switch;
@@ -51,6 +52,7 @@ from loggas import (  # noqa: E402
     ChainParams,
     GasModel,
     GridSpec,
+    PotentialSpec,
     Support,
     cauchy_potential,
     grid_minimize,
@@ -65,6 +67,8 @@ MIN_REPEAT_S = 0.05
 
 LINE = GasModel(Support.REAL_LINE, 2.0, cauchy_potential(), 1)
 PLANE = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)
+QUARTIC_PLANE = GasModel(
+    Support.COMPLEX_PLANE, 2.0, PotentialSpec("quartic", (0.0, 3.0, 1.0), "r2"), 1)
 
 # The sweep counts of the chain figures' two runs, each with this many
 # burn-in sweeps.
@@ -72,18 +76,19 @@ CHAIN_SWEEPS = (20, 60)
 CHAIN_BURN_IN = 10
 
 # figure group -> sizes: (n, C) pairs for the chain figures; planar m for
-# the per-call figures and the plane solves, atom count for the line
-# solves; for the identity layer the points per projection call and each
-# suite's own count argument.
+# the per-call figures and the plane solves (at tol 1e-4, "plane_tight" at
+# tol 1e-6), atom count for the line solves; for the identity layer the
+# points per projection call and each suite's own count argument.
 SIZES = {
     "chain": [(n, chains) for n in (64, 256) for chains in (1, 8)],
     "per_call": (60, 120, 240), "line": (400, 3200), "plane": (60, 120),
+    "plane_tight": (60,), "quartic": (60,),
     "identity": {"points": 100_000, "pairs": verify.PAIRS, "configs": verify.CONFIGS,
                  "measures": verify.MEASURES},
 }
 TINY_SIZES = {
     "chain": [(16, 1), (16, 2)],
-    "per_call": (16,), "line": (64,), "plane": (16,),
+    "per_call": (16,), "line": (64,), "plane": (16,), "plane_tight": (16,), "quartic": (16,),
     "identity": {"points": 1000, "pairs": 1000, "configs": 2, "measures": 2},
 }
 # identity suite -> (its function in loggas.verify, the SIZES key of its count)
@@ -100,8 +105,8 @@ def _line_grid(atoms: int) -> GridSpec:
     return GridSpec((-20.0, 20.0), atoms)
 
 
-def _plane_grid(m: int) -> GridSpec:
-    return GridSpec(((-4.0, 4.0), (-4.0, 4.0)), m)
+def _plane_grid(m: int, tol: float = 1e-4) -> GridSpec:
+    return GridSpec(((-4.0, 4.0), (-4.0, 4.0)), m, tol=tol)
 
 
 def environment() -> dict:
@@ -189,20 +194,21 @@ def chain_figures(n: int, chains: int) -> dict:
 
 
 def _counted_solve(model: GasModel, grid: GridSpec) -> tuple[int, int]:
-    """Iterations and GridKernel products of one solve."""
+    """Iterations and GridKernel products of one solve, the step's power
+    iteration included: every product goes through ``GridKernel.log_part``."""
     products = 0
-    product = equilibrium.GridKernel.__call__
+    product = equilibrium.GridKernel.log_part
 
     def counted(self, w):
         nonlocal products
         products += 1
         return product(self, w)
 
-    equilibrium.GridKernel.__call__ = counted
+    equilibrium.GridKernel.log_part = counted
     try:
         _, report = grid_minimize(model, grid)
     finally:
-        equilibrium.GridKernel.__call__ = product
+        equilibrium.GridKernel.log_part = product
     return report.iterations, products
 
 
@@ -273,6 +279,14 @@ def figures(sizes: dict) -> dict:
     for m in sizes["plane"]:
         out.update(solve_figures(
             f"plane-{m}", PLANE, _plane_grid(m), f"spherical plane, [-4, 4]^2, m = {m}"))
+    for m in sizes["plane_tight"]:
+        out.update(solve_figures(
+            f"plane-{m}-tol-1e-6", PLANE, _plane_grid(m, tol=1e-6),
+            f"spherical plane, [-4, 4]^2, m = {m}"))
+    for m in sizes["quartic"]:
+        out.update(solve_figures(
+            f"quartic-plane-{m}", QUARTIC_PLANE, GridSpec(((-7.0, 7.0), (-7.0, 7.0)), m),
+            f"V = 3|z|^2 + |z|^4 plane, [-7, 7]^2, m = {m}"))
     out.update(identity_figures(sizes["identity"]))
     return out
 
