@@ -111,21 +111,18 @@ class GridSpec:
 def check_solvable(model: GasModel, grid: GridSpec) -> None:
     """Raise ValueError unless grid_minimize accepts ``model`` on ``grid``.
 
-    Each message starts with the field at fault, named as in a run
-    config: model.support, model.beta, model.potential.params.log_coeff,
+    The window is accepted when every atom (cell center) lies in the
+    support.  Each message starts with the field at fault, named as in a
+    run config: model.beta, model.potential.params.log_coeff,
     model.potential.params.poly or grid.window.
     """
-    if not model.support.solver_allowed:
-        raise ValueError("model.support: the solver accepts only the real line and the plane")
     model.require_weak_growth()
     if grid.is_planar != (model.support is Support.COMPLEX_PLANE):
         raise ValueError("grid.window: grid dimensionality does not match the support")
-    if model.potential.is_even and any(
-        abs(lo + hi) > 1e-9 * max(abs(lo), abs(hi), 1.0) for lo, hi in grid.axes
-    ):
-        raise ValueError("grid.window: must be symmetric about 0 for an even potential")
     # Row by row: whole-grid temporaries here raised a 60 x 60 solve's peak RSS 0.3 MB.
     rows = grid.atoms()[0].reshape(-1, grid.resolution)
+    if not model.support.contains_array(rows).all():
+        raise ValueError(f"grid.window: has atoms outside {model.support.value}")
     v_max = np.max([np.abs(model.potential_values(row)).max() for row in rows])
     if not np.isfinite(v_max):
         raise ValueError("grid.window: V is not finite at every atom; narrow the window")
@@ -134,6 +131,14 @@ def check_solvable(model: GasModel, grid: GridSpec) -> None:
             f"grid.window: max |V| is {v_max:.3g} on {rows.size} atoms, whose product must be "
             f"at most {MAX_POTENTIAL_SCALE:g} or the solver's Q w overflows; narrow the window"
         )
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i, summed in the calling thread.  OpenBLAS splits a dot
+    product of more than 10,000 entries across its threads, in an order set by
+    their count, so ``a @ b`` would make the outputs depend on the CPU count;
+    its threads also spin after each call."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _fft_length(n: int) -> int:
@@ -215,7 +220,7 @@ class GridKernel:
     def __call__(self, w: np.ndarray) -> np.ndarray:
         """Q w for any real w; the weights need not sum to 1."""
         v = self._potential
-        return self.log_part(w) + 0.5 * v * w.sum() + 0.5 * (v @ w)
+        return self.log_part(w) + 0.5 * v * w.sum() + 0.5 * _dot(v, w)
 
 
 def _spectral_norm(q: GridKernel) -> float:
@@ -226,12 +231,12 @@ def _spectral_norm(q: GridKernel) -> float:
     rng = np.random.default_rng(0)
     v = rng.standard_normal(len(q.atoms))
     v -= v.mean()
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(_dot(v, v))
     lam = 1.0
     for _ in range(20):
         w = q.log_part(v)
         w -= w.mean()
-        lam = np.linalg.norm(w)
+        lam = math.sqrt(_dot(w, w))
         if lam == 0.0:
             return 1.0
         v = w / lam
@@ -307,7 +312,7 @@ def grid_minimize(
     else:
         w = project_to_simplex(np.asarray(init_weights, dtype=float))
     qw = q(w)
-    energy_w = float(w @ qw)
+    energy_w = _dot(w, qw)
 
     best_w, best_gap = w, math.inf
     y, qy = w.copy(), qw
@@ -319,17 +324,17 @@ def grid_minimize(
         iterations = k
         z = project_to_simplex(y - step * 2.0 * qy)
         qz = q(z)
-        energy_z = float(z @ qz)
+        energy_z = _dot(z, qz)
         if energy_z <= energy_w:
             w_new, q_new, energy_new = z, qz, energy_z
         else:
             # Monotone fallback: plain projected-gradient step from w.
             w_new = project_to_simplex(w - step * 2.0 * qw)
             q_new = q(w_new)
-            energy_new = float(w_new @ q_new)
+            energy_new = _dot(w_new, q_new)
             t = 1.0
         grad = 2.0 * q_new
-        gap = float(grad @ w_new - grad.min())
+        gap = _dot(grad, w_new) - float(grad.min())
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         a, b = t / t_next, (t - 1.0) / t_next
         y = z + a * (w_new - z) + b * (w_new - w_prev)
@@ -349,7 +354,7 @@ def grid_minimize(
     weights = best_w / math.fsum(best_w.tolist())
     measure = DiscreteMeasure(q.atoms, weights)
     report = GridMinimizeReport(
-        energy=float(weights @ q(weights)),
+        energy=_dot(weights, q(weights)),
         gap=best_gap,
         iterations=iterations,
         captured_mass=captured_mass(model, grid.window),

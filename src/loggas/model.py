@@ -83,11 +83,6 @@ class Support(enum.Enum):
     def is_bounded(self) -> bool:
         return self in (Support.UNIT_SEGMENT, Support.UNIT_CIRCLE)
 
-    @property
-    def solver_allowed(self) -> bool:
-        """Only the full line and plane are accepted by equilibrium solvers."""
-        return self in (Support.REAL_LINE, Support.COMPLEX_PLANE)
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -98,7 +93,7 @@ class PotentialSpec:
     ``poly`` lists coefficients from degree 0 upward in the variable
     ``poly_var`` ("x" for the point itself on real supports, "r2" for
     |x|^2); an empty ``poly`` or a zero ``log_coeff`` drops that term.
-    Values, gradient, parity and the largest growth witness beta'
+    Values, gradient and the largest growth witness beta'
     (``growth_limit``) all follow from this structure.
     """
 
@@ -137,11 +132,6 @@ class PotentialSpec:
             big, r2, t = modulus_forms(x)
             out = out + self.log_coeff * 2.0 * np.where(big, x * t * t, x) / (1.0 + r2)
         return out
-
-    @property
-    def is_even(self) -> bool:
-        """Whether V(-x) = V(x): always for r2 polynomials, else when odd terms vanish."""
-        return self.poly_var == "r2" or all(c == 0.0 for c in self.poly[1::2])
 
     def poly_limit(self, support: Support) -> float:
         """liminf of the poly part as |x| -> inf in the support: its lower end on the line."""

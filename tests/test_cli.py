@@ -267,6 +267,22 @@ class TestRun:
         assert report["gap"] <= 1e-4
         assert (tmp_path / "measure.csv").exists()
 
+    def test_half_line_equilibrium_outputs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "command": "equilibrium",
+            "model": {"support": "half_line", "beta": 2.0, "n": 1,
+                      "potential": {"name": "linear", "params": {"poly": [0.0, 1.0],
+                                                                 "poly_var": "x"}}},
+            "grid": {"window": [0, 5], "resolution": 400},
+        }))
+        out = tmp_path / "o"
+        assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] and report["captured_mass"] is None
+        assert abs(report["energy"] - 1.5) <= 0.02  # 1.48902 measured; exact 3/2
+        assert (out / "measure.csv").read_text().startswith("x,weight\n")
+
     def test_unconverged_equilibrium_fails_loudly(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -716,12 +732,17 @@ class TestMain:
             ("equilibrium", "complex_plane", {"window": [[-4, 4], [-3, 3]], "resolution": 16}),
             "grid.window", id="equilibrium-non-square-window"),
         pytest.param(
-            ("command", "grid"), ("equilibrium", {"window": [-4, 5], "resolution": 16}),
-            "grid.window", id="equilibrium-asymmetric-window"),
+            ("command", "model.support", "grid"),
+            ("equilibrium", "half_line", {"window": [-1, 10], "resolution": 16}),
+            "grid.window: has atoms outside half_line", id="equilibrium-half-line"),
         pytest.param(
             ("command", "model.support", "grid"),
-            ("equilibrium", "half_line", {"window": [0, 10], "resolution": 16}),
-            "model.support", id="equilibrium-half-line"),
+            ("equilibrium", "unit_circle", {"window": [-1, 1], "resolution": 16}),
+            "grid.window: has atoms outside unit_circle", id="equilibrium-unit-circle"),
+        pytest.param(
+            ("command", "model.support", "grid"),
+            ("equilibrium", "unit_circle", {"window": [[-1, 1], [-1, 1]], "resolution": 16}),
+            "grid.window", id="equilibrium-unit-circle-plane"),
         pytest.param(
             ("command", "model.support", "grid"),
             ("equilibrium", "complex_plane", {"window": [-4, 4], "resolution": 16}),

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from loggas import (
     spherical_law,
     spherical_potential,
 )
+import loggas
 from loggas import equilibrium
 from loggas.cli import parse_config, run
 from loggas.energy import DiagonalPolicy, _pair_kernel
@@ -208,11 +213,6 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(((-2.0, 2.0), (-1.0, 1.0)), 16).atoms()
 
-    def test_symmetric_window_enforced_for_even_potentials(self):
-        grid = GridSpec((-1.0, 3.0), 32, max_iter=10)
-        with pytest.raises(ValueError):
-            grid_minimize(CAUCHY, grid)
-
     @pytest.mark.parametrize("support, wide, narrow", [
         (Support.REAL_LINE, (-20.0, 20.0), (-1.0, 1.0)),
         (Support.COMPLEX_PLANE, ((-20.0, 20.0),) * 2, ((-0.9, 0.9),) * 2),
@@ -334,16 +334,27 @@ class TestGridMinimize:
         )
 
     def test_solver_gates(self):
-        with pytest.raises(ValueError, match="^model.support: the solver accepts only"):
+        with pytest.raises(ValueError, match="^grid.window: has atoms outside half_line"):
             grid_minimize(
                 GasModel(Support.HALF_LINE, 2.0, cauchy_potential(), 1),
-                GridSpec((0.0, 10.0), 32),
+                GridSpec((-1.0, 10.0), 32),
             )
         with pytest.raises(ValueError, match="^model.beta: 3 exceeds 2 log_coeff = 2;"):
             grid_minimize(
                 GasModel(Support.REAL_LINE, 3.0, cauchy_potential(), 1),
                 GridSpec((-10.0, 10.0), 32),
             )
+
+    def test_off_centre_window(self):
+        # an even V takes any window whose atoms lie in the support
+        grid = GridSpec((-10.0, 30.0), 400)
+        _, rep = grid_minimize(CAUCHY, grid)
+        assert rep.converged
+        assert rep.captured_mass == cauchy_law().box_masses([[-10.0, 30.0]]).item()
+        assert rep.captured_mass == pytest.approx(
+            (math.atan(30.0) + math.atan(10.0)) / math.pi, abs=1e-15
+        )
+        assert abs(rep.energy - math.log(2)) <= 0.02  # -1.65e-2 measured
 
     def test_initializations_agree(self):
         tol = 1e-5
@@ -543,6 +554,87 @@ class TestGridKernel:
                 (tmp_path / name / f).read_bytes() for f in ("report.json", "measure.csv")
             ])
         assert outputs[0] == outputs[1]
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self):
+        # 101 x 101 = 10,201 atoms: above 10,000, OpenBLAS splits a dot product
+        # across its threads, so a BLAS inner product would change the bytes.
+        code = (
+            "import hashlib\n"
+            "from loggas import GasModel, GridSpec, Support, grid_minimize, spherical_potential\n"
+            "model = GasModel(Support.COMPLEX_PLANE, 2.0, spherical_potential(), 1)\n"
+            "mu, rep = grid_minimize(model, GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 101))\n"
+            "print(repr(rep.energy), rep.iterations, hashlib.sha256(mu.weights.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(loggas.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                timeout=300, env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
+
+
+def arcsine_cdf(x):
+    """The arcsine law on [0, 1]."""
+    return 2.0 / np.pi * np.arcsin(np.sqrt(np.clip(x, 0.0, 1.0)))
+
+
+def marchenko_pastur_cdf(y):
+    """The Marchenko-Pastur law of ratio 1 on [0, 4]: the square of a
+    semicircular variable on [-2, 2]."""
+    y = np.clip(y, 0.0, 4.0)
+    return np.sqrt(y * (4.0 - y)) / (2.0 * np.pi) + 2.0 / np.pi * np.arcsin(np.sqrt(y) / 2.0)
+
+
+class TestExactLawsAtEveryBeta:
+    """Two solves whose minimizers are known at every beta, with no quadrature.
+
+    V = 0 on the unit segment: the arcsine law, energy (beta/2) log 4.
+    V = x on the half line: the law of (beta/2) Y, Y Marchenko-Pastur of
+    ratio 1, energy (beta/2)(3/2 - log(beta/2)).  Each law has an inverse
+    square-root edge, so the energy error falls about 3.4x per 4x refinement
+    and the CDF error at the cell edges like h^(1/2).  The bounds are 1.25
+    times the errors measured.
+    """
+
+    @staticmethod
+    def solve(support, beta, m):
+        """(report, energy - exact, max CDF error at the cell edges) at tol 1e-6."""
+        if support is Support.UNIT_SEGMENT:
+            model = GasModel(support, beta, PotentialSpec("flat"), 1)
+            window, exact, cdf = (0.0, 1.0), beta / 2.0 * math.log(4.0), arcsine_cdf
+        else:
+            model = GasModel(support, beta, PotentialSpec("linear", (0.0, 1.0), "x"), 1)
+            window, exact = (0.0, 2.5 * beta), beta / 2.0 * (1.5 - math.log(beta / 2.0))
+            cdf = lambda x: marchenko_pastur_cdf(2.0 * x / beta)
+        mu, rep = grid_minimize(model, GridSpec(window, m, tol=1e-6))
+        edges = np.linspace(*window, m + 1)
+        cumulative = np.concatenate([[0.0], np.cumsum(mu.weights)])
+        return rep, rep.energy - exact, np.max(np.abs(cumulative - cdf(edges)))
+
+    @pytest.mark.parametrize("support, beta, m, energy_error, cdf_error", [
+        (Support.UNIT_SEGMENT, 1.0, 100, 8.54e-3, 2.50e-2),
+        (Support.UNIT_SEGMENT, 1.0, 400, 2.55e-3, 1.27e-2),
+        (Support.UNIT_SEGMENT, 2.0, 100, 1.71e-2, 2.50e-2),
+        (Support.UNIT_SEGMENT, 2.0, 400, 5.09e-3, 1.27e-2),
+        (Support.HALF_LINE, 1.0, 400, 5.49e-3, 2.87e-2),
+        (Support.HALF_LINE, 2.0, 400, 1.10e-2, 2.87e-2),
+    ], ids=["segment-1-100", "segment-1-400", "segment-2-100", "segment-2-400",
+            "half-line-1-400", "half-line-2-400"])
+    def test_energy_and_cdf(self, support, beta, m, energy_error, cdf_error):
+        rep, de, dcdf = self.solve(support, beta, m)
+        assert rep.converged and rep.captured_mass is None
+        assert abs(de) <= 1.25 * energy_error
+        assert dcdf <= 1.25 * cdf_error
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_segment_error_falls_under_refinement(self, beta):
+        coarse = self.solve(Support.UNIT_SEGMENT, beta, 100)[1]
+        fine = self.solve(Support.UNIT_SEGMENT, beta, 400)[1]
+        assert abs(fine) * 3.0 <= abs(coarse)  # 3.36 measured at both beta
 
 
 class TestSpectralNorm:

@@ -61,12 +61,6 @@ class TestSupports:
         assert support.contains_array(points).tolist() == expected
         assert [bool(support.contains_array(z)) for z in points] == expected
 
-    def test_solver_gate(self):
-        assert Support.REAL_LINE.solver_allowed
-        assert Support.COMPLEX_PLANE.solver_allowed
-        assert not Support.HALF_LINE.solver_allowed
-        assert not Support.UNIT_CIRCLE.solver_allowed
-
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -243,9 +237,6 @@ class TestPotentials:
         eps = 1e-6
         fd = (pot.evaluate(x + eps) - pot.evaluate(x - eps)) / (2 * eps)
         assert pot.gradient(x) == pytest.approx(fd, rel=1e-6)
-        assert pot.is_even is True
-        odd = PotentialSpec("odd", poly=[0.0, 1.0], poly_var="x")
-        assert odd.is_even is False
 
     @pytest.mark.parametrize("support", [Support.COMPLEX_PLANE, Support.UNIT_CIRCLE])
     @pytest.mark.parametrize("potential, formula", [

@@ -78,9 +78,20 @@ RUNS = {
         "model": _model("complex_plane", 2.0, 1, "spherical"),
         "grid": {"window": [[-4.0, 4.0], [-4.0, 4.0]], "resolution": 60},
     }, 0),
+    # Above 10,000 atoms, where OpenBLAS would split a dot product across threads.
+    "equilibrium-plane-101": ("equilibrium", {
+        "model": _model("complex_plane", 2.0, 1, "spherical"),
+        "grid": {"window": [[-4.0, 4.0], [-4.0, 4.0]], "resolution": 101},
+    }, 0),
     "equilibrium-line": ("equilibrium", {
         "model": _model("real_line", 1.0, 1, "quadratic"),
         "grid": {"window": [-3.0, 3.0], "resolution": 400},
+    }, 0),
+    # A bounded support: the window is the whole segment, V = 0.
+    "equilibrium-segment": ("equilibrium", {
+        "model": {"support": "unit_segment", "beta": 1.0, "n": 1,
+                  "potential": {"name": "flat", "params": {}}},
+        "grid": {"window": [0.0, 1.0], "resolution": 400},
     }, 0),
     **{f"verify-{seed}": ("verify", {}, seed) for seed in range(8)},
     "analyze-line": ("analyze", {
