@@ -2,6 +2,9 @@
 
 Floats are written with repr (shortest round-trip form) and files end
 with a newline, so identical inputs produce byte-identical outputs.
+A ``samples.csv`` row's tail (particle, re, im) is formatted only when
+its particle moves: a chain rewrites the tails whose bits changed since
+its previous recorded sample and reuses the others' text.
 ``samples.csv`` is parsed by one ``np.loadtxt`` call over the open file:
 a row is three integers and two finite floats, comma-separated, with no
 comments or quotes.  Blank lines may only precede the header or end the file.
@@ -35,6 +38,22 @@ def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
+# Recorded samples are formatted in blocks of about this many rows, so the
+# strings held at once stay bounded however long a chain is.
+_BLOCK_ROWS = 1 << 12
+
+
+def _moved(recorded: np.ndarray) -> np.ndarray:
+    """(K, n) bools: particle i moved between samples k - 1 and k of the
+    (K, n) complex ``recorded``.  Sample 0 counts as all moved.  Bits are
+    compared, not values, so +0.0 -> -0.0 is a move."""
+    count, n = recorded.shape
+    pairs = recorded.view(np.int64).reshape(count, n, 2)
+    moved = np.ones((count, n), dtype=bool)
+    np.any(pairs[1:] != pairs[:-1], axis=2, out=moved[1:])
+    return moved
+
+
 def write_samples_csv(file, samples, sweeps, first_chain: int = 0) -> None:
     """Samples as chain,sweep,particle,re,im rows.
 
@@ -42,19 +61,40 @@ def write_samples_csv(file, samples, sweeps, first_chain: int = 0) -> None:
     is the n points ``samples[c, k]``, recorded at sweep ``sweeps[k]``.
     ``file`` is a path, which is created or truncated, or the descriptor of
     an open file, whose rows are appended where it stands.  Rows from chain
-    0 start with the header; rows from a later chain continue a file.  Rows
-    are written one recorded sample at a time, so no chain-wide list of
-    rows is held.
+    0 start with the header; rows from a later chain continue a file.
+
+    A row is its head ``chain,sweep`` and its particle's tail
+    ``,particle,re,im``.  Each chain keeps the n current tails and formats
+    a tail only when the bits of its particle's (re, im) differ from the
+    previous recorded sample, in one bulk pass per block of about
+    ``_BLOCK_ROWS`` rows; a sample is written as ``head + head.join(tails)``.
+    So the strings held at once are bounded by the block, not the chain.
     """
-    prefixes = [f",{i}," for i in range(samples.shape[2])]  # shared by every sample
+    n = samples.shape[2]
+    prefixes = [f",{i}," for i in range(n)]  # shared by every tail
+    step = max(1, _BLOCK_ROWS // n)
     with open(file, "w", closefd=not isinstance(file, int)) as f:
         if first_chain == 0:
             f.write(_HEADER + "\n")
         for c, recorded in enumerate(samples, first_chain):
-            for sweep, pts in zip(sweeps, recorded):
-                re, im = map(repr, pts.real.tolist()), map(repr, pts.imag.tolist())
-                rows = zip(repeat(f"{c},{sweep}"), prefixes, re, repeat(","), im, repeat("\n"))
-                f.write("".join(map("".join, rows)))
+            recorded = np.ascontiguousarray(recorded, dtype=complex)
+            moved, heads = _moved(recorded), [f"{c},{sweep}" for sweep in sweeps]
+            for lo in range(0, len(heads), step):
+                block = moved[lo : lo + step]
+                particles = block.nonzero()[1].tolist()
+                points = recorded[lo : lo + step][block]
+                re, im = map(repr, points.real.tolist()), map(repr, points.imag.tolist())
+                new = list(map("".join, zip(
+                    map(prefixes.__getitem__, particles), re, repeat(","), im, repeat("\n"))))
+                end = 0
+                for head, count in zip(heads[lo : lo + step], block.sum(axis=1).tolist()):
+                    start, end = end, end + count
+                    if count == n:  # every tail is new, as always at sample 0
+                        tails = new[start:end]
+                    else:
+                        for i, tail in zip(particles[start:end], new[start:end]):
+                            tails[i] = tail
+                    f.write(head + head.join(tails))
 
 
 _ROW = np.dtype({"names": _HEADER.split(","), "formats": ["i8", "i8", "i8", "f8", "f8"]})

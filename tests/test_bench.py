@@ -33,10 +33,14 @@ def test_tiny_run_writes_every_figure(tmp_path, monkeypatch, capsys):
            "verify.metric.pairs-1000", "verify.pole.pairs-1000",
            "verify.kernel_transport.pairs-1000", "verify.density_transport.configs-2",
            "verify.energy_transport.measures-2"]
+        + [f"io.write_samples_csv.{what}" for what in (
+            "chain-line-16x2", "chain-plane-16x1", "all-moved")]
+        + ["io.read_samples_csv.rows-1280", "energy.log_density.line-16",
+           "energy.log_density.plane-16"]
     )
     for name, figure in figures.items():
         assert math.isfinite(figure["value"]) and figure["value"] > 0, name
-        assert figure["unit"] in {"us", "s", "count"}, name
+        assert figure["unit"] in {"us", "ms", "s", "count"}, name
         low, high = figure["spread"]
         assert low <= figure["value"] <= high, name
         assert figure["repeats"] == (1 if figure["unit"] == "count" else 2), name

@@ -1,12 +1,23 @@
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 import loggas.io
-from loggas import DiscreteMeasure, pushforward
+from loggas import (
+    ChainParams,
+    DiscreteMeasure,
+    GasModel,
+    Support,
+    cauchy_potential,
+    mh_chains,
+    pushforward,
+    spherical_potential,
+)
 from loggas.io import read_samples_csv, write_json, write_measure_csv, write_samples_csv
+from loggas.sampler import initial_configuration
 
 
 def _fields(path):
@@ -55,6 +66,16 @@ def test_empty_file_names_the_file(tmp_path, text):
 
 
 HEADER = "chain,sweep,particle,re,im"
+
+
+def _reference_csv(samples, sweeps, first_chain=0) -> str:
+    """What ``write_samples_csv`` writes, formatted one element at a time."""
+    lines = [HEADER] if first_chain == 0 else []
+    for c, recorded in enumerate(samples, first_chain):
+        for sweep, pts in zip(sweeps, recorded):
+            lines += [f"{c},{sweep},{i},{float(p.real)!r},{float(p.imag)!r}"
+                      for i, p in enumerate(pts)]
+    return "".join(line + "\n" for line in lines)
 
 
 class TestSamplesCsv:
@@ -184,14 +205,84 @@ class TestSamplesCsv:
         samples.imag = specials[::-1], specials
         path = tmp_path / "samples.csv"
         write_samples_csv(path, samples, [7, 12])
-        want = ["chain,sweep,particle,re,im"]
-        for chain in range(2):
-            for sweep, pts in zip([7, 12], samples[chain]):
-                for k, p in enumerate(pts):
-                    want.append(f"{chain},{sweep},{k},{repr(float(p.real))},{repr(float(p.imag))}")
-        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        assert path.read_bytes() == _reference_csv(samples, [7, 12]).encode()
         assert "0,7,1,-0.0,0.3333333333333333" in path.read_text()
         assert read_samples_csv(path)["values"].tobytes() == samples.tobytes()
+
+
+def _chain_samples(support, potential, thin):
+    model = GasModel(support, 2.0, potential, 5)
+    inits = [initial_configuration(model, np.random.default_rng([4, j])) for j in range(3)]
+    params = ChainParams(40, 10, thin)
+    samples, _ = mh_chains(model, inits, params, [7, 8, 9])
+    return samples, params.recorded_sweeps
+
+
+def _zero_flips(part):
+    """One chain, three samples of two particles: particle 0's ``part`` goes
+    +0.0 -> -0.0 -> +0.0, and particle 1 stays put."""
+    samples = np.full((1, 3, 2), 0.5 - 0.25j)
+    signed, particle = np.array([0.0, -0.0, 0.0]), samples[0, :, 0]
+    particle.real, particle.imag = (signed, 1.5) if part == "re" else (1.5, signed)
+    return samples
+
+
+class TestSamplesCsvMatchesPerElementRows:
+    """The writer reformats only the particles that moved; its bytes equal
+    the per-element rows on every input."""
+
+    def _check(self, tmp_path, samples, sweeps):
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, samples, sweeps)
+        assert path.read_text() == _reference_csv(samples, sweeps)
+
+    @pytest.mark.parametrize("thin", [1, 3])
+    @pytest.mark.parametrize("support, potential", [
+        (Support.REAL_LINE, cauchy_potential()),
+        (Support.COMPLEX_PLANE, spherical_potential()),
+    ], ids=["line", "plane"])
+    @pytest.mark.parametrize("block_rows", [1 << 12, 10], ids=["one-block", "blocks-of-2"])
+    def test_chain_output(self, tmp_path, monkeypatch, support, potential, thin, block_rows):
+        # 10 rows at n = 5 is a block of two samples: the tails carry over
+        # from block to block
+        monkeypatch.setattr(loggas.io, "_BLOCK_ROWS", block_rows)
+        samples, sweeps = _chain_samples(support, potential, thin)
+        moved = np.any(samples[:, 1:] != samples[:, :-1], axis=0)
+        assert 0 < moved.mean() < 1  # some particles stay put, some move
+        self._check(tmp_path, samples, sweeps)
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_signed_zero_is_a_move(self, tmp_path, part):
+        samples = _zero_flips(part)
+        self._check(tmp_path, samples, [3, 4, 5])
+        assert f"0,4,0,{'-0.0,1.5' if part == 're' else '1.5,-0.0'}\n" in (
+            tmp_path / "samples.csv").read_text()
+
+    def test_nothing_moves(self, tmp_path):
+        samples = np.broadcast_to(np.array([0.1 + 2j, -3.0, 1e-300j]), (2, 4, 3))
+        self._check(tmp_path, samples, range(4))
+
+    def test_everything_moves(self, tmp_path):
+        rng = np.random.default_rng(5)
+        samples = rng.standard_cauchy((2, 4, 3)) + 1j * rng.standard_cauchy((2, 4, 3))
+        self._check(tmp_path, samples, range(10, 14))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 4), (2, 5, 1)], ids=["one-sample", "one-particle"])
+    def test_one_sample_or_one_particle(self, tmp_path, shape):
+        rng = np.random.default_rng(6)
+        samples = rng.standard_normal(shape).astype(complex)
+        samples[:, 2:] = samples[:, 1:2]  # with n = 1, samples 1 to 4 are equal
+        self._check(tmp_path, samples, range(shape[1]))
+
+    def test_later_chains_append_to_an_open_file(self, tmp_path):
+        samples = _chain_samples(Support.REAL_LINE, cauchy_potential(), 1)[0]
+        path = tmp_path / "samples.csv"
+        with open(path, "w") as f:
+            f.write("text already there\n")
+            f.flush()
+            write_samples_csv(f.fileno(), samples, range(30), first_chain=2)
+            os.fstat(f.fileno())  # still open
+        assert path.read_text() == "text already there\n" + _reference_csv(samples, range(30), 2)
 
 
 class TestJson:

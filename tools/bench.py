@@ -1,4 +1,4 @@
-"""Time the sampler, solver and identity layers in process; write BENCH_<label>.json.
+"""Time the sampler, solver, identity, CSV and energy layers in process; write BENCH_<label>.json.
 
 usage: python tools/bench.py --label LABEL [--tiny]
 
@@ -25,7 +25,15 @@ made it.  The figures:
   switch;
 - µs per call of each ``verify.*_deviation`` suite at ``loggas verify``'s
   own sizes, each call with a fresh ``np.random.default_rng(0)``, so every
-  repeat makes the same draws.
+  repeat makes the same draws;
+- µs per row of ``io.write_samples_csv`` on ``mh_chains`` output of the
+  ``sample`` benchmark shapes (the Cauchy line at n = 64 with 4 chains,
+  the spherical plane at n = 256 with 1) and on iid Cauchy rows of the
+  line shape, where every particle moves between samples; and of
+  ``io.read_samples_csv`` on the line chains' file.  Each file goes to a
+  temporary directory;
+- ms per ``energy.log_density`` call on the Cauchy line and the spherical
+  plane at beta = 2, by particle count n.
 
 ``--tiny`` runs small sizes only, to check that every figure is made.
 Compare two files only if one machine made both in one session, from
@@ -39,6 +47,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -59,7 +68,7 @@ from loggas import (  # noqa: E402
     mh_chains,
     spherical_potential,
 )
-from loggas import equilibrium, geometry, sampler, verify  # noqa: E402
+from loggas import energy, equilibrium, geometry, io, sampler, verify  # noqa: E402
 
 REPEATS = 7
 # A repeat of a per-call figure runs the call often enough to last this long.
@@ -78,18 +87,24 @@ CHAIN_BURN_IN = 10
 # figure group -> sizes: (n, C) pairs for the chain figures; planar m for
 # the per-call figures and the plane solves (at tol 1e-4, "plane_tight" at
 # tol 1e-6), atom count for the line solves; for the identity layer the
-# points per projection call and each suite's own count argument.
+# points per projection call and each suite's own count argument; for the
+# CSV figures the (n, chains, sweeps, burn-in) of the line and plane chains;
+# the particle counts of the log_density figures.
 SIZES = {
     "chain": [(n, chains) for n in (64, 256) for chains in (1, 8)],
     "per_call": (60, 120, 240), "line": (400, 3200), "plane": (60, 120),
     "plane_tight": (60,), "quartic": (60,),
     "identity": {"points": 100_000, "pairs": verify.PAIRS, "configs": verify.CONFIGS,
                  "measures": verify.MEASURES},
+    "csv": {"line": (64, 4, 1000, 400), "plane": (256, 1, 400, 200)},
+    "log_density": (64, 256, 1024),
 }
 TINY_SIZES = {
     "chain": [(16, 1), (16, 2)],
     "per_call": (16,), "line": (64,), "plane": (16,), "plane_tight": (16,), "quartic": (16,),
     "identity": {"points": 1000, "pairs": 1000, "configs": 2, "measures": 2},
+    "csv": {"line": (16, 2, 60, 20), "plane": (16, 1, 60, 20)},
+    "log_density": (16,),
 }
 # identity suite -> (its function in loggas.verify, the SIZES key of its count)
 SUITES = {
@@ -146,8 +161,9 @@ def _figure(samples, unit: str, call: str) -> dict:
     }
 
 
-def _per_call_us(fn, call: str) -> dict:
-    """µs per call of ``fn``: each repeat times a loop of at least MIN_REPEAT_S.
+def _per_call(fn, call: str, unit: str = "us") -> dict:
+    """Time per call of ``fn`` in ``unit``, "us" or "ms": each repeat times a
+    loop of at least MIN_REPEAT_S.
 
     The loop length doubles until one loop lasts that long, which also warms
     the call up.
@@ -165,8 +181,8 @@ def _per_call_us(fn, call: str) -> dict:
         start = time.perf_counter()
         for _ in range(loops):
             fn()
-        samples.append((time.perf_counter() - start) / loops * 1e6)
-    return _figure(samples, "us", f"{call}, {loops} calls per repeat")
+        samples.append((time.perf_counter() - start) / loops * {"us": 1e6, "ms": 1e3}[unit])
+    return _figure(samples, unit, f"{call}, {loops} calls per repeat")
 
 
 def chain_figures(n: int, chains: int) -> dict:
@@ -220,12 +236,12 @@ def per_call_figures(m: int) -> dict:
     v = np.random.default_rng(0).standard_normal(size)
     where = f"spherical plane, [-4, 4]^2, m = {m}"
     return {
-        f"grid_kernel.product.plane-{m}": _per_call_us(
+        f"grid_kernel.product.plane-{m}": _per_call(
             lambda: q(w), f"GridKernel({where})(w), w uniform"),
-        f"equilibrium.project_to_simplex.plane-{m}": _per_call_us(
+        f"equilibrium.project_to_simplex.plane-{m}": _per_call(
             lambda: equilibrium.project_to_simplex(v),
             f"project_to_simplex(v), v standard normal of {size} entries"),
-        f"equilibrium.spectral_norm.plane-{m}": _per_call_us(
+        f"equilibrium.spectral_norm.plane-{m}": _per_call(
             lambda: equilibrium._spectral_norm(q), f"_spectral_norm(GridKernel({where}))"),
     }
 
@@ -252,18 +268,70 @@ def identity_figures(sizes: dict) -> dict:
     wide = mags * np.exp(2j * np.pi * rng.random(points))
     real = mags * rng.choice([-1.0, 1.0], points)
     out = {
-        f"geometry.project_array.complex-{points}": _per_call_us(
+        f"geometry.project_array.complex-{points}": _per_call(
             lambda: geometry.project_array(wide),
             f"project_array(x), {points} complex x, |x| log-uniform in [1e-3, 1e12]"),
-        f"geometry.project_array.real-{points}": _per_call_us(
+        f"geometry.project_array.real-{points}": _per_call(
             lambda: geometry.project_array(real),
             f"project_array(x), {points} real x, |x| log-uniform in [1e-3, 1e12]"),
     }
     for suite, (fn, kind) in SUITES.items():
         count = sizes[kind]
-        out[f"verify.{suite}.{kind}-{count}"] = _per_call_us(
+        out[f"verify.{suite}.{kind}-{count}"] = _per_call(
             lambda fn=fn, count=count: fn(np.random.default_rng(0), count),
             f"verify.{fn.__name__}(np.random.default_rng(0), {count})")
+    return out
+
+
+def _per_row_us(fn, rows: int, call: str) -> dict:
+    """µs per row of ``fn``, which handles ``rows`` rows: one call per repeat,
+    after one warm-up call."""
+    fn()
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        samples.append((time.perf_counter() - start) / rows * 1e6)
+    return _figure(samples, "us", f"{call}, {rows} rows, one call per repeat")
+
+
+def csv_figures(sizes: dict) -> dict:
+    inputs = []
+    for name, model in (("line", LINE), ("plane", PLANE)):
+        n, chains, sweeps, burn_in = sizes[name]
+        model = replace(model, n=n)
+        inits = [sampler.initial_configuration(model, np.random.default_rng([0, j]))
+                 for j in range(chains)]
+        params = ChainParams(sweeps, burn_in)
+        samples, _ = mh_chains(model, inits, params, list(range(chains)))
+        where = (f"mh_chains({model.support.value}, beta = 2, {model.potential.name}, n = {n},"
+                 f" C = {chains}, {sweeps} sweeps, burn-in {burn_in})")
+        inputs.append((f"chain-{name}-{n}x{chains}", samples, params.recorded_sweeps, where))
+    _, line, line_sweeps, line_where = inputs[0]
+    iid = np.random.default_rng(0).standard_cauchy(line.shape).astype(complex)
+    inputs.append(("all-moved", iid, line_sweeps, f"iid standard Cauchy rows of shape {iid.shape}"))
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.csv"
+        for label, samples, sweeps, where in inputs:
+            out[f"io.write_samples_csv.{label}"] = _per_row_us(
+                lambda: io.write_samples_csv(path, samples, sweeps), samples.size,
+                f"write_samples_csv(path, samples), samples of {where}")
+        io.write_samples_csv(path, line, line_sweeps)
+        out[f"io.read_samples_csv.rows-{line.size}"] = _per_row_us(
+            lambda: io.read_samples_csv(path), line.size,
+            f"read_samples_csv(path), the file written from {line_where}")
+    return out
+
+
+def log_density_figures(n: int) -> dict:
+    out = {}
+    for name, model in (("line", replace(LINE, n=n)), ("plane", replace(PLANE, n=n))):
+        points = sampler.initial_configuration(model, np.random.default_rng(0))
+        out[f"energy.log_density.{name}-{n}"] = _per_call(
+            lambda: energy.log_density(points, model),
+            f"log_density(points, {model.support.value}, beta = 2, {model.potential.name}),"
+            f" n = {n}, points from initial_configuration", unit="ms")
     return out
 
 
@@ -288,6 +356,9 @@ def figures(sizes: dict) -> dict:
             f"quartic-plane-{m}", QUARTIC_PLANE, GridSpec(((-7.0, 7.0), (-7.0, 7.0)), m),
             f"V = 3|z|^2 + |z|^4 plane, [-7, 7]^2, m = {m}"))
     out.update(identity_figures(sizes["identity"]))
+    out.update(csv_figures(sizes["csv"]))
+    for n in sizes["log_density"]:
+        out.update(log_density_figures(n))
     return out
 
 
